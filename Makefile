@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race parallel-stress bench-smoke trace-smoke planner-smoke crash-matrix fuzz-smoke columnar-smoke mvcc-smoke serve-smoke bitemporal-smoke verify lint bench bench-parallel bench-json
+.PHONY: build vet test race parallel-stress bench-smoke trace-smoke planner-smoke crash-matrix fuzz-smoke columnar-smoke mvcc-smoke serve-smoke bitemporal-smoke verify lint bench bench-parallel bench-json bench-compare
 
 build:
 	$(GO) build ./...
@@ -127,3 +127,14 @@ bench-parallel:
 # cross-commit regression diffing.
 bench-json:
 	$(GO) run ./cmd/archis-bench -json BENCH_$(shell date +%Y%m%dT%H%M%S).json
+
+# Compare this tree with a committed result set: three runs of every
+# workload (medians and quartiles), then BENCHMARK.json's bounds applied
+# metric by metric; exits 1 when a metric is worse. Several minutes;
+# not part of verify. Output lands outside the repository.
+BASE ?= benchmark/results/baseline.json
+OUT ?= /tmp/archis-bench-compare
+bench-compare:
+	mkdir -p $(OUT)
+	$(GO) run ./benchmark -repeat 3 -out $(OUT)/change.json
+	$(GO) run ./benchmark compare $(BASE) $(OUT)/change.json

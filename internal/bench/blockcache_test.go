@@ -8,10 +8,10 @@ import (
 )
 
 // TestBlockCacheDifferential runs the Table 3 suite on every layout
-// with the decoded-block cache off (reference) and then on, serial and
-// with concurrent readers, and requires identical answers everywhere.
-// Run with -race: on the compressed layout the second concurrent pass
-// reads shared cached decoded rows from many goroutines at once.
+// with the decoded-block cache off (reference) and then on at two
+// budgets, at Workers 1 and 4, and requires identical answers
+// everywhere. Run with -race: on the compressed layout the concurrent
+// passes read shared cached batches from many goroutines at once.
 func TestBlockCacheDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -23,10 +23,12 @@ func TestBlockCacheDifferential(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, err := Build(dataset.Config{
-				Employees:   30,
-				Years:       4,
-				Departments: 4,
-				Seed:        11,
+				Employees:         100,
+				Years:             5,
+				Departments:       4,
+				Seed:              11,
+				MonthlyUpdateFrac: 0.25,
+				TurnoverFrac:      0.05,
 			}, Options{
 				Layout:         tc.layout,
 				MinSegmentRows: 40,
@@ -62,28 +64,36 @@ func TestBlockCacheDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			e.Sys.DB.SetBlockCacheBytes(32 << 20)
-			e.Cold()
-			e.Sys.DB.ResetStats()
-			for _, pass := range []struct {
-				name    string
-				workers int
-			}{{"serial-cold", 1}, {"concurrent-warm", 4}, {"concurrent-warm-2", 4}} {
-				_, got, err := e.RunBatch(queries, pass.workers)
-				if err != nil {
-					t.Fatalf("%s: %v", pass.name, err)
+			// The decoded history is ~140 KiB: 100 KiB (the mixed
+			// workload's budget) evicts as it goes, 32 MiB holds it all.
+			for _, budget := range []int{100 << 10, 32 << 20} {
+				e.Sys.DB.SetBlockCacheBytes(budget)
+				e.Cold()
+				e.Sys.DB.ResetStats()
+				for _, pass := range []struct {
+					name    string
+					workers int
+				}{{"serial-cold", 1}, {"concurrent-warm", 4}, {"concurrent-warm-2", 4}, {"serial-warm", 1}} {
+					_, got, err := e.RunBatch(queries, pass.workers)
+					if err != nil {
+						t.Fatalf("%d bytes, %s: %v", budget, pass.name, err)
+					}
+					if !SameAnswers(got, ref) {
+						t.Fatalf("%d bytes, %s: answers with block cache on differ from cache-off reference", budget, pass.name)
+					}
 				}
-				if !SameAnswers(got, ref) {
-					t.Fatalf("%s: answers with block cache on differ from cache-off reference", pass.name)
+				st := e.Sys.DB.Stats()
+				t.Logf("budget %d: %d hits, %d misses, %d bytes cached", budget, st.BlockCacheHits, st.BlockCacheMisses, st.BlockCacheBytes)
+				if tc.layout == core.LayoutCompressed {
+					if st.BlockCacheHits == 0 {
+						t.Errorf("%d bytes: compressed layout never hit the block cache across warm passes", budget)
+					}
+					if st.BlockCacheBytes > int64(budget) {
+						t.Errorf("cache holds %d bytes over its %d budget", st.BlockCacheBytes, budget)
+					}
+				} else if st.BlockCacheHits != 0 || st.BlockCacheMisses != 0 {
+					t.Errorf("layout without BlockZIP touched the block cache: %+v", st)
 				}
-			}
-			st := e.Sys.DB.Stats()
-			if tc.layout == core.LayoutCompressed {
-				if st.BlockCacheHits == 0 {
-					t.Error("compressed layout never hit the block cache across warm passes")
-				}
-			} else if st.BlockCacheHits != 0 || st.BlockCacheMisses != 0 {
-				t.Errorf("layout without BlockZIP touched the block cache: %+v", st)
 			}
 
 			// Cold mode must stay honest: DropCaches empties the block

@@ -567,29 +567,3 @@ func decodeColSection(sec []byte, nrows int, v *relstore.ColVec) error {
 	v.Present = true
 	return nil
 }
-
-// DecodeColumnarRows decodes a columnar block into rows backed by a
-// single Value arena — the same shape blockRows produces for legacy
-// blocks, so the decoded-block cache and the borrowed-row scan path
-// work identically for both formats. The second return value
-// approximates the decoded payload size for cache budget accounting.
-func DecodeColumnarRows(data []byte) ([]relstore.Row, int, error) {
-	var b relstore.ColBatch
-	if err := DecodeColumnarBatch(data, nil, &b); err != nil {
-		return nil, 0, err
-	}
-	ncols := len(b.Cols)
-	arena := make([]relstore.Value, b.N*ncols)
-	rows := make([]relstore.Row, b.N)
-	payload := 0
-	for i := 0; i < b.N; i++ {
-		r := arena[i*ncols : (i+1)*ncols : (i+1)*ncols]
-		for c := 0; c < ncols; c++ {
-			v := b.Cols[c].ValueAt(i)
-			r[c] = v
-			payload += len(v.S) + len(v.B)
-		}
-		rows[i] = relstore.Row(r)
-	}
-	return rows, payload, nil
-}

@@ -61,7 +61,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 		if !IsColumnarBlock(blk.Data) {
 			t.Fatal("columnar block not recognized by IsColumnarBlock")
 		}
-		dec, _, err := DecodeColumnarRows(blk.Data)
+		dec, err := decodeColumnarRows(blk.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestColumnarLegacyInterop(t *testing.T) {
 	if err := DecodeColumnarBatch(bad, nil, &b); err == nil {
 		t.Fatal("unknown columnar version should fail")
 	}
-	if _, _, err := DecodeColumnarRows([]byte{colMagic, colVersion, 0xff, 0xee}); err == nil {
+	if _, err := decodeColumnarRows([]byte{colMagic, colVersion, 0xff, 0xee}); err == nil {
 		t.Fatal("garbage after the header should fail")
 	}
 }
@@ -231,4 +231,14 @@ func TestColumnarReopenDetectsEncoding(t *testing.T) {
 			}
 		})
 	}
+}
+
+// decodeColumnarRows decodes every column of a columnar block and
+// materializes its rows.
+func decodeColumnarRows(data []byte) ([]relstore.Row, error) {
+	var b relstore.ColBatch
+	if err := DecodeColumnarBatch(data, nil, &b); err != nil {
+		return nil, err
+	}
+	return b.Rows(), nil
 }

@@ -27,21 +27,7 @@ const batchRows = 1024
 // reads (nil = all); the store adds the columns its own filter needs,
 // and columnar blocks decode only that union.
 func (cs *CompressedStore) ScanBatches(bounds []relstore.ZoneBound, needed []bool) ([]relstore.BatchFunc, error) {
-	segLo, segHi := int64(1), cs.Seg.LiveSegment()
-	var idEq *int64
-	for _, zb := range bounds {
-		switch {
-		case zb.Col == 0 && zb.Op == "=":
-			segLo, segHi = zb.Bound, zb.Bound
-		case zb.Col == 0 && zb.Op == ">=" && zb.Bound > segLo:
-			segLo = zb.Bound
-		case zb.Col == 0 && zb.Op == "<=" && zb.Bound < segHi:
-			segHi = zb.Bound
-		case zb.Col == 1 && zb.Op == "=":
-			v := zb.Bound
-			idEq = &v
-		}
-	}
+	segLo, segHi, idEq := cs.scope(bounds)
 	ncols := len(cs.Schema().Columns)
 
 	// The store filter reads segno (col 0) and tend (col 4), plus id
@@ -142,13 +128,7 @@ func (cs *CompressedStore) rowMorselBatches(m relstore.MorselFunc, ncols int, st
 		return ok
 	}
 	_, err := m(true, func(row relstore.Row) bool {
-		if row[0].I < segLo || row[0].I > segHi {
-			return true
-		}
-		if row[0].I < segHi && row[4].Date().IsForever() {
-			return true
-		}
-		if idEq != nil && row[1].I != *idEq {
+		if !keep(row, segLo, segHi, idEq) {
 			return true
 		}
 		buf = append(buf, row)
@@ -169,10 +149,9 @@ func (cs *CompressedStore) rowMorselBatches(m relstore.MorselFunc, ncols int, st
 	return stopped, nil
 }
 
-// rangeBatches streams one compressed segment range block by block:
-// columnar blocks decode the needed columns straight into a reused
-// batch (one batch per block); legacy row-blob blocks and block-cache
-// hits go through the decoded-row form and a row-backed batch.
+// rangeBatches streams one compressed segment range block by block,
+// one batch per block. The store filter's selection always lands on a
+// header copy, so a shared cached batch is never written.
 func (cs *CompressedStore) rangeBatches(rg srange, idEq *int64, storeNeeded []bool, ncols int,
 	sel func(*relstore.ColBatch, []int32) []int32, fn func(*relstore.ColBatch) bool) (bool, error) {
 	blobBounds := []relstore.ZoneBound{
@@ -185,7 +164,7 @@ func (cs *CompressedStore) rangeBatches(rg srange, idEq *int64, storeNeeded []bo
 			relstore.ZoneBound{Col: 1, Op: "<=", Bound: target},
 			relstore.ZoneBound{Col: 2, Op: ">=", Bound: target})
 	}
-	var batch relstore.ColBatch
+	var batch, view relstore.ColBatch
 	var selBuf []int32
 	stopped := false
 	var blockErr error
@@ -200,34 +179,19 @@ func (cs *CompressedStore) rangeBatches(rg srange, idEq *int64, storeNeeded []bo
 				return true
 			}
 		}
-		blob := row[3].B
-		if rows, ok := cs.db.BlockCacheGet(cs.blob, blockNo); ok {
-			batch.SetFromRows(rows, ncols, storeNeeded)
-		} else if IsColumnarBlock(blob) && !cs.db.BlockCacheEnabled() {
-			// Cache off (the cold default): decode only the needed
-			// columns straight into the batch — the vectorized fast path.
-			if derr := DecodeColumnarBatch(blob, storeNeeded, &batch); derr != nil {
-				blockErr = derr
-				return false
-			}
-			atomic.AddInt64(cs.decompCounter(), 1)
-		} else {
-			// Cache on, or a legacy row blob: decode through blockRows so
-			// the decoded rows land in the cache and warm queries hit.
-			rows, derr := cs.blockRows(blockNo, blob)
-			if derr != nil {
-				blockErr = derr
-				return false
-			}
-			batch.SetFromRows(rows, ncols, storeNeeded)
+		b, err := cs.blockBatch(blockNo, row[3].B, storeNeeded, ncols, &batch)
+		if err != nil {
+			blockErr = err
+			return false
 		}
-		selBuf = sel(&batch, selBuf)
+		view = *b
+		selBuf = sel(&view, selBuf)
 		if len(selBuf) == 0 {
 			return true
 		}
-		batch.Sel = selBuf
+		view.Sel = selBuf
 		cs.db.CountColBatch(int64(len(selBuf)))
-		if !fn(&batch) {
+		if !fn(&view) {
 			stopped = true
 			return false
 		}
@@ -237,4 +201,35 @@ func (cs *CompressedStore) rangeBatches(rg srange, idEq *int64, storeNeeded []bo
 		err = blockErr
 	}
 	return stopped, err
+}
+
+// blockBatch returns one block as a batch holding at least the needed
+// columns. A cached columnar block is its shared, fully decoded batch;
+// with no cache configured a columnar block decodes only the needed
+// columns into scratch; legacy row blobs go through a row-backed
+// scratch batch. Callers must not write the result and must set any
+// selection on a copy of its header.
+func (cs *CompressedStore) blockBatch(blockNo int64, blob []byte, needed []bool, ncols int,
+	scratch *relstore.ColBatch) (*relstore.ColBatch, error) {
+	blk, cached, err := cs.db.LoadBlock(cs.blob, blockNo, func() (relstore.DecodedBlock, error) {
+		return cs.decodeBlock(blob)
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case blk.Batch != nil:
+		return blk.Batch, nil
+	case !cached && IsColumnarBlock(blob):
+		if err := DecodeColumnarBatch(blob, needed, scratch); err != nil {
+			return nil, err
+		}
+		atomic.AddInt64(cs.decompCounter(), 1)
+		return scratch, nil
+	case !cached:
+		if blk, err = cs.decodeBlock(blob); err != nil {
+			return nil, err
+		}
+	}
+	scratch.SetFromRows(blk.Rows, ncols, needed)
+	return scratch, nil
 }

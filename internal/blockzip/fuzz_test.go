@@ -2,6 +2,7 @@ package blockzip
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"archis/internal/relstore"
@@ -55,12 +56,15 @@ func FuzzCompressRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzBlockCacheRoundTrip pushes arbitrary rows through Compress and
-// then through blockRows twice — once cold (cache miss: inflate +
-// decode) and once warm (cache hit: shared decoded rows) — and
-// requires all three views to agree record-for-record. Re-encoding
-// each returned row must reproduce the original record bytes, so a
-// cache that returned stale, truncated or aliased rows would fail.
+// FuzzBlockCacheRoundTrip pushes arbitrary rows through both block
+// encodings (legacy row blobs and columnar) and reads every block four
+// ways: as rows and as a batch, each through a cache miss (inflate +
+// decode) and then a hit (the shared decoded entry). Re-encoding what
+// each read returns must reproduce the original values, and the hit
+// must return exactly what the miss did, so a cache that returned
+// stale, truncated, aliased or partially decoded blocks would fail.
+// A zero budget disables the cache, and a block larger than a shard's
+// budget is never cached: then both reads take the cold path.
 func FuzzBlockCacheRoundTrip(f *testing.F) {
 	f.Add([]byte("hello world block cache"), 5, 1<<20)
 	f.Add(bytes.Repeat([]byte{0, 255, 1, 254}, 300), 40, 4096)
@@ -72,62 +76,107 @@ func FuzzBlockCacheRoundTrip(f *testing.F) {
 		if cacheBytes < 0 || cacheBytes > 1<<24 {
 			return
 		}
+		rows := make([]relstore.Row, nRows)
 		records := make([][]byte, nRows)
-		for i := range records {
+		for i := range rows {
 			lo := (i * 17) % len(data)
 			hi := lo + 1 + (i*29)%48
 			if hi > len(data) {
 				hi = len(data)
 			}
-			row := relstore.Row{
+			rows[i] = relstore.Row{
 				relstore.Int(int64(i)),
 				relstore.String_(string(data[lo:hi])),
 				relstore.Bytes(data[lo:hi]),
 			}
-			records[i] = relstore.EncodeRow(nil, row, true)
+			records[i] = relstore.EncodeRow(nil, rows[i], true)
 		}
-		blocks, err := Compress(records, 512)
+		legacy, err := Compress(records, 512)
 		if err != nil {
 			t.Fatalf("compress: %v", err)
 		}
-
-		db := relstore.NewDatabase()
-		db.SetBlockCacheBytes(cacheBytes)
-		blob, err := db.CreateTable(relstore.Schema{Name: "fuzz_blob", Columns: []relstore.Column{
-			{Name: "blockno", Type: relstore.TypeInt},
-		}})
+		columnar, err := CompressColumnar(rows, 512)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("compress columnar: %v", err)
 		}
-		cs := &CompressedStore{db: db, blob: blob}
 
-		check := func(pass string, rows []relstore.Row, want [][]byte, base int) {
-			for i, r := range rows {
-				if got := relstore.EncodeRow(nil, r, true); !bytes.Equal(got, want[i]) {
-					t.Fatalf("%s: block record %d (global %d) corrupted", pass, i, base+i)
-				}
+		// cell encodes one value, or marks a column the read left out.
+		cell := func(r relstore.Row, c int, needed []bool) string {
+			if needed != nil && !needed[c] {
+				return "-"
 			}
+			return string(relstore.EncodeRow(nil, relstore.Row{r[c]}, true))
 		}
-		next := 0
-		for bi, blk := range blocks {
-			want := records[next : next+blk.Records]
-			cold, err := cs.blockRows(int64(bi+1), blk.Data)
+		for _, format := range []struct {
+			name   string
+			blocks []Block
+		}{{"legacy", legacy}, {"columnar", columnar}} {
+			db := relstore.NewDatabase()
+			db.SetBlockCacheBytes(cacheBytes)
+			blob, err := db.CreateTable(relstore.Schema{Name: "fuzz_blob", Columns: []relstore.Column{
+				{Name: "blockno", Type: relstore.TypeInt},
+			}})
 			if err != nil {
-				t.Fatalf("cold blockRows: %v", err)
+				t.Fatal(err)
 			}
-			if len(cold) != blk.Records {
-				t.Fatalf("cold: %d rows, block holds %d", len(cold), blk.Records)
+			cs := &CompressedStore{db: db, blob: blob}
+
+			next := 0
+			for bi, blk := range format.blocks {
+				blockNo := int64(bi + 1)
+				want := rows[next : next+blk.Records]
+				for _, needed := range [][]bool{nil, {true, false, true}} {
+					var got [2][]string
+					for pass := range got {
+						if pass == 0 {
+							db.DropCaches()
+						}
+						var scratch relstore.ColBatch
+						b, err := cs.blockBatch(blockNo, blk.Data, needed, 3, &scratch)
+						if err != nil {
+							t.Fatalf("%s block %d pass %d: %v", format.name, bi, pass, err)
+						}
+						if b.N != blk.Records {
+							t.Fatalf("%s block %d pass %d: batch of %d rows, block holds %d", format.name, bi, pass, b.N, blk.Records)
+						}
+						row := make(relstore.Row, 3)
+						for i := 0; i < b.N; i++ {
+							b.FillRow(row, i, needed)
+							for c := range row {
+								g, w := cell(row, c, needed), cell(want[i], c, needed)
+								if g != w {
+									t.Fatalf("%s block %d pass %d: batch row %d col %d corrupted", format.name, bi, pass, i, c)
+								}
+								got[pass] = append(got[pass], g)
+							}
+						}
+					}
+					if strings.Join(got[0], "|") != strings.Join(got[1], "|") {
+						t.Fatalf("%s block %d: batch read through a hit differs from the miss", format.name, bi)
+					}
+				}
+				var got [2][]relstore.Row
+				for pass := range got {
+					if pass == 0 {
+						db.DropCaches()
+					}
+					if got[pass], err = cs.blockRows(blockNo, blk.Data); err != nil {
+						t.Fatalf("%s block %d pass %d: blockRows: %v", format.name, bi, pass, err)
+					}
+					if len(got[pass]) != blk.Records {
+						t.Fatalf("%s block %d pass %d: %d rows, block holds %d", format.name, bi, pass, len(got[pass]), blk.Records)
+					}
+					for i, r := range got[pass] {
+						if !bytes.Equal(relstore.EncodeRow(nil, r, true), records[next+i]) {
+							t.Fatalf("%s block %d pass %d: row %d corrupted", format.name, bi, pass, i)
+						}
+					}
+				}
+				next += blk.Records
 			}
-			check("cold(miss)", cold, want, next)
-			warm, err := cs.blockRows(int64(bi+1), blk.Data)
-			if err != nil {
-				t.Fatalf("warm blockRows: %v", err)
+			if next != nRows {
+				t.Fatalf("%s: blocks hold %d rows, want %d", format.name, next, nRows)
 			}
-			if len(warm) != len(cold) {
-				t.Fatalf("warm: %d rows, cold had %d", len(warm), len(cold))
-			}
-			check("warm(hit-or-miss)", warm, want, next)
-			next += blk.Records
 		}
 	})
 }
@@ -211,7 +260,7 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 			if !IsColumnarBlock(blk.Data) {
 				t.Fatal("columnar block without columnar magic")
 			}
-			dec, _, err := DecodeColumnarRows(blk.Data)
+			dec, err := decodeColumnarRows(blk.Data)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}

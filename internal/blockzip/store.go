@@ -359,17 +359,7 @@ const defaultRowsPerBlock = 32
 // rows-per-block average. No block is decompressed.
 func (cs *CompressedStore) EstimateScan(bounds []relstore.ZoneBound) relstore.ScanEstimate {
 	est := cs.Seg.EstimateScan(bounds)
-	segLo, segHi := int64(1), cs.Seg.LiveSegment()
-	for _, zb := range bounds {
-		switch {
-		case zb.Col == 0 && zb.Op == "=":
-			segLo, segHi = zb.Bound, zb.Bound
-		case zb.Col == 0 && zb.Op == ">=" && zb.Bound > segLo:
-			segLo = zb.Bound
-		case zb.Col == 0 && zb.Op == "<=" && zb.Bound < segHi:
-			segHi = zb.Bound
-		}
-	}
+	segLo, segHi, _ := cs.scope(bounds)
 	cs.mu.RLock()
 	compRows := cs.compRows
 	perBlock := int64(defaultRowsPerBlock)
@@ -412,32 +402,10 @@ func (cs *CompressedStore) EstimateScan(bounds []relstore.ZoneBound) relstore.Sc
 // restrict the segment range; an id equality bound (col 1) prunes
 // blocks through the [startsid, endsid] ranges.
 func (cs *CompressedStore) Scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error {
-	segLo, segHi := int64(1), cs.Seg.LiveSegment()
-	var idEq *int64
-	for _, zb := range bounds {
-		switch {
-		case zb.Col == 0 && zb.Op == "=":
-			segLo, segHi = zb.Bound, zb.Bound
-		case zb.Col == 0 && zb.Op == ">=" && zb.Bound > segLo:
-			segLo = zb.Bound
-		case zb.Col == 0 && zb.Op == "<=" && zb.Bound < segHi:
-			segHi = zb.Bound
-		case zb.Col == 1 && zb.Op == "=":
-			v := zb.Bound
-			idEq = &v
-		}
-	}
+	segLo, segHi, idEq := cs.scope(bounds)
 	stopped := false
-	// Same exact dedup rule as segment.Store.Scan: a forever-tend row
-	// below the top of the scanned range is a stale carried copy.
 	emit := func(row relstore.Row) bool {
-		if row[0].I < segLo || row[0].I > segHi {
-			return true
-		}
-		if row[0].I < segHi && row[4].Date().IsForever() {
-			return true
-		}
-		if idEq != nil && row[1].I != *idEq {
+		if !keep(row, segLo, segHi, idEq) {
 			return true
 		}
 		if !fn(row) {
@@ -455,9 +423,6 @@ func (cs *CompressedStore) Scan(bounds []relstore.ZoneBound, fn func(relstore.Ro
 	}
 
 	// Compressed segment ranges, newest first.
-	type srange struct {
-		segno, startBlock, endBlock int64
-	}
 	ranges, err := cs.ranges(segLo, segHi)
 	if err != nil {
 		return err
@@ -494,66 +459,95 @@ func (cs *CompressedStore) ranges(segLo, segHi int64) ([]srange, error) {
 	return ranges, nil
 }
 
+// scope reads the pushed-down bounds the store honours itself: the
+// segno range (col 0) and an id equality (col 1).
+func (cs *CompressedStore) scope(bounds []relstore.ZoneBound) (segLo, segHi int64, idEq *int64) {
+	segLo, segHi = 1, cs.Seg.LiveSegment()
+	for _, zb := range bounds {
+		switch {
+		case zb.Col == 0 && zb.Op == "=":
+			segLo, segHi = zb.Bound, zb.Bound
+		case zb.Col == 0 && zb.Op == ">=" && zb.Bound > segLo:
+			segLo = zb.Bound
+		case zb.Col == 0 && zb.Op == "<=" && zb.Bound < segHi:
+			segHi = zb.Bound
+		case zb.Col == 1 && zb.Op == "=":
+			v := zb.Bound
+			idEq = &v
+		}
+	}
+	return segLo, segHi, idEq
+}
+
+// keep is the row filter every scan path applies, the same exact dedup
+// rule as segment.Store.Scan: the row's segment lies in [segLo, segHi],
+// it is not a stale carried copy (a forever-tend row below the top of
+// the range), and it matches idEq when set.
+func keep(row relstore.Row, segLo, segHi int64, idEq *int64) bool {
+	sg := row[0].I
+	return sg >= segLo && sg <= segHi && !(sg < segHi && row[4].Date().IsForever()) &&
+		(idEq == nil || row[1].I == *idEq)
+}
+
 // srange is one compressed segment's block range.
 type srange struct {
 	segno, startBlock, endBlock int64
 }
 
-// valueBytes approximates the in-memory footprint of one relstore.Value
-// header for block-cache budget accounting (the struct itself; string
-// and byte payloads are added separately).
-const valueBytes = 64
-
-// blockRows returns the decoded rows of one block, consulting the
-// database's decoded-block cache first (warm queries skip both inflate
-// and row decode). Returned rows are shared and immutable: callers may
-// hand them out borrowed but must never mutate them. Blocks are
-// append-only — a block number is never rewritten — so entries need no
-// invalidation beyond DropCaches.
-func (cs *CompressedStore) blockRows(blockNo int64, blob []byte) ([]relstore.Row, error) {
-	if rows, ok := cs.db.BlockCacheGet(cs.blob, blockNo); ok {
-		return rows, nil
-	}
+// decodeBlock inflates and fully decodes one block: a columnar block
+// into a batch with every column present, a legacy row blob into rows
+// backed by one Value arena (one backing allocation per block, as
+// page.decodeRows). Decoded Values own their string/byte payloads (the
+// codecs copy), so the result never pins the inflate buffer.
+func (cs *CompressedStore) decodeBlock(blob []byte) (relstore.DecodedBlock, error) {
+	var blk relstore.DecodedBlock
 	if IsColumnarBlock(blob) {
-		rows, payload, err := DecodeColumnarRows(blob)
+		blk.Batch = new(relstore.ColBatch)
+		if err := DecodeColumnarBatch(blob, nil, blk.Batch); err != nil {
+			return relstore.DecodedBlock{}, err
+		}
+	} else {
+		recs, err := Decompress(blob)
 		if err != nil {
-			return nil, err
+			return relstore.DecodedBlock{}, err
 		}
-		atomic.AddInt64(cs.decompCounter(), 1)
-		arenaCells := 0
-		if len(rows) > 0 {
-			arenaCells = len(rows) * len(rows[0])
+		arena := make([]relstore.Value, 0, 4*len(recs))
+		bounds := make([]int32, len(recs)+1)
+		for i, enc := range recs {
+			if arena, _, _, err = relstore.DecodeRowInto(arena, enc); err != nil {
+				return relstore.DecodedBlock{}, err
+			}
+			bounds[i+1] = int32(len(arena))
 		}
-		cs.db.BlockCachePut(cs.blob, blockNo, rows, payload+valueBytes*arenaCells)
-		return rows, nil
+		blk.Rows = make([]relstore.Row, len(recs))
+		for i := range blk.Rows {
+			blk.Rows[i] = relstore.Row(arena[bounds[i]:bounds[i+1]:bounds[i+1]])
+		}
 	}
-	recs, err := Decompress(blob)
+	atomic.AddInt64(cs.decompCounter(), 1)
+	return blk, nil
+}
+
+// blockRows returns the decoded rows of one block through the
+// decoded-block cache (warm queries skip inflate and decode). A legacy
+// block's rows are the shared cache entry; a columnar block's rows are
+// built from its batch, per call. Either way callers must never mutate
+// them. Blocks are append-only — a block number is never rewritten — so
+// entries need no invalidation beyond DropCaches.
+func (cs *CompressedStore) blockRows(blockNo int64, blob []byte) ([]relstore.Row, error) {
+	blk, ok, err := cs.db.LoadBlock(cs.blob, blockNo, func() (relstore.DecodedBlock, error) {
+		return cs.decodeBlock(blob)
+	})
+	if err == nil && !ok {
+		blk, err = cs.decodeBlock(blob)
+	}
 	if err != nil {
 		return nil, err
 	}
-	atomic.AddInt64(cs.decompCounter(), 1)
-	// One Value arena per block: rows are immutable subslices of it, so
-	// decode pays one backing allocation per block rather than one per
-	// row (mirrors page.decodeRows). The decoded Values own their
-	// string/byte payloads (the codec copies), so the arena does not
-	// pin the transient decompression buffer.
-	arena := make([]relstore.Value, 0, 4*len(recs))
-	bounds := make([]int32, len(recs)+1)
-	payload := 0
-	for i, enc := range recs {
-		arena, _, _, err = relstore.DecodeRowInto(arena, enc)
-		if err != nil {
-			return nil, err
-		}
-		bounds[i+1] = int32(len(arena))
-		payload += len(enc)
+	if blk.Batch != nil {
+		return blk.Batch.Rows(), nil
 	}
-	rows := make([]relstore.Row, len(recs))
-	for i := range rows {
-		rows[i] = relstore.Row(arena[bounds[i]:bounds[i+1]:bounds[i+1]])
-	}
-	cs.db.BlockCachePut(cs.blob, blockNo, rows, payload+valueBytes*len(arena))
-	return rows, nil
+	return blk.Rows, nil
 }
 
 // scanRange feeds one segment range's block rows to emit (decompressing
@@ -614,33 +608,10 @@ func (cs *CompressedStore) scanRange(rg srange, idEq *int64, borrow bool, emit f
 // the morsels emit exactly Scan's row sequence, so segment
 // decompression parallelizes across workers.
 func (cs *CompressedStore) ScanMorsels(bounds []relstore.ZoneBound) ([]relstore.MorselFunc, error) {
-	segLo, segHi := int64(1), cs.Seg.LiveSegment()
-	var idEq *int64
-	for _, zb := range bounds {
-		switch {
-		case zb.Col == 0 && zb.Op == "=":
-			segLo, segHi = zb.Bound, zb.Bound
-		case zb.Col == 0 && zb.Op == ">=" && zb.Bound > segLo:
-			segLo = zb.Bound
-		case zb.Col == 0 && zb.Op == "<=" && zb.Bound < segHi:
-			segHi = zb.Bound
-		case zb.Col == 1 && zb.Op == "=":
-			v := zb.Bound
-			idEq = &v
-		}
-	}
+	segLo, segHi, idEq := cs.scope(bounds)
 	// Per-morsel stateless version of Scan's dedup/filter rule.
 	filter := func(row relstore.Row, fn func(relstore.Row) bool) bool {
-		if row[0].I < segLo || row[0].I > segHi {
-			return true
-		}
-		if row[0].I < segHi && row[4].Date().IsForever() {
-			return true
-		}
-		if idEq != nil && row[1].I != *idEq {
-			return true
-		}
-		return fn(row)
+		return !keep(row, segLo, segHi, idEq) || fn(row)
 	}
 
 	segMorsels, err := cs.Seg.ScanMorsels(bounds)

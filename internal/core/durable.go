@@ -194,7 +194,7 @@ func (s *System) ExecDurableCtx(ctx context.Context, sql string, opts ...ExecOpt
 	// it. Visibility precedes durability (the Commit below) — an acked
 	// statement is always durable, an unacked one may be visible, which
 	// the crash matrix pins as "acked-or-later prefix".
-	s.DB.Publish(lsn)
+	s.publishAt(lsn)
 	s.writeMu.Unlock()
 	if err != nil {
 		return nil, err
@@ -359,6 +359,7 @@ func RecoverWithOptions(dir string, ropts RecoverOptions) (*System, error) {
 	}
 	// Replay before attaching the log to the system: replayed DDL and
 	// ops must not append fresh records to the log being replayed.
+	s.applied.Store(snapLSN)
 	var replayed int64
 	errReplayBound := errors.New("replay bound reached")
 	rerr := w.Range(snapLSN+1, func(lsn uint64, payload []byte) error {
@@ -375,7 +376,7 @@ func RecoverWithOptions(dir string, ropts RecoverOptions) (*System, error) {
 		// Publish per replayed record: the retained-version ring then
 		// holds the most recent checkpointed LSNs, so ReadAsOf works
 		// immediately after recovery for any of them.
-		s.DB.Publish(lsn)
+		s.publishAt(lsn)
 		replayed++
 		return nil
 	})

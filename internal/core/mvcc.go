@@ -26,7 +26,15 @@ func (s *System) publishLocked() {
 	if s.wal != nil {
 		lsn = s.wal.AppendedLSN()
 	}
+	s.publishAt(lsn)
+}
+
+// publishAt publishes the database's unpublished changes stamped with
+// lsn, then advances AppliedLSN to it. A publish with nothing to
+// freeze still advances it: the current version already covers lsn.
+func (s *System) publishAt(lsn uint64) {
 	s.DB.Publish(lsn)
+	s.applied.Store(lsn)
 }
 
 // Publish makes writes that bypassed the System's statement paths

@@ -69,18 +69,16 @@ func (s *System) ApplyReplicated(lsn uint64, payload []byte) error {
 	if err := s.replay(rec); err != nil {
 		return fmt.Errorf("core: replica apply lsn %d: %w", lsn, err)
 	}
-	s.DB.Publish(lsn)
+	s.publishAt(lsn)
 	return nil
 }
 
-// AppliedLSN is the highest LSN the follower has applied (on a
-// primary, the highest appended LSN).
-func (s *System) AppliedLSN() uint64 {
-	if s.wal == nil {
-		return 0
-	}
-	return s.wal.AppendedLSN()
-}
+// AppliedLSN is the LSN the current published version covers: every
+// record up to it is visible, so ReadAsOf(AppliedLSN()) reads all of
+// them. It trails the log's appended LSN while a record is between its
+// append and its publication (a follower's replay, a primary's
+// statement).
+func (s *System) AppliedLSN() uint64 { return s.applied.Load() }
 
 // WAL exposes the log for the replication transport: the shipper
 // reads records with Range/DurableLSN, the retention hook pins

@@ -170,8 +170,9 @@ type System struct {
 	writeMu  sync.Mutex
 	wal      *wal.Log
 	walFS    wal.FS
-	walLSN   uint64       // LSN covered by the latest checkpoint snapshot
-	replayed atomic.Int64 // records replayed by the last recovery
+	walLSN   uint64        // LSN covered by the latest checkpoint snapshot
+	replayed atomic.Int64  // records replayed by the last recovery
+	applied  atomic.Uint64 // WAL position the current published version covers
 
 	// Replication and point-in-time recovery (replica.go). Both flags
 	// are set during construction, before the system is shared, so

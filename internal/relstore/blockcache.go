@@ -2,19 +2,21 @@ package relstore
 
 import "sync"
 
-// The decoded-block cache holds the arena-decoded rows of BlockZIP
-// blocks (see internal/blockzip), keyed by (store table, block number),
+// The decoded-block cache holds BlockZIP blocks (see internal/blockzip)
+// in their native decoded form, keyed by (store table, block number),
 // so warm queries over compressed storage skip both the zlib inflate
-// and the per-record row decode. It reuses the page cache's
-// sharded-CLOCK design, but the budget is bytes rather than entries:
-// decoded blocks vary widely in size (a jumbo BLOB block can dwarf a
-// 4000-byte one), so counting entries would make the configured
-// capacity meaningless.
+// and the decode. A columnar block is cached as one fully decoded
+// ColBatch, a legacy row blob as its arena rows. It reuses the page
+// cache's sharded-CLOCK design, but the budget is bytes rather than
+// entries: decoded blocks vary widely in size (a jumbo BLOB block can
+// dwarf a 4000-byte one), so counting entries would make the
+// configured capacity meaningless.
 //
 // Entries are immutable once published: block blobs are append-only
-// (a block number is never rewritten), so a get can hand the shared
-// row slices to concurrent readers without copying, under the same
-// borrow contract as page-cache rows (DESIGN.md §8.2/§8.3).
+// (a block number is never rewritten), so a hit hands the shared
+// vectors or rows to concurrent readers without copying. A reader of a
+// cached batch copies the batch header and sets its own selection on
+// the copy; nothing inside the entry is ever written (DESIGN.md §8.3).
 
 // minShardBlockBytes is the target minimum per-shard byte budget when
 // choosing the shard count.
@@ -25,8 +27,45 @@ type blockKey struct {
 	blockNo int64
 }
 
+// DecodedBlock is one decoded BlockZIP block: exactly one of Batch (a
+// columnar block, every column decoded) and Rows (a legacy row blob)
+// is set.
+type DecodedBlock struct {
+	Batch *ColBatch
+	Rows  []Row
+}
+
+// valueBytes approximates the in-memory footprint of one Value header;
+// string and byte payloads are added separately.
+const valueBytes = 64
+
+// footprint is the entry's budget charge: the vector payloads of a
+// batch, or the arena cells of row-decoded blocks.
+func (d DecodedBlock) footprint() int {
+	n := 0
+	if d.Batch != nil {
+		for c := range d.Batch.Cols {
+			v := &d.Batch.Cols[c]
+			n += len(v.Kinds) + 8*(len(v.I)+len(v.F)) + 16*len(v.S) + valueBytes*len(v.Aux)
+			for _, s := range v.S {
+				n += len(s)
+			}
+			for _, a := range v.Aux {
+				n += len(a.S) + len(a.B)
+			}
+		}
+	}
+	for _, r := range d.Rows {
+		n += valueBytes * len(r)
+		for _, a := range r {
+			n += len(a.S) + len(a.B)
+		}
+	}
+	return max(n, 1)
+}
+
 type blockEntry struct {
-	rows  []Row
+	blk   DecodedBlock
 	bytes int
 	ref   bool // CLOCK reference bit, set on every hit
 }
@@ -74,52 +113,46 @@ func (bc *blockCache) shard(k blockKey) *blockShard {
 	return &bc.shards[h&bc.mask]
 }
 
-func (bc *blockCache) get(k blockKey) ([]Row, bool) {
-	if bc.total == 0 {
-		return nil, false
-	}
+func (bc *blockCache) get(k blockKey) (DecodedBlock, bool) {
 	sh := bc.shard(k)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	e, ok := sh.entries[k]
 	if !ok {
-		sh.mu.Unlock()
-		return nil, false
+		return DecodedBlock{}, false
 	}
 	e.ref = true
-	rows := e.rows
-	sh.mu.Unlock()
-	return rows, true
+	return e.blk, true
 }
 
-// put inserts an entry. The caller transfers ownership of rows to the
-// cache: they must never be mutated afterwards. Entries larger than a
-// whole shard's budget are not cached at all (they would evict
-// everything and then be evicted themselves on the next insert).
-func (bc *blockCache) put(k blockKey, rows []Row, nbytes int) {
-	if bc.total == 0 || nbytes > bc.shardBudget {
-		return
-	}
-	if nbytes < 1 {
-		nbytes = 1
+// put publishes a decoded block and returns the resident entry. The
+// caller transfers ownership of blk to the cache: it must never be
+// mutated afterwards. When a concurrent miss published the key first,
+// that entry wins and is returned, so the shard's byte count never
+// moves without an eviction check. Entries larger than a whole shard's
+// budget are not cached at all (they would evict everything and then
+// be evicted themselves on the next insert).
+func (bc *blockCache) put(k blockKey, blk DecodedBlock) DecodedBlock {
+	nbytes := blk.footprint()
+	if nbytes > bc.shardBudget {
+		return blk
 	}
 	sh := bc.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.entries[k]; ok {
-		// Blocks are immutable, so a re-put carries identical rows; just
-		// refresh the reference bit and the (recomputed) size.
-		sh.bytes += nbytes - e.bytes
-		e.rows, e.bytes, e.ref = rows, nbytes, true
-		return
+		e.ref = true
+		return e.blk
 	}
 	for sh.bytes+nbytes > bc.shardBudget {
 		if !sh.evictOne() {
 			break
 		}
 	}
-	sh.entries[k] = &blockEntry{rows: rows, bytes: nbytes}
+	sh.entries[k] = &blockEntry{blk: blk, bytes: nbytes}
 	sh.ring = append(sh.ring, k)
 	sh.bytes += nbytes
+	return blk
 }
 
 // evictOne runs the clock hand until one entry is evicted: referenced
@@ -191,33 +224,24 @@ func (db *Database) BlockCacheBytes() int { return db.blockCache.Load().bytesUse
 // CachedBlocks reports how many decoded blocks are currently cached.
 func (db *Database) CachedBlocks() int { return db.blockCache.Load().entryCount() }
 
-// BlockCacheEnabled reports whether a decoded-block cache budget is
-// configured. Columnar scans consult it to decide between decoding
-// straight into column batches (cache off — nothing to warm) and
-// decoding through the cached row form so warm queries keep hitting.
-func (db *Database) BlockCacheEnabled() bool { return db.blockCache.Load().total != 0 }
-
-// BlockCacheGet looks up the decoded rows of block blockNo of the
-// given store table. The returned rows are shared and immutable
-// (borrow contract). Hit/miss counters are updated.
-func (db *Database) BlockCacheGet(store *Table, blockNo int64) ([]Row, bool) {
+// LoadBlock returns the decoded form of block blockNo of the given
+// store table: the cached entry on a hit, otherwise load's result,
+// which is then cached. The returned block is shared and immutable.
+// With no cache configured, ok is false and load is not called: the
+// caller decodes only what it needs. Hit/miss counters are updated.
+func (db *Database) LoadBlock(store *Table, blockNo int64, load func() (DecodedBlock, error)) (blk DecodedBlock, ok bool, err error) {
 	bc := db.blockCache.Load()
 	if bc.total == 0 {
-		return nil, false
+		return DecodedBlock{}, false, nil
 	}
-	rows, ok := bc.get(blockKey{store.id, blockNo})
-	if ok {
+	k := blockKey{store.id, blockNo}
+	if blk, ok := bc.get(k); ok {
 		db.stats.blockCacheHits.Add(1)
-	} else {
-		db.stats.blockCacheMisses.Add(1)
+		return blk, true, nil
 	}
-	return rows, ok
-}
-
-// BlockCachePut publishes the decoded rows of a block. Ownership of
-// rows transfers to the cache: the caller (and every later reader)
-// must treat them as immutable. nbytes is the entry's approximate
-// memory footprint used for budget accounting.
-func (db *Database) BlockCachePut(store *Table, blockNo int64, rows []Row, nbytes int) {
-	db.blockCache.Load().put(blockKey{store.id, blockNo}, rows, nbytes)
+	db.stats.blockCacheMisses.Add(1)
+	if blk, err = load(); err != nil {
+		return DecodedBlock{}, false, err
+	}
+	return bc.put(k, blk), true, nil
 }

@@ -115,6 +115,19 @@ func (b *ColBatch) FillRow(dst Row, i int, needed []bool) {
 	}
 }
 
+// Rows materializes every row of the batch (selection ignored) as
+// subslices of one Value arena. Undecoded columns stay zero Values.
+func (b *ColBatch) Rows() []Row {
+	ncols := len(b.Cols)
+	arena := make([]Value, b.N*ncols)
+	rows := make([]Row, b.N)
+	for i := range rows {
+		rows[i] = Row(arena[i*ncols : (i+1)*ncols : (i+1)*ncols])
+		b.FillRow(rows[i], i, nil)
+	}
+	return rows
+}
+
 // Reset clears the batch for reuse, keeping payload capacity.
 func (b *ColBatch) Reset(n, ncols int) {
 	b.N = n

@@ -152,3 +152,73 @@ func TestFollowerDifferential(t *testing.T) {
 		})
 	}
 }
+
+// TestAppliedLSNIsVisible pins AppliedLSN to publication: while a
+// follower pulls, a reader hammers ReadAsOf(AppliedLSN()) and every
+// answer must equal the primary's ledger at that LSN. An AppliedLSN
+// that counted a record before its version was published would read
+// the previous version. Run with -race.
+func TestAppliedLSNIsVisible(t *testing.T) {
+	prim, _, srv := newFaultPrimary(t, 0, core.Options{})
+	ledger := map[uint64]int64{prim.AppliedLSN(): 0}
+	for i := 0; i < 300; i++ {
+		if _, err := prim.ExecDurable(fmt.Sprintf(
+			"insert into employee values (%d, 'e%d', 40000, 'Engineer', 'd01')", 1000+i, i)); err != nil {
+			t.Fatal(err)
+		}
+		ledger[prim.AppliedLSN()] = int64(i + 1)
+	}
+	if err := prim.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	target := prim.AppliedLSN()
+
+	f, err := Bootstrap(srv.URL, t.TempDir(), FollowerOptions{MaxPullBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Sys.Close()
+
+	done := make(chan struct{})
+	readerErr := make(chan error, 1)
+	go func() {
+		defer close(readerErr)
+		for reads := 0; ; reads++ {
+			select {
+			case <-done:
+				if reads == 0 {
+					readerErr <- fmt.Errorf("reader never ran")
+				}
+				return
+			default:
+			}
+			lsn := f.Sys.AppliedLSN()
+			want, ok := ledger[lsn]
+			if !ok {
+				continue // before the primary's first statement
+			}
+			res, err := f.Sys.ReadAsOf(lsn, "select count(*) from employee")
+			if err != nil {
+				readerErr <- fmt.Errorf("ReadAsOf(%d): %w", lsn, err)
+				return
+			}
+			if got := res.Rows[0][0].I; got != want {
+				readerErr <- fmt.Errorf("ReadAsOf(AppliedLSN()=%d) counts %d employees, the primary had %d", lsn, got, want)
+				return
+			}
+		}
+	}()
+	ctx := context.Background()
+	for f.Sys.AppliedLSN() < target {
+		if _, err := f.PullOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-readerErr; err != nil {
+		t.Fatal(err)
+	}
+	if lsns, _ := f.Lag(); lsns != 0 {
+		t.Errorf("lag = %d lsns after catch-up, want 0", lsns)
+	}
+}

@@ -325,9 +325,8 @@ type health struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := health{Status: "ok", Role: "primary"}
-	ws := s.sys.WALStats()
-	h.AppliedLSN = ws.AppendedLSN
-	h.DurableLSN = ws.DurableLSN
+	h.AppliedLSN = s.sys.AppliedLSN()
+	h.DurableLSN = s.sys.WALStats().DurableLSN
 	if s.sys.Replica() {
 		h.Role = "follower"
 	}
