@@ -9,33 +9,25 @@
 //	archis-bench [-employees N] [-years Y] [-scale K] [-runs R] [-fig LIST]
 //
 // where LIST is a comma-separated subset of
-// fig7,fig8,fig9,fig10,fig11,fig13,fig14,upd,trans,dur (default all).
-// dur is the durability experiment: single-row insert throughput with
-// the write-ahead log under each commit policy (fsync-per-commit,
-// group commit across concurrent writers, batched, none) plus the time
-// to recover the resulting directory.
+// fig7,fig8,fig9,fig10,fig11,fig13,fig14,upd,trans (default all).
+//
+// Everything beyond the paper's figures — warm and mixed workloads,
+// the served path, durability, per-layer timings — is measured by the
+// benchmark under benchmark/ (`go run ./benchmark`).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"archis/internal/bench"
 	"archis/internal/core"
 	"archis/internal/dataset"
 	"archis/internal/htable"
-	"archis/internal/obs"
-	"archis/internal/relstore"
 	"archis/internal/segment"
-	"archis/internal/temporal"
-	"archis/internal/wal"
 	"archis/internal/xmltree"
 )
 
@@ -45,49 +37,7 @@ var (
 	scale     = flag.Int("scale", 4, "figure 10 scale factor (paper: 7)")
 	runs      = flag.Int("runs", 3, "cold runs per query; the average is reported")
 	figs      = flag.String("fig", "all", "comma-separated figures to run")
-	parallel  = flag.Bool("parallel", false, "run the Q1-Q6 suite and multi-snapshot workloads across goroutines and report serial vs parallel throughput")
-	workers   = flag.Int("workers", 0, "worker count for -parallel batches and -json intra-query runs (0 = GOMAXPROCS)")
-	rounds    = flag.Int("rounds", 8, "suite repetitions per -parallel batch")
-	jsonOut   = flag.String("json", "", "time the Q1-Q6 suite at Workers=1 and Workers=-workers on the scaled dataset and write JSON records to this path")
-	warm      = flag.Int("warm", 0, "also time N warm runs per query (caches kept between runs) in -json mode; 0 = cold only")
-	traceRun  = flag.Bool("trace", false, "run the Q1-Q6 suite traced on the clustered and compressed layouts, print each execution trace as JSON and fail on malformed traces")
-	plannerOn = flag.Bool("planner", true, "cost-based planning (false = legacy fixed access heuristics)")
-	advOut    = flag.String("adversarial", "", "run the adversarial-selectivity planner benchmark and write JSON records to this path")
-	advRows   = flag.Int("advrows", 120000, "table size for the -adversarial benchmark")
-	columnar  = flag.Bool("columnar", true, "columnar frozen blocks + vectorized execution on the compressed layout (false = legacy row-in-blob)")
-	colGate   = flag.String("columnargate", "", "run the columnar-vs-rowblob gate (cold Q2/Q4/Q6 on the scaled compressed layout), write JSON records to this path and fail unless columnar wins >= the -colmin factor with no storage regression")
-	colMin    = flag.Float64("colmin", 2.0, "minimum columnar/rowblob min-latency speedup the -columnargate asserts")
 )
-
-// plannerMode maps the -planner flag onto the engine option.
-func plannerMode() core.PlannerMode {
-	if *plannerOn {
-		return core.PlannerOn
-	}
-	return core.PlannerOff
-}
-
-// columnarMode maps the -columnar flag onto the storage/engine option.
-func columnarMode() core.ColumnarMode {
-	if *columnar {
-		return core.ColumnarOn
-	}
-	return core.ColumnarOff
-}
-
-// encoding names the frozen-block encoding a compressed-layout cell
-// ran with, for -json records.
-func encoding() string {
-	if *columnar {
-		return "columnar"
-	}
-	return "rowblob"
-}
-
-// benchBlockCacheBytes is the decoded-block cache budget used for the
-// compressed layout in -json runs. Cold records are unaffected: Cold()
-// drops the block cache along with the page cache.
-const benchBlockCacheBytes = 64 << 20
 
 func main() {
 	flag.Parse()
@@ -100,38 +50,6 @@ func main() {
 	h := &harness{}
 	fmt.Printf("ArchIS evaluation harness — %d employees, %d years (S=1)\n\n", *employees, *years)
 
-	if *traceRun {
-		h.traceSuite()
-		return
-	}
-	if *advOut != "" {
-		h.adversarial(*advOut)
-		return
-	}
-	if *colGate != "" {
-		h.columnarGate(*colGate)
-		return
-	}
-	if *mixedRun {
-		h.mixedWorkload(*jsonOut)
-		return
-	}
-	if *bitempRun {
-		h.bitemporal(*jsonOut)
-		return
-	}
-	if *serveRun {
-		h.serveBench(*jsonOut)
-		return
-	}
-	if *jsonOut != "" {
-		h.benchJSON(*jsonOut)
-		return
-	}
-	if *parallel {
-		h.parallelSuite()
-		return
-	}
 	if all || want["trans"] {
 		h.translationCost()
 	}
@@ -159,9 +77,6 @@ func main() {
 	if all || want["upd"] {
 		h.updates()
 	}
-	if all || want["dur"] {
-		h.durability()
-	}
 }
 
 type harness struct {
@@ -187,7 +102,7 @@ func die(err error) {
 
 func (h *harness) getPlain() *bench.Env {
 	if h.plain == nil {
-		e, err := bench.Build(cfg1(), bench.Options{Layout: core.LayoutPlain, Planner: plannerMode()})
+		e, err := bench.Build(cfg1(), bench.Options{Layout: core.LayoutPlain})
 		die(err)
 		h.plain = e
 	}
@@ -196,7 +111,7 @@ func (h *harness) getPlain() *bench.Env {
 
 func (h *harness) getClustered() *bench.Env {
 	if h.clustered == nil {
-		e, err := bench.Build(cfg1(), bench.Options{Layout: core.LayoutClustered, Planner: plannerMode()})
+		e, err := bench.Build(cfg1(), bench.Options{Layout: core.LayoutClustered})
 		die(err)
 		h.clustered = e
 	}
@@ -205,8 +120,7 @@ func (h *harness) getClustered() *bench.Env {
 
 func (h *harness) getCompressed() *bench.Env {
 	if h.compressed == nil {
-		e, err := bench.Build(cfg1(), bench.Options{Layout: core.LayoutCompressed, Compress: true,
-			Planner: plannerMode()})
+		e, err := bench.Build(cfg1(), bench.Options{Layout: core.LayoutCompressed, Compress: true})
 		die(err)
 		h.compressed = e
 	}
@@ -272,453 +186,6 @@ func printQueryTable(headers []string, cols []map[bench.QueryID]time.Duration) {
 		fmt.Println()
 	}
 	fmt.Println()
-}
-
-// parallelSuite runs the Q1–Q6 suite and a multi-snapshot workload
-// through System.RunParallel, once with one worker (serial mode) and
-// once with the configured pool, verifying that both modes return
-// identical results and reporting aggregate throughput.
-func (h *harness) parallelSuite() {
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	fmt.Printf("== parallel query execution — %d workers ==\n", w)
-
-	run := func(label string, e *bench.Env, queries []string) {
-		// Pin intra-query parallelism off so the speedup measured here
-		// is purely the batch-level worker pool's.
-		e.Sys.Engine.Workers = 1
-		// Warm-up pass so both modes start from the same cache state.
-		e.Cold()
-		if _, _, err := e.RunBatch(queries, 1); err != nil {
-			die(err)
-		}
-		serialT, serialR, err := e.RunBatch(queries, 1)
-		die(err)
-		parT, parR, err := e.RunBatch(queries, w)
-		die(err)
-		if !bench.SameAnswers(serialR, parR) {
-			die(fmt.Errorf("%s: parallel results differ from serial results", label))
-		}
-		qps := func(d time.Duration) float64 {
-			return float64(len(queries)) / d.Seconds()
-		}
-		fmt.Printf("  %-28s %4d queries   serial %8.1f q/s   parallel %8.1f q/s   speedup %.2fx (identical results)\n",
-			label, len(queries), qps(serialT), qps(parT), float64(serialT)/float64(parT))
-	}
-
-	e := h.getClustered()
-	run("Q1-Q6 suite (clustered)", e, e.SuiteQueries(*rounds))
-	run("multi-snapshot (clustered)", e, e.SnapshotQueries(8**rounds))
-	c := h.getCompressed()
-	run("Q1-Q6 suite (compressed)", c, c.SuiteQueries(*rounds))
-	fmt.Println()
-}
-
-// traceSuite runs the Q1-Q6 suite under the execution tracer on the
-// clustered and compressed layouts and prints one JSON trace per
-// query. Each trace is re-parsed and structurally checked before
-// printing, so `make trace-smoke` fails when the tracer emits a
-// malformed or empty tree.
-func (h *harness) traceSuite() {
-	checked := 0
-	for _, lay := range []struct {
-		name string
-		env  *bench.Env
-	}{
-		{"clustered", h.getClustered()},
-		{"compressed", h.getCompressed()},
-	} {
-		e := lay.env
-		e.Cold()
-		for _, q := range bench.AllQueries {
-			sql := e.SQL(q)
-			tr := obs.NewTracer("query")
-			res, err := e.Sys.Engine.ExecTraced(sql, tr.Root())
-			die(err)
-			tr.Root().SetAttr("layout", lay.name)
-			tr.Root().AddRows(0, int64(len(res.Rows)))
-			qt := tr.Finish(sql)
-			data := qt.JSON()
-			die(validateTrace(data))
-			fmt.Printf("-- %s Q%d --\n%s\n", lay.name, q, data)
-			checked++
-		}
-	}
-	fmt.Printf("validated %d traces\n", checked)
-}
-
-// validateTrace asserts a trace JSON document is well-formed: it must
-// parse back, carry the query, and hold a root span with a name and at
-// least one child (every suite query at least parses and scans).
-func validateTrace(data []byte) error {
-	var doc struct {
-		Query string `json:"query"`
-		Root  *struct {
-			Name     string            `json:"name"`
-			DurNS    int64             `json:"dur_ns"`
-			Children []json.RawMessage `json:"children"`
-		} `json:"root"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("trace does not parse: %w", err)
-	}
-	switch {
-	case doc.Query == "":
-		return fmt.Errorf("trace lacks its query text")
-	case doc.Root == nil || doc.Root.Name == "":
-		return fmt.Errorf("trace lacks a named root span")
-	case doc.Root.DurNS < 0:
-		return fmt.Errorf("trace root has negative duration %d", doc.Root.DurNS)
-	case len(doc.Root.Children) == 0:
-		return fmt.Errorf("trace root has no child spans")
-	}
-	return nil
-}
-
-// benchRecord is one (layout, workers, mode, query) timing cell of a
-// -json run.
-type benchRecord struct {
-	Query   string `json:"query"`
-	Path    string `json:"path"` // physical layout the query ran on
-	// Encoding is the frozen-block encoding on the compressed layout
-	// ("columnar" or "rowblob", per the -columnar flag); empty on
-	// layouts without BlockZIP blocks.
-	Encoding string `json:"encoding,omitempty"`
-	Workers  int    `json:"workers"`
-	Mode     string `json:"mode"`             // "cold" (caches dropped per run) or "warm"
-	Access   string `json:"access,omitempty"` // planner access path ("scan", "colscan" or "index")
-	MeanNS  int64  `json:"mean_ns"`
-	MinNS   int64  `json:"min_ns"`
-	Rows    int    `json:"rows"`
-
-	// Decoded-block cache activity across the timed runs of this cell,
-	// measured as per-iteration counter deltas (Stats.Sub), so warm
-	// series report the hit rate of their own runs — the counters are
-	// cumulative for the process and used to leak earlier cells'
-	// activity into later ratios. Zero on layouts without a block
-	// cache.
-	BlockCacheHits   int64   `json:"block_cache_hits,omitempty"`
-	BlockCacheMisses int64   `json:"block_cache_misses,omitempty"`
-	BlockCacheRate   float64 `json:"block_cache_hit_rate,omitempty"`
-}
-
-// hostInfo makes single-core caveats machine-readable in committed
-// BENCH_*.json files.
-type hostInfo struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-}
-
-// benchReport is the top-level -json document: dataset and host
-// parameters plus one record per (layout, workers, mode, query).
-type benchReport struct {
-	Timestamp       string        `json:"timestamp"`
-	Host            hostInfo      `json:"host"`
-	Employees       int           `json:"employees"`
-	Years           int           `json:"years"`
-	Scale           int           `json:"scale"`
-	Runs            int           `json:"runs"`
-	WarmRuns        int           `json:"warm_runs,omitempty"`
-	BlockCacheBytes int           `json:"block_cache_bytes,omitempty"`
-	Records         []benchRecord `json:"records"`
-	Durability      []durRecord   `json:"durability,omitempty"`
-}
-
-// benchJSON times the Q1-Q6 suite on the scaled dataset — clustered
-// and compressed layouts, Workers=1 (serial) and Workers=-workers
-// (parallel) — and writes the machine-readable record file regression
-// tooling diffs across commits. With -warm N, each cell also gets a
-// warm series: caches dropped once, then N timed runs that keep the
-// page and decoded-block caches hot.
-func (h *harness) benchJSON(path string) {
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	cfgS := cfg1().Scaled(*scale)
-	fmt.Printf("== JSON bench: Q1-Q6, S=%d (%d employees), workers 1 vs %d ==\n", *scale, cfgS.Employees, w)
-	rep := benchReport{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Host: hostInfo{
-			GoVersion:  runtime.Version(),
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-		},
-		Employees: cfgS.Employees,
-		Years:     cfgS.Years,
-		Scale:     *scale,
-		Runs:      *runs,
-		WarmRuns:  *warm,
-	}
-	if *warm > 0 {
-		rep.BlockCacheBytes = benchBlockCacheBytes
-	}
-
-	levels := []int{1}
-	if w > 1 {
-		levels = append(levels, w)
-	}
-	layouts := []struct {
-		name     string
-		encoding string
-		opts     bench.Options
-	}{
-		{"clustered", "", bench.Options{Layout: core.LayoutClustered, Workers: 1, Planner: plannerMode()}},
-		{"compressed", encoding(), bench.Options{Layout: core.LayoutCompressed, Compress: true, Workers: 1,
-			Planner: plannerMode(), Columnar: columnarMode(), BlockCacheBytes: benchBlockCacheBytes}},
-	}
-	measure := func(e *bench.Env, q bench.QueryID, n int, cold bool) (time.Duration, time.Duration, int, relstore.Stats) {
-		e.Cold() // untimed warm-up absorbs lazy initialization (and, warm mode, fills caches)
-		res, err := e.Run(q)
-		die(err)
-		var total, min time.Duration
-		var cacheDelta relstore.Stats
-		prev := e.Sys.DB.Stats()
-		for i := 0; i < n; i++ {
-			if cold {
-				e.Cold()
-				prev = e.Sys.DB.Stats()
-			}
-			start := time.Now()
-			_, err := e.Run(q)
-			die(err)
-			d := time.Since(start)
-			total += d
-			if i == 0 || d < min {
-				min = d
-			}
-			// Per-iteration delta: re-snapshot each pass so the cell's
-			// numbers cover exactly its own timed runs, never the
-			// process-cumulative counters.
-			cur := e.Sys.DB.Stats()
-			it := cur.Sub(prev)
-			prev = cur
-			cacheDelta.BlockCacheHits += it.BlockCacheHits
-			cacheDelta.BlockCacheMisses += it.BlockCacheMisses
-		}
-		return total / time.Duration(n), min, res.Rows, cacheDelta
-	}
-	for _, lay := range layouts {
-		e, err := bench.Build(cfgS, lay.opts)
-		die(err)
-		for _, lvl := range levels {
-			e.Sys.Engine.Workers = lvl
-			for _, q := range bench.AllQueries {
-				modes := []struct {
-					name string
-					n    int
-					cold bool
-				}{{"cold", *runs, true}}
-				if *warm > 0 {
-					modes = append(modes, struct {
-						name string
-						n    int
-						cold bool
-					}{"warm", *warm, false})
-				}
-				access, err := bench.AccessPath(e.Sys.Engine, e.SQL(q))
-				die(err)
-				for _, m := range modes {
-					mean, min, rows, cache := measure(e, q, m.n, m.cold)
-					rec := benchRecord{
-						Query:            fmt.Sprintf("Q%d", q),
-						Path:             lay.name,
-						Encoding:         lay.encoding,
-						Workers:          lvl,
-						Mode:             m.name,
-						Access:           access,
-						MeanNS:           mean.Nanoseconds(),
-						MinNS:            min.Nanoseconds(),
-						Rows:             rows,
-						BlockCacheHits:   cache.BlockCacheHits,
-						BlockCacheMisses: cache.BlockCacheMisses,
-					}
-					cacheNote := ""
-					if lookups := cache.BlockCacheHits + cache.BlockCacheMisses; lookups > 0 {
-						rec.BlockCacheRate = float64(cache.BlockCacheHits) / float64(lookups)
-						cacheNote = fmt.Sprintf("  blkcache %.0f%%", rec.BlockCacheRate*100)
-					}
-					rep.Records = append(rep.Records, rec)
-					fmt.Printf("  %-10s Q%-2d workers=%-2d %-4s  mean %s ms  min %s ms  rows %d%s\n",
-						lay.name, q, lvl, m.name, strings.TrimSpace(ms(mean)), strings.TrimSpace(ms(min)), rows, cacheNote)
-				}
-			}
-		}
-	}
-	rep.Durability = durabilityExperiments()
-	for _, r := range rep.Durability {
-		fmt.Printf("  durable-ingest %-14s writers=%d  %8.0f ops/s  recover %.2f ms (%d records)\n",
-			r.Mode, r.Writers, r.OpsPerSec, float64(r.RecoverNS)/1e6, r.ReplayedRecords)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	die(err)
-	die(os.WriteFile(path, append(data, '\n'), 0o644))
-	fmt.Printf("wrote %d records to %s\n", len(rep.Records), path)
-}
-
-// plannerReport is the -adversarial output document: the planner's
-// access-path decisions and timings on the adversarial-selectivity
-// workload, planner on vs off.
-type plannerReport struct {
-	Timestamp string                `json:"timestamp"`
-	Host      hostInfo              `json:"host"`
-	TableRows int                   `json:"table_rows"`
-	Runs      int                   `json:"runs"`
-	Records   []bench.PlannerRecord `json:"records"`
-}
-
-// adversarial runs the adversarial-selectivity planner benchmark and
-// fails unless the cost model makes the right calls: scan at 50%
-// selectivity (and faster than the forced index probe), index probe
-// when the predicate is selective.
-func (h *harness) adversarial(path string) {
-	// Min-of-pairs needs enough interleaved samples to find a quiet
-	// window on a shared machine; 20 pairs is ~1s of query time.
-	pairs := *runs
-	if pairs < 20 {
-		pairs = 20
-	}
-	fmt.Printf("== adversarial selectivity: planner vs forced index, %d rows, %d interleaved pairs ==\n",
-		*advRows, pairs)
-	recs, err := bench.PlannerAdversarial(*advRows, pairs)
-	die(err)
-	cell := map[string]bench.PlannerRecord{}
-	for _, r := range recs {
-		key := r.Case + "/off"
-		if r.Planner {
-			key = r.Case + "/on"
-		}
-		cell[key] = r
-		fmt.Printf("  %-14s planner=%-5v access=%-5s  mean %8.2f ms  min %8.2f ms  rows %d\n",
-			r.Case, r.Planner, r.Access, float64(r.MeanNS)/1e6, float64(r.MinNS)/1e6, r.Rows)
-	}
-	on, off := cell["permissive-eq/on"], cell["permissive-eq/off"]
-	if on.Access != "scan" {
-		die(fmt.Errorf("planner chose %q for the permissive predicate, want scan", on.Access))
-	}
-	if off.Access != "index" {
-		die(fmt.Errorf("legacy heuristic chose %q for the permissive predicate, want index", off.Access))
-	}
-	if sel := cell["selective-eq/on"]; sel.Access != "index" {
-		die(fmt.Errorf("planner chose %q for the selective predicate, want index", sel.Access))
-	}
-	// Compare min latencies: the noise floor of a shared CI machine
-	// lands on means, while min approximates the true cost of each path.
-	if on.MinNS >= off.MinNS {
-		die(fmt.Errorf("planner scan (min %.2f ms) did not beat the forced index probe (min %.2f ms)",
-			float64(on.MinNS)/1e6, float64(off.MinNS)/1e6))
-	}
-	fmt.Printf("  planner scan beats forced index probe by %.2fx on the permissive predicate (min latency)\n",
-		float64(off.MinNS)/float64(on.MinNS))
-	rep := plannerReport{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Host: hostInfo{
-			GoVersion:  runtime.Version(),
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-		},
-		TableRows: *advRows,
-		Runs:      *runs,
-		Records:   recs,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	die(err)
-	die(os.WriteFile(path, append(data, '\n'), 0o644))
-	fmt.Printf("wrote %d records to %s\n", len(recs), path)
-}
-
-// columnarReport is the -columnargate output document: cold scan-query
-// timings on the compressed layout, columnar encoding vs legacy
-// row-in-blob, on the scaled dataset.
-type columnarReport struct {
-	Timestamp string                 `json:"timestamp"`
-	Host      hostInfo               `json:"host"`
-	Employees int                    `json:"employees"`
-	Years     int                    `json:"years"`
-	Scale     int                    `json:"scale"`
-	Pairs     int                    `json:"pairs"`
-	MinFactor float64                `json:"min_factor"`
-	Records   []bench.ColumnarRecord `json:"records"`
-}
-
-// columnarGate builds the scaled compressed dataset twice — columnar
-// frozen blocks vs legacy row blobs — and times the scan-heavy queries
-// (Q2 snapshot-avg, Q4 full count, Q6 UDA join) cold in interleaved
-// pairs. It fails unless every query's columnar min latency beats the
-// row-blob one by the -colmin factor, the answers agree, and the
-// columnar footprint is no larger.
-func (h *harness) columnarGate(path string) {
-	pairs := *runs
-	if pairs < 7 {
-		pairs = 7
-	}
-	cfgS := cfg1().Scaled(*scale)
-	fmt.Printf("== columnar gate: S=%d (%d employees, %d years), cold Q2/Q4/Q6, %d interleaved pairs ==\n",
-		*scale, cfgS.Employees, cfgS.Years, pairs)
-	on, off, err := bench.BuildColumnarPair(cfgS, bench.Options{Workers: 1, Planner: plannerMode()})
-	die(err)
-	fmt.Printf("  storage: columnar %d bytes, rowblob %d bytes (%.3fx)\n",
-		on.Sys.StorageBytes(), off.Sys.StorageBytes(),
-		float64(on.Sys.StorageBytes())/float64(off.Sys.StorageBytes()))
-	queries := []bench.QueryID{bench.Q2, bench.Q4, bench.Q6}
-	recs, err := bench.ColumnarCompare(on, off, queries, pairs)
-	die(err)
-	cell := map[string]bench.ColumnarRecord{}
-	for _, r := range recs {
-		cell[r.Query+"/"+r.Encoding] = r
-		fmt.Printf("  %-3s %-8s access=%-8s  mean %8.2f ms  min %8.2f ms  rows %-7d batches %d\n",
-			r.Query, r.Encoding, r.Access, float64(r.MeanNS)/1e6, float64(r.MinNS)/1e6, r.Rows, r.ColBatches)
-	}
-	for _, q := range queries {
-		name := fmt.Sprintf("Q%d", q)
-		col, blob := cell[name+"/columnar"], cell[name+"/rowblob"]
-		if col.Access != "colscan" {
-			die(fmt.Errorf("%s did not run vectorized (access=%q, want colscan)", name, col.Access))
-		}
-		if col.ColBatches == 0 {
-			die(fmt.Errorf("%s consumed no column batches on the columnar side", name))
-		}
-		// Min over interleaved pairs approximates each path's true cost
-		// on a shared machine (same argument as the planner gate).
-		speedup := float64(blob.MinNS) / float64(col.MinNS)
-		if speedup < *colMin {
-			die(fmt.Errorf("%s columnar speedup %.2fx below the %.1fx gate (columnar min %.2f ms, rowblob min %.2f ms)",
-				name, speedup, *colMin, float64(col.MinNS)/1e6, float64(blob.MinNS)/1e6))
-		}
-		fmt.Printf("  %s: columnar beats rowblob by %.2fx (min latency)\n", name, speedup)
-	}
-	if onB, offB := on.Sys.StorageBytes(), off.Sys.StorageBytes(); onB > offB {
-		die(fmt.Errorf("columnar storage regressed: %d bytes vs %d row-blob bytes", onB, offB))
-	}
-	rep := columnarReport{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Host: hostInfo{
-			GoVersion:  runtime.Version(),
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-		},
-		Employees: cfgS.Employees,
-		Years:     cfgS.Years,
-		Scale:     *scale,
-		Pairs:     pairs,
-		MinFactor: *colMin,
-		Records:   recs,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	die(err)
-	die(os.WriteFile(path, append(data, '\n'), 0o644))
-	fmt.Printf("wrote %d records to %s\n", len(recs), path)
 }
 
 func (h *harness) translationCost() {
@@ -884,114 +351,6 @@ func (h *harness) updates() {
 		die(st.ArchiveNow())
 		fmt.Printf("  forced segment archive of employee_salary: %s ms (happens once per segment)\n",
 			strings.TrimSpace(ms(time.Since(start))))
-	}
-	fmt.Println()
-
-	// Keep output deterministic in field order for the log.
-	_ = sort.Strings
-}
-
-// durRecord is one cell of the durability experiment: an ingest run
-// under one WAL commit policy, then a recovery of the directory it
-// produced.
-type durRecord struct {
-	Mode            string  `json:"mode"` // commit policy
-	Writers         int     `json:"writers"`
-	Ops             int     `json:"ops"`
-	OpsPerSec       float64 `json:"ops_per_sec"`
-	Fsyncs          int64   `json:"fsyncs"`
-	GroupedCommits  int64   `json:"grouped_commits"`
-	RecoverNS       int64   `json:"recover_ns"`
-	ReplayedRecords int64   `json:"replayed_records"`
-}
-
-// runDurableIngest measures single-row insert throughput through
-// ExecDurable — every insert acknowledged only per the commit policy —
-// then times a full recovery of the directory.
-func runDurableIngest(name string, syncMode wal.SyncMode, writers, ops int) durRecord {
-	dir, err := os.MkdirTemp("", "archis-dur-*")
-	die(err)
-	defer os.RemoveAll(dir)
-	sys, err := core.New(core.Options{
-		Layout:  core.LayoutClustered,
-		WALDir:  dir,
-		WALSync: syncMode,
-	})
-	die(err)
-	die(sys.Register(dataset.EmployeeSpec()))
-	sys.SetClock(temporal.MustParseDate("1995-01-01"))
-
-	perWriter := ops / writers
-	errs := make(chan error, writers)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				id := 500000 + w*perWriter + i
-				_, err := sys.ExecDurable(fmt.Sprintf(
-					"insert into employee values (%d, 'w%d', %d, 'Engineer', 'd01')",
-					id, w, 50000+i))
-				if err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	select {
-	case err := <-errs:
-		die(err)
-	default:
-	}
-	die(sys.SyncWAL())
-	st := sys.Stats()
-	die(sys.Close())
-
-	rstart := time.Now()
-	rec, err := core.Recover(dir, nil)
-	die(err)
-	recoverTime := time.Since(rstart)
-	replayed := rec.Stats().WALReplayedRecords
-	die(rec.Close())
-
-	done := writers * perWriter
-	return durRecord{
-		Mode:            name,
-		Writers:         writers,
-		Ops:             done,
-		OpsPerSec:       float64(done) / elapsed.Seconds(),
-		Fsyncs:          st.WALFsyncs,
-		GroupedCommits:  st.WALGroupedCommits,
-		RecoverNS:       recoverTime.Nanoseconds(),
-		ReplayedRecords: replayed,
-	}
-}
-
-// durabilityExperiments runs the ingest + recovery matrix: fsync per
-// commit (serial, then concurrent writers sharing fsyncs), the batched
-// window, and no-sync as the upper bound.
-func durabilityExperiments() []durRecord {
-	return []durRecord{
-		runDurableIngest("always", wal.SyncAlways, 1, 400),
-		runDurableIngest("always-group", wal.SyncAlways, 8, 1600),
-		runDurableIngest("batch", wal.SyncBatch, 8, 1600),
-		runDurableIngest("none", wal.SyncNone, 1, 1600),
-	}
-}
-
-func (h *harness) durability() {
-	fmt.Println("== durability: WAL ingest throughput and recovery time ==")
-	fmt.Printf("  %-14s %8s %8s %12s %8s %9s %12s %9s\n",
-		"mode", "writers", "ops", "ops/s", "fsyncs", "grouped", "recover(ms)", "replayed")
-	for _, r := range durabilityExperiments() {
-		fmt.Printf("  %-14s %8d %8d %12.0f %8d %9d %12.2f %9d\n",
-			r.Mode, r.Writers, r.Ops, r.OpsPerSec, r.Fsyncs, r.GroupedCommits,
-			float64(r.RecoverNS)/1e6, r.ReplayedRecords)
 	}
 	fmt.Println()
 }

@@ -2,16 +2,14 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
 	"archis/internal/relstore"
 	"archis/internal/sqlengine"
 )
 
-// Adversarial-selectivity planner benchmark (`make planner-smoke`,
-// `archis-bench -adversarial`). The workload is built to punish the
+// Adversarial-selectivity planner benchmark (TestPlannerAdversarialAccess
+// and BenchmarkAdversarial*). The workload is built to punish the
 // legacy always-index heuristic: an indexed eq predicate matching 75%
 // of the table (a skewed two-value column), where a sequential scan
 // is clearly cheaper than probing the B+tree row by row — with the
@@ -21,18 +19,13 @@ import (
 // out the index. A selective eq predicate rides along to show the
 // planner still takes the index when it should.
 
-// PlannerRecord is one timed cell of the adversarial benchmark: a
-// query run with the planner on or off, with the access path the
-// engine chose.
+// PlannerRecord is one cell of the adversarial workload: a query run
+// with the planner on or off, with the access path the engine chose.
 type PlannerRecord struct {
-	Case        string  `json:"case"`
-	Query       string  `json:"query"`
-	Selectivity float64 `json:"selectivity"`
-	Planner     bool    `json:"planner"`
-	Access      string  `json:"access"` // "scan" or "index"
-	MeanNS      int64   `json:"mean_ns"`
-	MinNS       int64   `json:"min_ns"`
-	Rows        int     `json:"rows"` // rows the predicate matches
+	Case    string
+	Planner bool
+	Access  string // "scan" or "index"
+	Rows    int    // rows the predicate matches
 }
 
 // BuildAdversarialEngine creates a standalone SQL engine holding one
@@ -91,41 +84,32 @@ func AccessPath(en *sqlengine.Engine, query string) (string, error) {
 	return "scan", nil
 }
 
-// PlannerAdversarial times the permissive (75%-match) and selective
-// eq predicates with the cost-based planner on and off and reports
-// the chosen access path per cell. The two planner modes of a case
-// run interleaved on one engine — pair i times mode A, then mode B,
-// back to back — so scheduler and GC noise lands on both modes alike,
-// and the per-mode minimum over all pairs approximates each path's
-// true cost even on a noisy shared machine. The caller asserts the
-// decisions (scan on the permissive predicate, index when selective)
-// and compares MinNS.
-func PlannerAdversarial(n, runs int) ([]PlannerRecord, error) {
+// PlannerAdversarial runs the permissive (75%-match) and selective eq
+// predicates with the cost-based planner on and off and reports the
+// chosen access path and the matched row count per cell. The caller
+// asserts the decisions (scan on the permissive predicate, index when
+// selective); BenchmarkAdversarialScan/Probe time the two paths.
+func PlannerAdversarial(n int) ([]PlannerRecord, error) {
 	cases := []struct {
-		name        string
-		query       string
-		selectivity float64
+		name  string
+		query string
 	}{
-		{"permissive-eq", `select count(*), sum(v) from adv where flag = 1`, 0.75},
-		{"selective-eq", fmt.Sprintf(`select count(*), sum(v) from adv where id = %d`, n/2), 1.0 / float64(n)},
+		{"permissive-eq", `select count(*), sum(v) from adv where flag = 1`},
+		{"selective-eq", fmt.Sprintf(`select count(*), sum(v) from adv where id = %d`, n/2)},
 	}
-	modes := []bool{true, false}
 	var out []PlannerRecord
 	for _, c := range cases {
-		// A fresh engine and a clean heap per case, so earlier cases'
-		// allocation history cannot skew this one's GC behavior.
 		en, err := BuildAdversarialEngine(n)
 		if err != nil {
 			return nil, err
 		}
-		recs := make([]PlannerRecord, len(modes))
-		for mi, planner := range modes {
+		for _, planner := range []bool{true, false} {
 			en.Planner = planner
 			access, err := AccessPath(en, c.query)
 			if err != nil {
 				return nil, err
 			}
-			res, err := en.Exec(c.query) // warm-up, and the row count
+			res, err := en.Exec(c.query)
 			if err != nil {
 				return nil, err
 			}
@@ -135,38 +119,8 @@ func PlannerAdversarial(n, runs int) ([]PlannerRecord, error) {
 					matched = int(v)
 				}
 			}
-			recs[mi] = PlannerRecord{
-				Case:        c.name,
-				Query:       c.query,
-				Selectivity: c.selectivity,
-				Planner:     planner,
-				Access:      access,
-				Rows:        matched,
-			}
+			out = append(out, PlannerRecord{Case: c.name, Planner: planner, Access: access, Rows: matched})
 		}
-		runtime.GC()
-		totals := make([]time.Duration, len(modes))
-		mins := make([]time.Duration, len(modes))
-		for i := 0; i < runs; i++ {
-			for mi, planner := range modes {
-				en.Planner = planner
-				start := time.Now()
-				if _, err := en.Exec(c.query); err != nil {
-					return nil, err
-				}
-				d := time.Since(start)
-				totals[mi] += d
-				if i == 0 || d < mins[mi] {
-					mins[mi] = d
-				}
-			}
-		}
-		for mi := range modes {
-			recs[mi].MeanNS = (totals[mi] / time.Duration(runs)).Nanoseconds()
-			recs[mi].MinNS = mins[mi].Nanoseconds()
-			out = append(out, recs[mi])
-		}
-		en.Planner = true
 	}
 	return out, nil
 }

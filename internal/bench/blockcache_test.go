@@ -59,7 +59,7 @@ func TestBlockCacheDifferential(t *testing.T) {
 
 			// Reference: cache off (the default), serial, cold.
 			e.Cold()
-			_, ref, err := e.RunBatch(queries, 1)
+			ref, err := e.RunBatch(queries, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestBlockCacheDifferential(t *testing.T) {
 					name    string
 					workers int
 				}{{"serial-cold", 1}, {"concurrent-warm", 4}, {"concurrent-warm-2", 4}, {"serial-warm", 1}} {
-					_, got, err := e.RunBatch(queries, pass.workers)
+					got, err := e.RunBatch(queries, pass.workers)
 					if err != nil {
 						t.Fatalf("%d bytes, %s: %v", budget, pass.name, err)
 					}
@@ -102,7 +102,7 @@ func TestBlockCacheDifferential(t *testing.T) {
 			if n := e.Sys.DB.CachedBlocks(); n != 0 {
 				t.Errorf("Cold() left %d decoded blocks cached", n)
 			}
-			_, got, err := e.RunBatch(queries, 1)
+			got, err := e.RunBatch(queries, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

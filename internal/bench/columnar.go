@@ -2,49 +2,30 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"archis/internal/core"
 	"archis/internal/dataset"
 )
 
-// Columnar-vs-row-blob gate (`make columnar-smoke`, `archis-bench
-// -columnargate`). Two identically-seeded compressed environments are
-// built, one writing frozen blocks in the columnar encoding (and
-// executing vectorized), one in the legacy row-in-blob encoding; every
-// attribute history is forced frozen and compressed so cold queries
-// actually read BlockZIP blocks. The scan-heavy suite queries then run
-// cold in interleaved pairs — pair i times columnar, then row-blob,
-// back to back — so scheduler and GC noise lands on both encodings
-// alike and the per-encoding minimum approximates each path's true
-// cost even on a noisy shared machine.
+// Columnar-vs-row-blob comparison (TestColumnarGatePair). Two
+// identically-seeded compressed environments are built, one writing
+// frozen blocks in the columnar encoding (and executing vectorized),
+// one in the legacy row-in-blob encoding; every attribute history is
+// forced frozen and compressed so cold queries actually read BlockZIP
+// blocks. The scan-heavy suite queries then run cold on both, and the
+// two encodings must agree on every answer.
 
-// ColumnarRecord is one timed cell of the gate: a query run cold on
+// ColumnarRecord is one cell of the comparison: a query run cold on
 // one encoding of the same dataset.
 type ColumnarRecord struct {
-	Query    string `json:"query"`
-	Columnar bool   `json:"columnar"`
-	Encoding string `json:"encoding"` // "columnar" or "rowblob"
-	Access   string `json:"access"`   // planner access path ("colscan" when vectorized)
-	MeanNS   int64  `json:"mean_ns"`
-	MinNS    int64  `json:"min_ns"`
-	Rows     int    `json:"rows"`
-	Value    string `json:"value,omitempty"`
-	// StorageBytes is the H-table footprint of this cell's environment
-	// (identical across this encoding's cells).
-	StorageBytes int `json:"storage_bytes"`
-	// ColBatches counts the vectorized batches the timed runs consumed
+	Query    string
+	Columnar bool
+	Access   string // planner access path ("colscan" when vectorized)
+	Rows     int
+	Value    string
+	// ColBatches counts the vectorized batches the cold runs consumed
 	// (0 on the row-blob side — evidence the fast path actually ran).
-	ColBatches int64 `json:"col_batches,omitempty"`
-}
-
-// encodingName renders the JSON encoding label of one side.
-func encodingName(columnar bool) string {
-	if columnar {
-		return "columnar"
-	}
-	return "rowblob"
+	ColBatches int64
 }
 
 // BuildColumnarPair builds the two compressed environments of the
@@ -95,70 +76,41 @@ func (e *Env) FreezeAll() error {
 	return e.Sys.CompressFrozen()
 }
 
-// ColumnarCompare times the given queries cold on both encodings in
-// interleaved pairs and verifies the answers match pair by pair. The
-// caller asserts the latency and storage relations.
-func ColumnarCompare(on, off *Env, queries []QueryID, pairs int) ([]ColumnarRecord, error) {
-	type side struct {
-		env *Env
-		rec ColumnarRecord
-	}
+// ColumnarCompare runs each query cold twice on both encodings — the
+// second run checks the answer does not drift — and verifies the two
+// encodings agree. The caller asserts the access paths and batch counts.
+func ColumnarCompare(on, off *Env, queries []QueryID) ([]ColumnarRecord, error) {
 	var out []ColumnarRecord
 	for _, q := range queries {
-		sides := []*side{
-			{env: on, rec: ColumnarRecord{Columnar: true}},
-			{env: off, rec: ColumnarRecord{Columnar: false}},
-		}
-		for _, s := range sides {
-			s.rec.Query = fmt.Sprintf("Q%d", q)
-			s.rec.Encoding = encodingName(s.rec.Columnar)
-			s.rec.StorageBytes = s.env.Sys.StorageBytes()
-			access, err := AccessPath(s.env.Sys.Engine, s.env.SQL(q))
+		var recs [2]ColumnarRecord
+		for i, env := range []*Env{on, off} {
+			rec := ColumnarRecord{Query: fmt.Sprintf("Q%d", q), Columnar: env == on}
+			access, err := AccessPath(env.Sys.Engine, env.SQL(q))
 			if err != nil {
 				return nil, err
 			}
-			s.rec.Access = access
-			// Untimed warm-up absorbs lazy initialization; timed runs
-			// below are all cold.
-			s.env.Cold()
-			res, err := s.env.Run(q)
-			if err != nil {
-				return nil, err
-			}
-			s.rec.Rows, s.rec.Value = res.Rows, res.Value
-		}
-		runtime.GC()
-		totals := make([]time.Duration, len(sides))
-		mins := make([]time.Duration, len(sides))
-		for i := 0; i < pairs; i++ {
-			for si, s := range sides {
-				s.env.Cold()
-				prev := s.env.Sys.DB.Stats()
-				start := time.Now()
-				res, err := s.env.Run(q)
+			rec.Access = access
+			for run := 0; run < 2; run++ {
+				env.Cold()
+				prev := env.Sys.DB.Stats()
+				res, err := env.Run(q)
 				if err != nil {
 					return nil, err
 				}
-				d := time.Since(start)
-				s.rec.ColBatches += s.env.Sys.DB.Stats().Sub(prev).ColBatches
-				totals[si] += d
-				if i == 0 || d < mins[si] {
-					mins[si] = d
-				}
-				if res.Rows != s.rec.Rows || res.Value != s.rec.Value {
-					return nil, fmt.Errorf("columnar gate: Q%d answer drifted across runs on %s", q, s.rec.Encoding)
+				rec.ColBatches += env.Sys.DB.Stats().Sub(prev).ColBatches
+				if run == 0 {
+					rec.Rows, rec.Value = res.Rows, res.Value
+				} else if res.Rows != rec.Rows || res.Value != rec.Value {
+					return nil, fmt.Errorf("columnar gate: Q%d answer drifted across runs (columnar=%v)", q, rec.Columnar)
 				}
 			}
-			if sides[0].rec.Value != sides[1].rec.Value || sides[0].rec.Rows != sides[1].rec.Rows {
-				return nil, fmt.Errorf("columnar gate: Q%d answers differ between encodings (%q/%d vs %q/%d)",
-					q, sides[0].rec.Value, sides[0].rec.Rows, sides[1].rec.Value, sides[1].rec.Rows)
-			}
+			recs[i] = rec
 		}
-		for si, s := range sides {
-			s.rec.MeanNS = (totals[si] / time.Duration(pairs)).Nanoseconds()
-			s.rec.MinNS = mins[si].Nanoseconds()
-			out = append(out, s.rec)
+		if recs[0].Value != recs[1].Value || recs[0].Rows != recs[1].Rows {
+			return nil, fmt.Errorf("columnar gate: Q%d answers differ between encodings (%q/%d vs %q/%d)",
+				q, recs[0].Value, recs[0].Rows, recs[1].Value, recs[1].Rows)
 		}
+		out = append(out, recs[:]...)
 	}
 	return out, nil
 }

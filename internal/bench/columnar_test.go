@@ -96,7 +96,7 @@ func TestColumnarGatePair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ColumnarCompare(on, off, []QueryID{Q2, Q4, Q6}, 2)
+	recs, err := ColumnarCompare(on, off, []QueryID{Q2, Q4, Q6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func stressEnv(t *testing.T, compress bool) *Env {
 // the reference outcomes.
 func serialAnswers(t *testing.T, e *Env, queries []string) []core.ParallelResult {
 	t.Helper()
-	_, ref, err := e.RunBatch(queries, 1)
+	ref, err := e.RunBatch(queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	e := stressEnv(t, false)
 	queries := append(e.SuiteQueries(2), e.SnapshotQueries(6)...)
 	ref := serialAnswers(t, e, queries)
-	_, got, err := e.RunBatch(queries, 0)
+	got, err := e.RunBatch(queries, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

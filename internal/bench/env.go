@@ -55,9 +55,6 @@ type Options struct {
 	// Columnar toggles columnar frozen blocks + vectorized execution
 	// (zero value = on); see core.Options.Columnar.
 	Columnar core.ColumnarMode
-	// BlockCacheBytes is the decoded-block cache budget for compressed
-	// layouts (0 = off); see core.Options.BlockCacheBytes.
-	BlockCacheBytes int
 	// WALDir enables the durable write-ahead op log for the built
 	// system (core.Options.WALDir); the durability and crash-recovery
 	// experiments use it.
@@ -89,7 +86,6 @@ func Build(cfg dataset.Config, opts Options) (*Env, error) {
 		Workers:                 opts.Workers,
 		Planner:                 opts.Planner,
 		Columnar:                opts.Columnar,
-		BlockCacheBytes:         opts.BlockCacheBytes,
 		WALDir:                  opts.WALDir,
 		WALFS:                   opts.WALFS,
 		WALSync:                 opts.WALSync,

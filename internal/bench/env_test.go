@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"archis/internal/core"
@@ -161,6 +163,99 @@ func TestUpdateHelpers(t *testing.T) {
 	}
 	if err := xdb.XMLUpdateOne(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestArchiveDaySnapshot pins the §6.3 query mapping on the day a
+// segment is archived. Versions closed, inserted and hired after the
+// archive on that day live in the next segment, so a snapshot on the
+// day must read both segments: every layout must give the plain
+// layout's answer, through the hand-tuned SQL and through translated
+// XQuery.
+func TestArchiveDaySnapshot(t *testing.T) {
+	var want []string
+	for _, lay := range []struct {
+		name string
+		opts Options
+	}{
+		{"plain", Options{Layout: core.LayoutPlain}},
+		{"clustered", Options{Layout: core.LayoutClustered, MinSegmentRows: 160}},
+		{"compressed", Options{Layout: core.LayoutCompressed, MinSegmentRows: 160, Compress: true}},
+	} {
+		e, err := Build(smallCfg(), lay.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		day := e.Sys.Clock().AddDays(1)
+		e.Sys.SetClock(day)
+		ids, err := e.liveIDs(4)
+		if err != nil || len(ids) < 4 {
+			t.Fatalf("%s: live ids %v: %v", lay.name, ids, err)
+		}
+		exec := func(sql string) {
+			t.Helper()
+			if _, err := e.Sys.Exec(sql); err != nil {
+				t.Fatalf("%s: %s: %v", lay.name, sql, err)
+			}
+		}
+		writes := func(update, fire, hire int64) {
+			t.Helper()
+			exec(fmt.Sprintf(`update employee set salary = salary + 1000 where id = %d`, update))
+			exec(fmt.Sprintf(`delete from employee where id = %d`, fire))
+			exec(fmt.Sprintf(`insert into employee values (%d, 'new%d', 77000, 'Engineer', 'd01')`, hire, hire))
+		}
+		writes(ids[0], ids[1], 900001)
+		n, err := e.Sys.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lay.opts.Layout != core.LayoutPlain && n == 0 {
+			t.Fatalf("%s: nothing archived", lay.name)
+		}
+		if lay.opts.Compress {
+			if err := e.Sys.CompressFrozen(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writes(ids[2], ids[3], 900002)
+
+		e.SnapshotDay, e.SingleID = day, ids[2]
+		var got []string
+		for _, q := range []QueryID{Q1, Q2} {
+			r, err := e.Run(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, fmt.Sprintf("%s rows=%d value=%s", Describe(q), r.Rows, r.Value))
+		}
+		for _, xq := range []string{
+			fmt.Sprintf(`for $s in doc("employees.xml")/employees/employee[id=%d]/salary[tstart(.) <= xs:date("%s") and tend(.) >= xs:date("%s")] return string($s)`, ids[2], day, day),
+			fmt.Sprintf(`for $s in doc("employees.xml")/employees/employee/salary[tstart(.) <= xs:date("%s") and tend(.) >= xs:date("%s")] return string($s)`, day, day),
+		} {
+			res, err := e.Sys.Query(xq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Path != core.PathSQL {
+				t.Fatalf("%s: %s was not translated (path %s)", lay.name, xq, res.Path)
+			}
+			vals := make([]string, len(res.Items))
+			for i, it := range res.Items {
+				vals[i] = it.StringValue()
+			}
+			sort.Strings(vals)
+			got = append(got, fmt.Sprintf("xquery %d items %v", len(vals), vals))
+		}
+
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: snapshot on archive day %s:\n got  %.200s\n want %.200s", lay.name, day, got[i], want[i])
+			}
+		}
 	}
 }
 

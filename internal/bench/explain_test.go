@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"regexp"
 	"strings"
 	"testing"
@@ -204,9 +205,34 @@ func TestTraceDifferential(t *testing.T) {
 				t.Errorf("%s Q%d: traced answer %+v differs from untraced %+v",
 					lay.name, q, traced, plain)
 			}
-			if qt := tr.Finish(e.SQL(q)); qt.Find("scan") == nil && qt.Find("morsel-fanout") == nil {
+			qt := tr.Finish(e.SQL(q))
+			if qt.Find("scan") == nil && qt.Find("morsel-fanout") == nil {
 				t.Errorf("%s Q%d: trace has neither scan nor morsel-fanout span:\n%s",
 					lay.name, q, qt.Tree())
+			}
+			// The JSON form must parse back, carry its query, and hold a
+			// named root with a non-negative duration and at least one
+			// child span (every suite query at least parses and scans).
+			var doc struct {
+				Query string `json:"query"`
+				Root  *struct {
+					Name     string            `json:"name"`
+					DurNS    int64             `json:"dur_ns"`
+					Children []json.RawMessage `json:"children"`
+				} `json:"root"`
+			}
+			data := qt.JSON()
+			switch err := json.Unmarshal(data, &doc); {
+			case err != nil:
+				t.Errorf("%s Q%d: trace JSON does not parse: %v\n%s", lay.name, q, err, data)
+			case doc.Query == "":
+				t.Errorf("%s Q%d: trace JSON lacks its query text:\n%s", lay.name, q, data)
+			case doc.Root == nil || doc.Root.Name == "":
+				t.Errorf("%s Q%d: trace JSON lacks a named root span:\n%s", lay.name, q, data)
+			case doc.Root.DurNS < 0:
+				t.Errorf("%s Q%d: trace root has negative duration %d", lay.name, q, doc.Root.DurNS)
+			case len(doc.Root.Children) == 0:
+				t.Errorf("%s Q%d: trace root has no child spans:\n%s", lay.name, q, data)
 			}
 		}
 	}

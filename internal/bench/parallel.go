@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"archis/internal/core"
 	"archis/internal/temporal"
@@ -53,18 +52,15 @@ func (e *Env) SnapshotQueries(n int) []string {
 
 // RunBatch executes a query batch through System.RunParallel with the
 // given worker count (1 = serial mode, 0 = GOMAXPROCS) and returns the
-// wall-clock time plus per-query outcomes. The first query error, if
-// any, is returned as err.
-func (e *Env) RunBatch(queries []string, workers int) (time.Duration, []core.ParallelResult, error) {
-	start := time.Now()
+// per-query outcomes. The first query error, if any, is returned as err.
+func (e *Env) RunBatch(queries []string, workers int) ([]core.ParallelResult, error) {
 	results := e.Sys.RunParallel(queries, workers)
-	elapsed := time.Since(start)
 	for _, r := range results {
 		if r.Err != nil {
-			return elapsed, results, fmt.Errorf("bench: parallel batch: %w", r.Err)
+			return results, fmt.Errorf("bench: parallel batch: %w", r.Err)
 		}
 	}
-	return elapsed, results, nil
+	return results, nil
 }
 
 // SameAnswers reports whether two outcome slices carry identical

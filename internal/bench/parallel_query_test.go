@@ -81,12 +81,12 @@ func TestParallelBatchVsIntraQuery(t *testing.T) {
 	}
 	queries := env.SuiteQueries(2)
 	env.Sys.Engine.Workers = 1
-	_, serial, err := env.RunBatch(queries, 1)
+	serial, err := env.RunBatch(queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env.Sys.Engine.Workers = 4
-	_, intra, err := env.RunBatch(queries, 1)
+	intra, err := env.RunBatch(queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestPlannerDifferentialLayouts(t *testing.T) {
 // heuristic probes the index, at 1/n selectivity both must probe, and
 // every cell must agree on the answer.
 func TestPlannerAdversarialAccess(t *testing.T) {
-	recs, err := PlannerAdversarial(20000, 1)
+	recs, err := PlannerAdversarial(20000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,11 +151,11 @@ func TestRecoveredEqualsContinuous(t *testing.T) {
 			// Identical Table 3 answers (each env renders its own SQL —
 			// segment restrictions may differ textually, answers may not).
 			rec := recoveredEnv(recSys, live)
-			_, want, err := live.RunBatch(live.SuiteQueries(1), 1)
+			want, err := live.RunBatch(live.SuiteQueries(1), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, got, err := rec.RunBatch(rec.SuiteQueries(1), 1)
+			got, err := rec.RunBatch(rec.SuiteQueries(1), 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -176,8 +176,8 @@ func render(s *Span) *TraceNode {
 	return n
 }
 
-// JSON renders the trace as indented JSON (the archis-bench -trace
-// record format).
+// JSON renders the trace as indented JSON (checked structurally by
+// internal/bench's TestTraceDifferential).
 func (qt *QueryTrace) JSON() []byte {
 	b, err := json.MarshalIndent(qt, "", "  ")
 	if err != nil { // unreachable: the types are marshalable

@@ -40,7 +40,7 @@ func TestBlockCacheSharedBatchesUnchanged(t *testing.T) {
 	}
 	e.Sys.DB.SetBlockCacheBytes(32 << 20)
 	queries := append(e.SuiteQueries(1), e.SnapshotQueries(4)...)
-	if _, _, err := e.RunBatch(queries, 1); err != nil {
+	if _, err := e.RunBatch(queries, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,7 +53,7 @@ func TestBlockCacheSharedBatchesUnchanged(t *testing.T) {
 		before[i] = checksum(b)
 	}
 	for round := 0; round < 3; round++ {
-		if _, _, err := e.RunBatch(queries, 4); err != nil {
+		if _, err := e.RunBatch(queries, 4); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -439,8 +439,11 @@ func (s *Store) segments() ([]SegmentInterval, error) {
 }
 
 // SegmentsFor returns the segment numbers a query over [lo, hi] must
-// touch — the Section 6.3 query-mapping step. The live segment is
-// included when the range reaches past the last frozen segment.
+// touch — the Section 6.3 query-mapping step. Adjacent segments share
+// the archive day: versions written on day A after the archive land
+// in the next segment, so segment k answers for [End(k−1), End(k)]
+// and the live segment for [End(last), ∞). The result stays a
+// contiguous range, which Scan's dedup rule relies on.
 func (s *Store) SegmentsFor(lo, hi temporal.Date) ([]int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -449,12 +452,16 @@ func (s *Store) SegmentsFor(lo, hi temporal.Date) ([]int64, error) {
 		return nil, err
 	}
 	var out []int64
-	for _, sg := range segs {
-		if lo <= sg.End && sg.Start <= hi {
+	for i, sg := range segs {
+		start := sg.Start
+		if i > 0 {
+			start = segs[i-1].End
+		}
+		if lo <= sg.End && start <= hi {
 			out = append(out, sg.SegNo)
 		}
 	}
-	if hi >= s.liveStart || len(segs) == 0 {
+	if len(segs) == 0 || hi >= segs[len(segs)-1].End {
 		out = append(out, s.liveSeg)
 	}
 	return out, nil
