@@ -22,10 +22,12 @@ parallel-stress:
 # One-iteration benchmark smoke: the scan benchmarks must still
 # compile and run (allocation regressions show up here first), and so
 # must the nil-tracer overhead benchmark (the <2% budget is asserted
-# numerically in internal/obs tests).
+# numerically in internal/obs tests) and the compressed join-input
+# benchmark.
 bench-smoke:
 	$(GO) test -bench='Scan(Copy|Borrow)' -benchtime=1x -run '^$$' ./internal/relstore/
 	$(GO) test -bench='NilSpan' -benchtime=1x -run '^$$' ./internal/obs/
+	$(GO) test -bench='CompressedJoinInput' -benchtime=1x -run '^$$' ./internal/blockzip/
 
 # Durability stress: kill the durable system at every fsync boundary
 # (with and without torn tail bytes) and require every survivor to

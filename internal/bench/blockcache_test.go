@@ -7,11 +7,13 @@ import (
 	"archis/internal/dataset"
 )
 
-// TestBlockCacheDifferential runs the Table 3 suite on every layout
-// with the decoded-block cache off (reference) and then on at two
-// budgets, at Workers 1 and 4, and requires identical answers
-// everywhere. Run with -race: on the compressed layout the concurrent
-// passes read shared cached batches from many goroutines at once.
+// TestBlockCacheDifferential runs the Table 3 suite, the Q6 self-join,
+// the full key-table join and translated Q1/Q3 on every layout with
+// the decoded-block cache off (reference) and then on at two budgets,
+// at Workers 1 and 4 (queries in flight and intra-query workers
+// alike), and requires identical answers everywhere. Run with -race:
+// on the compressed layout the concurrent passes read shared cached
+// batches from many goroutines at once.
 func TestBlockCacheDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -56,9 +58,16 @@ func TestBlockCacheDifferential(t *testing.T) {
 				}
 			}
 			queries := append(e.SuiteQueries(2), e.SnapshotQueries(4)...)
+			queries = append(queries, e.JoinSQL(), e.KeyJoinSQL())
+			translated, err := e.TranslatedSQL()
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries = append(queries, translated...)
 
 			// Reference: cache off (the default), serial, cold.
 			e.Cold()
+			e.Sys.Engine.Workers = 1
 			ref, err := e.RunBatch(queries, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -74,6 +83,7 @@ func TestBlockCacheDifferential(t *testing.T) {
 					name    string
 					workers int
 				}{{"serial-cold", 1}, {"concurrent-warm", 4}, {"concurrent-warm-2", 4}, {"serial-warm", 1}} {
+					e.Sys.Engine.Workers = pass.workers
 					got, err := e.RunBatch(queries, pass.workers)
 					if err != nil {
 						t.Fatalf("%d bytes, %s: %v", budget, pass.name, err)

@@ -2,20 +2,39 @@ package bench
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"archis/internal/core"
 	"archis/internal/dataset"
+	"archis/internal/sqlengine"
 )
+
+// resultText renders a result one line per row, in row order.
+func resultText(res *sqlengine.Result) []string {
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		cells := make([]string, len(r))
+		for c, v := range r {
+			cells[c] = v.Text()
+		}
+		out[i] = strings.Join(cells, "|")
+	}
+	return out
+}
 
 // TestColumnarDifferentialLayouts is the columnar escape-hatch
 // differential: randomized workloads on every layout, executed with
 // the columnar path on and off, serial and morsel-parallel, must
-// return identical answers everywhere. On plain and clustered layouts
-// the columnar option must be inert; on compressed (with every
-// history force-frozen into blocks) it exercises the vectorized
-// scan + kernel path end to end. Run with -race: the parallel passes
-// share batches across worker goroutines.
+// return identical answers everywhere, and the columnar side must
+// return byte-identical rows at every worker count. On plain and
+// clustered layouts the columnar option must be inert; on compressed
+// (with every history force-frozen into blocks) it exercises the
+// vectorized scan + kernel path end to end — for joins too: the Q6
+// self-join, the full key-table join, and translated Q1/Q3, whose
+// SQL joins the history to its key table. Run with -race: the
+// parallel passes share batches across worker goroutines.
 func TestColumnarDifferentialLayouts(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for _, tc := range []struct {
@@ -50,34 +69,55 @@ func TestColumnarDifferentialLayouts(t *testing.T) {
 				return e
 			}
 			on, off := build(core.ColumnarOn), build(core.ColumnarOff)
-			queries := make([]string, 0, len(AllQueries)+1)
+			// Each side runs its own translation: the translator bakes
+			// the side's segment numbers into the SQL.
+			type query struct{ on, off string }
+			var queries []query
 			for _, q := range AllQueries {
-				queries = append(queries, on.SQL(q))
+				queries = append(queries, query{on.SQL(q), on.SQL(q)})
 			}
-			queries = append(queries, on.JoinSQL())
+			queries = append(queries, query{on.JoinSQL(), on.JoinSQL()}, query{on.KeyJoinSQL(), on.KeyJoinSQL()})
+			onX, err := on.TranslatedSQL()
+			if err != nil {
+				t.Fatal(err)
+			}
+			offX, err := off.TranslatedSQL()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range onX {
+				queries = append(queries, query{onX[i], offX[i]})
+			}
+			serial := make([][]string, len(queries))
 			for _, workers := range []int{1, 4} {
 				on.Sys.Engine.Workers = workers
 				off.Sys.Engine.Workers = workers
-				for _, sql := range queries {
-					want, err := off.Sys.Exec(sql)
+				for qi, q := range queries {
+					want, err := off.Sys.Exec(q.off)
 					if err != nil {
-						t.Fatalf("columnar-off workers=%d: %s: %v", workers, sql, err)
+						t.Fatalf("columnar-off workers=%d: %s: %v", workers, q.off, err)
 					}
-					got, err := on.Sys.Exec(sql)
+					got, err := on.Sys.Exec(q.on)
 					if err != nil {
-						t.Fatalf("columnar-on workers=%d: %s: %v", workers, sql, err)
+						t.Fatalf("columnar-on workers=%d: %s: %v", workers, q.on, err)
 					}
 					if len(got.Rows) != len(want.Rows) {
 						t.Fatalf("workers=%d: %s: %d rows columnar vs %d row-path",
-							workers, sql, len(got.Rows), len(want.Rows))
+							workers, q.on, len(got.Rows), len(want.Rows))
 					}
 					for i := range want.Rows {
 						for c := range want.Rows[i] {
 							if got.Rows[i][c].Text() != want.Rows[i][c].Text() {
 								t.Fatalf("workers=%d: %s: row %d col %d: %q vs %q",
-									workers, sql, i, c, got.Rows[i][c].Text(), want.Rows[i][c].Text())
+									workers, q.on, i, c, got.Rows[i][c].Text(), want.Rows[i][c].Text())
 							}
 						}
+					}
+					text := resultText(got)
+					if workers == 1 {
+						serial[qi] = text
+					} else if !slices.Equal(text, serial[qi]) {
+						t.Fatalf("workers=%d: %s: columnar rows differ from the serial run", workers, q.on)
 					}
 				}
 			}

@@ -110,6 +110,16 @@ func TestExplainGolden(t *testing.T) {
 			t.Errorf("Q%d: compressed plan differs from clustered:\n%s\nvs\n%s", q, cp, kp)
 		}
 	}
+	// Both join inputs read compressed storage as column batches, and
+	// EXPLAIN labels them; without the label the plan is clustered's.
+	const label = " access=colscan workers=2"
+	cj := explain(t, c, c.JoinSQL())
+	if n := strings.Count(cj, label); n != 2 {
+		t.Errorf("compressed join plan labels %d inputs%s, want 2:\n%s", n, label, cj)
+	}
+	if cp, kp := maskEst(strings.ReplaceAll(cj, label, "")), maskEst(joinGolden); cp != kp {
+		t.Errorf("compressed join plan differs from clustered:\n%s\nvs\n%s", cp, kp)
+	}
 }
 
 // maskEst strips cardinality estimates so cross-layout plan
@@ -150,6 +160,29 @@ func TestExplainAnalyzeJoinGolden(t *testing.T) {
 `
 	if got != want {
 		t.Errorf("EXPLAIN ANALYZE drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+
+	// On compressed storage both inputs read column batches: the scan
+	// and probe spans say so, and every node keeps its cardinalities.
+	c := buildExplainEnv(t, Options{Layout: core.LayoutCompressed, Compress: true})
+	res, err = c.Sys.Exec("EXPLAIN ANALYZE " + c.JoinSQL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines := strings.Split(strings.TrimSpace(want), "\n")
+	if len(res.Rows) != len(wantLines) {
+		t.Fatalf("compressed EXPLAIN ANALYZE has %d nodes, want %d", len(res.Rows), len(wantLines))
+	}
+	cardRE := regexp.MustCompile(`^\s*\S+|\brows(_in)?=\d+`)
+	for i, row := range res.Rows {
+		line := row[0].Text()
+		if g, w := cardRE.FindAllString(line, -1), cardRE.FindAllString(wantLines[i], -1); strings.Join(g, " ") != strings.Join(w, " ") {
+			t.Errorf("compressed node %d: %q, want the cardinalities of %q", i, line, wantLines[i])
+		}
+		name := strings.Fields(line)[0]
+		if batch := name == "scan" || name == "join:hash-probe"; batch != strings.Contains(line, " access=colscan") {
+			t.Errorf("compressed node %q: access=colscan label is %v, want %v", line, !batch, batch)
+		}
 	}
 }
 

@@ -93,6 +93,30 @@ func (e *Env) JoinSQL() string {
 		e.JoinStart)
 }
 
+// KeyJoinSQL is the translator's key-table join with no id filter:
+// every employee id joined to its whole salary history.
+func (e *Env) KeyJoinSQL() string {
+	return `select T2.id, T1.salary, T1.tstart, T1.tend
+		from employee_salary AS T1, employee_id AS T2 where T2.id = T1.id`
+}
+
+// TranslatedSQL renders the XQuery forms of Q1 and Q3 through the
+// system's translator (Algorithm 1): SQL joining the salary history to
+// the employee_id key table, the statements the benchmark's x1 and x3
+// ops run.
+func (e *Env) TranslatedSQL() ([]string, error) {
+	x := &XMLEnv{Env: e}
+	var out []string
+	for _, q := range []QueryID{Q1, Q3} {
+		sql, err := e.Sys.Translate(x.XQuery(q))
+		if err != nil {
+			return nil, fmt.Errorf("bench: translate %s: %w", Describe(q), err)
+		}
+		out = append(out, sql)
+	}
+	return out, nil
+}
+
 // Run executes a query on the ArchIS side.
 func (e *Env) Run(q QueryID) (Result, error) {
 	res, err := e.Sys.Exec(e.SQL(q))

@@ -24,6 +24,9 @@ type source struct {
 	schema  relstore.Schema
 	base    *relstore.Table // nil for virtual
 	virtual VirtualTable
+	// needed marks the columns the statement reads from this source
+	// (markNeeded); nil means all. Batch reads decode only these.
+	needed []bool
 }
 
 func (s *source) scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error {
@@ -327,40 +330,23 @@ func (en *Engine) planScan(s *source, conjuncts []Expr, sources []*source) (*sca
 	return p, nil
 }
 
-// scanOne executes the single-table part of the plan: index selection,
-// zone-bound pushdown, residual filtering. Returned rows are borrowed
-// (read-only, may alias shared storage).
-func (en *Engine) scanOne(ctx context.Context, s *source, conjuncts []Expr, sources []*source) ([]relstore.Row, error) {
-	p, err := en.planScan(s, conjuncts, sources)
-	if err != nil {
-		return nil, err
-	}
-	var out []relstore.Row
-	err = en.runScanPlan(ctx, s, p, func(row relstore.Row) (bool, error) {
-		out = append(out, row)
-		return true, nil
-	})
-	return out, err
-}
-
 // runScanPlan drives a compiled plan (index probe or bounded borrow
 // scan) and streams each row surviving the residual filter into emit.
-// Rows are borrowed; emit returning false stops the scan early. The
-// context is polled at row granularity so a cancelled query stops
-// mid-scan.
-func (en *Engine) runScanPlan(ctx context.Context, s *source, p *scanPlan, emit func(relstore.Row) (bool, error)) error {
+// Rows are borrowed. The context is polled at row granularity so a
+// cancelled query stops mid-scan.
+func (en *Engine) runScanPlan(ctx context.Context, s *source, p *scanPlan, emit func(relstore.Row) error) error {
 	cc := newCancelProbe(ctx)
-	pass := func(row relstore.Row) (bool, error) {
+	pass := func(row relstore.Row) error {
 		if cc.tick() {
-			return false, cc.err()
+			return cc.err()
 		}
 		if p.filter != nil {
 			v, err := p.filter(row)
 			if err != nil {
-				return false, err
+				return err
 			}
 			if !v.AsBool() {
-				return true, nil
+				return nil
 			}
 		}
 		return emit(row)
@@ -378,7 +364,7 @@ func (en *Engine) runScanPlan(ctx context.Context, s *source, p *scanPlan, emit 
 			if !live {
 				continue
 			}
-			if cont, err := pass(row); err != nil || !cont {
+			if err := pass(row); err != nil {
 				return err
 			}
 		}
@@ -387,12 +373,11 @@ func (en *Engine) runScanPlan(ctx context.Context, s *source, p *scanPlan, emit 
 
 	var scanErr error
 	err := s.scanBorrow(p.bounds, func(row relstore.Row) bool {
-		cont, err := pass(row)
-		if err != nil {
+		if err := pass(row); err != nil {
 			scanErr = err
 			return false
 		}
-		return cont
+		return true
 	})
 	if err == nil {
 		err = scanErr
@@ -557,6 +542,9 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		}
 	}
 
+	// Batch reads decode only the columns the statement touches.
+	en.markNeeded(stmt, conjuncts, sources)
+
 	// Single-table statements with no usable point index take the
 	// vectorized path when the storage streams column batches, else
 	// fan out over row morsels when the engine is configured for
@@ -590,7 +578,8 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 	// Scan the first source, then fold in the rest. When the first fold
 	// is a build-on-inner hash join, the initial scan is fused into the
 	// probe (hashJoinFirst), which streams the outer side and can fan
-	// it out over morsels.
+	// it out over morsels. Every source is read once, through its
+	// compiled read (compileRead / readParts).
 	first := ordered[0]
 	firstConjuncts := perAlias[strings.ToLower(first.alias)]
 	layout := layoutFor(first.alias, first.schema)
@@ -600,24 +589,25 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 	var err error
 	scanned := false
 
-	// scanFirst runs the serial scan of the leading source under a
-	// "scan" span.
+	// scanFirst reads the leading source under a "scan" span.
 	scanFirst := func() error {
 		ss := sp.Child("scan")
 		ss.SetAttr("table", first.alias)
-		var plan *scanPlan
-		if plan, err = en.planScan(first, firstConjuncts, sources); err != nil {
+		rd, err := en.compileRead(first, firstConjuncts, sources)
+		if err != nil {
 			ss.End()
 			return err
 		}
-		if plan.est.Planned {
-			ss.SetAttr("access", plan.est.Access)
-			ss.SetInt("est_rows", int64(plan.est.OutRows))
+		est := rd.plan.est
+		if rd.batch != nil {
+			rd.label(ss)
+		} else if est.Planned {
+			ss.SetAttr("access", est.Access)
 		}
-		err = en.runScanPlan(ctx, first, plan, func(row relstore.Row) (bool, error) {
-			rows = append(rows, row)
-			return true, nil
-		})
+		if est.Planned {
+			ss.SetInt("est_rows", int64(est.OutRows))
+		}
+		rows, err = en.readRows(ctx, rd, ss)
 		ss.AddRows(0, int64(len(rows)))
 		ss.End()
 		return err
@@ -688,7 +678,7 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		default:
 			js := sp.Child("join:nested-loop")
 			js.SetAttr("table", s.alias)
-			rows, err = en.nestedLoopJoin(ctx, rows, s, singles, sources)
+			rows, err = en.nestedLoopJoin(ctx, rows, s, singles, sources, js)
 			js.AddRows(in, int64(len(rows)))
 			js.End()
 		}
@@ -802,8 +792,13 @@ func (en *Engine) indexJoin(ctx context.Context, outer []relstore.Row, s *source
 	return out, nil
 }
 
-func (en *Engine) nestedLoopJoin(ctx context.Context, outer []relstore.Row, s *source, singles []Expr, sources []*source) ([]relstore.Row, error) {
-	inner, err := en.scanOne(ctx, s, singles, sources)
+func (en *Engine) nestedLoopJoin(ctx context.Context, outer []relstore.Row, s *source, singles []Expr, sources []*source, sp *obs.Span) ([]relstore.Row, error) {
+	rd, err := en.compileRead(s, singles, sources)
+	if err != nil {
+		return nil, err
+	}
+	rd.label(sp)
+	inner, err := en.readRows(ctx, rd, sp)
 	if err != nil {
 		return nil, err
 	}

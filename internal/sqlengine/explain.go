@@ -101,10 +101,10 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		lines = append(lines, strings.Repeat("  ", depth)+fmt.Sprintf(format, args...))
 	}
 
-	describeScan := func(s *source, cs []Expr) (string, error) {
+	describeScan := func(s *source, cs []Expr) (string, *scanPlan, error) {
 		p, err := en.planScan(s, cs, sources)
 		if err != nil {
-			return "", err
+			return "", nil, err
 		}
 		kind := "table"
 		if s.base == nil {
@@ -123,7 +123,31 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		if p.est.Planned {
 			d += fmt.Sprintf(" est=%d", p.est.OutRows)
 		}
-		return d, nil
+		return d, p, nil
+	}
+	// batchRead mirrors compileRead's rule: columnar mode on, a batch
+	// source, no index probe.
+	batchRead := func(s *source, p *scanPlan) bool {
+		_, ok := s.virtual.(BatchSource)
+		return ok && en.Columnar && p.eqIndex == nil
+	}
+	// readNote labels a multi-source input read through the batch
+	// drain, with the worker count when the read fans out.
+	readNote := func(s *source, p *scanPlan) string {
+		if !batchRead(s, p) {
+			return ""
+		}
+		if w := en.scanWorkers(); w > 1 {
+			return fmt.Sprintf(" access=colscan workers=%d", w)
+		}
+		return " access=colscan"
+	}
+	describeRead := func(s *source, cs []Expr) (string, error) {
+		d, p, err := describeScan(s, cs)
+		if err != nil {
+			return "", err
+		}
+		return d + readNote(s, p), nil
 	}
 
 	add(0, "select")
@@ -136,41 +160,38 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 
 	if len(sources) == 1 {
 		s := sources[0]
-		d, err := describeScan(s, conjuncts)
+		d, p, err := describeScan(s, conjuncts)
 		if err != nil {
 			return nil, err
 		}
-		// Vectorized path first, mirroring execSelect's decision order:
-		// columnar mode on, batch-streaming storage, no index probe.
-		if en.Columnar && s.base == nil && !strings.HasPrefix(d, "index scan") {
-			if _, ok := s.virtual.(BatchSource); ok {
-				d += " access=colscan"
-				workers := en.scanWorkers()
-				grouped := en.isGrouped(stmt)
-				if grouped {
-					p, err := en.compileGrouping(stmt, layoutFor(s.alias, s.schema))
-					if err != nil {
-						return nil, err
-					}
-					if !p.mergeable() {
-						workers = 1
-					}
+		// Vectorized path first, mirroring execSelect's decision order.
+		if batchRead(s, p) {
+			d += " access=colscan"
+			workers := en.scanWorkers()
+			grouped := en.isGrouped(stmt)
+			if grouped {
+				p, err := en.compileGrouping(stmt, layoutFor(s.alias, s.schema))
+				if err != nil {
+					return nil, err
 				}
-				if workers > 1 {
-					add(1, "morsel-fanout workers=%d", workers)
-					add(2, "%s", d)
-					if grouped {
-						add(1, "agg-merge")
-					}
-				} else {
-					add(1, "%s", d)
+				if !p.mergeable() {
+					workers = 1
 				}
-				explainProject(stmt, add)
-				return lines, nil
 			}
+			if workers > 1 {
+				add(1, "morsel-fanout workers=%d", workers)
+				add(2, "%s", d)
+				if grouped {
+					add(1, "agg-merge")
+				}
+			} else {
+				add(1, "%s", d)
+			}
+			explainProject(stmt, add)
+			return lines, nil
 		}
 		parallel := false
-		if workers := en.scanWorkers(); workers > 1 && !strings.HasPrefix(d, "index scan") {
+		if workers := en.scanWorkers(); workers > 1 && p.eqIndex == nil {
 			if _, ok := s.morselSource(); ok {
 				if en.isGrouped(stmt) {
 					p, err := en.compileGrouping(stmt, layoutFor(s.alias, s.schema))
@@ -228,7 +249,7 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		}
 		if !scanned {
 			scanned = true
-			fd, err := describeScan(first, perAlias[strings.ToLower(first.alias)])
+			fd, err := describeRead(first, perAlias[strings.ToLower(first.alias)])
 			if err != nil {
 				return nil, err
 			}
@@ -241,7 +262,7 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 			if fuse {
 				// Fused first fold: scan streams into the probe
 				// (hashJoinFirst), exactly like execSelect's continue.
-				id, err := describeScan(s, singles)
+				id, err := describeRead(s, singles)
 				if err != nil {
 					return nil, err
 				}
@@ -259,6 +280,15 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 			}
 			add(1, "%s", fd)
 		}
+		// The fold reads s through compileRead unless it probes an index.
+		note := ""
+		if _, ok := s.virtual.(BatchSource); ok {
+			p, err := en.planScan(s, singles, sources)
+			if err != nil {
+				return nil, err
+			}
+			note = readNote(s, p)
+		}
 		switch {
 		case fp != nil:
 			switch fp.strategy {
@@ -266,21 +296,21 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 				add(1, "index join %s keys=%d (index %s) est outer=%d out=%d",
 					s.alias, len(joins), fp.index.Name, fp.estOuter, fp.estOut)
 			case stratHashBuildInner:
-				add(1, "hash join %s keys=%d build=%s est outer=%d inner=%d out=%d",
-					s.alias, len(joins), s.alias, fp.estOuter, fp.estInner, fp.estOut)
+				add(1, "hash join %s keys=%d build=%s est outer=%d inner=%d out=%d%s",
+					s.alias, len(joins), s.alias, fp.estOuter, fp.estInner, fp.estOut, note)
 			case stratHashBuildOuter:
-				add(1, "hash join %s keys=%d build=outer est outer=%d inner=%d out=%d",
-					s.alias, len(joins), fp.estOuter, fp.estInner, fp.estOut)
+				add(1, "hash join %s keys=%d build=outer est outer=%d inner=%d out=%d%s",
+					s.alias, len(joins), fp.estOuter, fp.estInner, fp.estOut, note)
 			default:
-				add(1, "nested-loop join %s est out=%d", s.alias, fp.estOut)
+				add(1, "nested-loop join %s est out=%d%s", s.alias, fp.estOut, note)
 			}
 		case len(joins) > 0 && innerIndexed:
 			add(1, "join %s keys=%d: index join (index %s) if outer rows <= %d, else hash join",
 				s.alias, len(joins), s.base.IndexOn(joins[0].newPos).Name, indexJoinThreshold)
 		case len(joins) > 0:
-			add(1, "hash join %s keys=%d", s.alias, len(joins))
+			add(1, "hash join %s keys=%d%s", s.alias, len(joins), note)
 		default:
-			add(1, "nested-loop join %s", s.alias)
+			add(1, "nested-loop join %s%s", s.alias, note)
 		}
 		layout = layout.concat(layoutFor(s.alias, s.schema))
 		joinedAliases[strings.ToLower(s.alias)] = true

@@ -2,6 +2,8 @@ package sqlengine
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"archis/internal/relstore"
@@ -250,6 +252,112 @@ func BenchmarkHashJoinProbeMixed(b *testing.B) {
 		out = out[:0]
 		for _, r := range probeRows {
 			out, _ = jt.probe(r, joins, sc, out)
+		}
+	}
+}
+
+// batchTable is a virtual table that also streams column batches, like
+// the compressed store: Scan is the row path, ScanBatches the batch
+// drain. It counts Scan calls and records every needed-column set, and
+// fills only the needed columns of a batch, so a reader that skips a
+// column it uses sees stale values and a wrong answer.
+type batchTable struct {
+	sliceTable
+	per        int // rows per batch morsel
+	scans      atomic.Int64
+	mu         sync.Mutex
+	neededSeen [][]bool
+}
+
+func (b *batchTable) Scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error {
+	b.scans.Add(1)
+	return b.sliceTable.Scan(bounds, fn)
+}
+
+func (b *batchTable) ScanBatches(_ []relstore.ZoneBound, needed []bool) ([]relstore.BatchFunc, error) {
+	b.mu.Lock()
+	b.neededSeen = append(b.neededSeen, needed)
+	b.mu.Unlock()
+	ncols := len(b.schema.Columns)
+	var out []relstore.BatchFunc
+	for lo := 0; lo < len(b.rows); lo += b.per {
+		chunk := b.rows[lo:min(lo+b.per, len(b.rows))]
+		out = append(out, func(fn func(*relstore.ColBatch) bool) (bool, error) {
+			var batch relstore.ColBatch
+			batch.SetFromRows(chunk, ncols, needed)
+			return !fn(&batch), nil
+		})
+	}
+	return out, nil
+}
+
+// TestJoinReadsBatchSources pins the routing of join inputs: with
+// columnar mode on, every input of a multi-source SELECT over a batch
+// source goes through the batch drain — Scan is never called — and
+// the answers equal the row path's at every worker count, planner on
+// and off, across hash joins (both build sides), the fused first
+// probe and nested-loop joins. Each read decodes the columns the
+// statement reads from its own alias: column u only where a star or
+// a.u names it.
+func TestJoinReadsBatchSources(t *testing.T) {
+	bt := &batchTable{per: 7, sliceTable: sliceTable{schema: relstore.NewSchema("t",
+		relstore.Col("k", relstore.TypeInt), relstore.Col("v", relstore.TypeString),
+		relstore.Col("w", relstore.TypeInt), relstore.Col("u", relstore.TypeInt))}}
+	for i := 0; i < 60; i++ {
+		k := relstore.Int(int64(i % 9))
+		if i%11 == 0 {
+			k = relstore.Null
+		}
+		bt.rows = append(bt.rows, relstore.Row{k, relstore.String_(fmt.Sprintf("v%d", i)),
+			relstore.Int(int64(i * 7 % 13)), relstore.Int(int64(i))})
+	}
+	en := New(relstore.NewDatabase())
+	en.RegisterVirtual("t", bt)
+	queries := []struct {
+		sql   string
+		uRead int // reads that must decode column u
+	}{
+		{`select a.k, b.v from t a, t b where a.k = b.k and a.w > 3`, 0},
+		{`select a.v, b.v from t a, t b where a.k = b.k and b.w >= a.w`, 0},
+		{`select a.k, b.v from t a, t b where a.k = b.k and b.k = 2`, 0},
+		{`select count(*), max(b.w - a.w) from t a, t b where a.w < b.w and a.k = 1`, 0},
+		{`select * from t a, t b where a.k = b.k and a.w = 5`, 2},
+		{`select xmlelement(name "r", xmlattributes(a.k as "k"), b.v) from t a, t b where a.k = b.k and a.w < 2 order by b.v`, 0},
+		{`select a.u, c.v from t a, t b, t c where a.k = b.k and b.w = c.w and a.w = 1 and c.k > 4`, 1},
+	}
+	for _, planner := range []bool{true, false} {
+		for _, workers := range []int{1, 4} {
+			en.Planner, en.Workers = planner, workers
+			for _, tc := range queries {
+				q := tc.sql
+				en.Columnar = false
+				want := queryStrings(t, en, q)
+				if bt.scans.Load() == 0 {
+					t.Fatalf("row path never called Scan: %s", q)
+				}
+				bt.scans.Store(0)
+				bt.neededSeen = nil
+				en.Columnar = true
+				got := queryStrings(t, en, q)
+				if n := bt.scans.Load(); n != 0 {
+					t.Errorf("planner=%v workers=%d: %s: %d Scan calls with columnar on, want 0", planner, workers, q, n)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("planner=%v workers=%d: %s:\nbatch %v\nrows  %v", planner, workers, q, got, want)
+				}
+				if len(bt.neededSeen) == 0 {
+					t.Errorf("%s: no batch read with columnar on", q)
+				}
+				uRead := 0
+				for _, needed := range bt.neededSeen {
+					if needed == nil || needed[3] {
+						uRead++
+					}
+				}
+				if uRead != tc.uRead {
+					t.Errorf("%s: %d reads decoded column u, want %d: %v", q, uRead, tc.uRead, bt.neededSeen)
+				}
+			}
 		}
 	}
 }
