@@ -27,7 +27,7 @@ parallel-stress:
 bench-smoke:
 	$(GO) test -bench='Scan(Copy|Borrow)' -benchtime=1x -run '^$$' ./internal/relstore/
 	$(GO) test -bench='NilSpan' -benchtime=1x -run '^$$' ./internal/obs/
-	$(GO) test -bench='CompressedJoinInput' -benchtime=1x -run '^$$' ./internal/blockzip/
+	$(GO) test -bench='JoinInput' -benchtime=1x -run '^$$' ./internal/blockzip/
 
 # Durability stress: kill the durable system at every fsync boundary
 # (with and without torn tail bytes) and require every survivor to

@@ -88,13 +88,15 @@ func TestExplainGolden(t *testing.T) {
 			t.Errorf("Q%d plan drifted:\n--- got ---\n%s--- want ---\n%s", q, got, golden[q])
 		}
 	}
-	// The planner drives the self-join from the smaller estimated side
-	// (S1, segment-restricted) and builds the hash table on it —
-	// build=outer asserts the build-side choice deterministically.
+	// Inference carries S1's tstart bound across the band conjuncts to
+	// S2 (derived=1), so both inputs estimate alike: the ties break to
+	// FROM order, S1's scan streams into the probe, and the hash table
+	// is built on S2 with each bucket sorted by tstart. The band probe
+	// consumes both tstart conjuncts, so no residual filter remains.
 	joinGolden := `select
-  scan S1 (virtual) bounds=1 filter=1 conjuncts est=131
-  hash join S2 keys=1 build=outer est outer=131 inner=743 out=1315
-  filter residual=2 conjuncts
+  hash join keys=1 band=tstart build=S2 est outer=131 inner=131 out=1320
+    build: scan S2 (virtual) bounds=1 filter=1 conjuncts derived=1 est=131
+    probe: scan S1 (virtual) bounds=1 filter=1 conjuncts est=131 (streamed)
   project cols=1
 `
 	if got := explain(t, e, e.JoinSQL()); got != joinGolden {
@@ -151,10 +153,8 @@ func TestExplainAnalyzeJoinGolden(t *testing.T) {
 	}
 	got := maskTimings(b.String())
 	want := `query  [T] rows=1 snapshot_lsn=0
-  scan  [T] rows=143 table=S1 access=scan est_rows=131
-  join:hash-build  [T] rows=0 rows_in=143 table=S2 side=outer est_outer=131 est_inner=743 est_out=1315 buckets=72
-  join:hash-probe  [T] rows=908 rows_in=506 table=S2
-  filter  [T] rows=261 rows_in=908
+  join:hash-build  [T] rows=0 rows_in=143 table=S2 side=inner est_outer=131 est_inner=131 est_out=1320 buckets=72
+  join:hash-probe  [T] rows=261 rows_in=143 table=S1 band=tstart workers=2 morsels=3
   aggregate  [T] rows=1 rows_in=261
   project  [T] rows=1 rows_in=1 grouped=true
 `
@@ -162,7 +162,7 @@ func TestExplainAnalyzeJoinGolden(t *testing.T) {
 		t.Errorf("EXPLAIN ANALYZE drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 
-	// On compressed storage both inputs read column batches: the scan
+	// On compressed storage both inputs read column batches: the build
 	// and probe spans say so, and every node keeps its cardinalities.
 	c := buildExplainEnv(t, Options{Layout: core.LayoutCompressed, Compress: true})
 	res, err = c.Sys.Exec("EXPLAIN ANALYZE " + c.JoinSQL())
@@ -180,7 +180,7 @@ func TestExplainAnalyzeJoinGolden(t *testing.T) {
 			t.Errorf("compressed node %d: %q, want the cardinalities of %q", i, line, wantLines[i])
 		}
 		name := strings.Fields(line)[0]
-		if batch := name == "scan" || name == "join:hash-probe"; batch != strings.Contains(line, " access=colscan") {
+		if batch := strings.HasPrefix(name, "join:hash-"); batch != strings.Contains(line, " access=colscan") {
 			t.Errorf("compressed node %q: access=colscan label is %v, want %v", line, !batch, batch)
 		}
 	}

@@ -1,15 +1,20 @@
 package bench
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"archis/internal/core"
 )
 
-// TestPlannerDifferentialLayouts runs the full Table 3 suite plus the
-// self-join on every physical layout with the cost-based planner on
-// and off and requires identical answers — the planner may only change
-// how a query runs, never what it returns. CI runs this under -race.
+// TestPlannerDifferentialLayouts runs the full Table 3 suite, the
+// self-join and the translated XQuery forms of Q1 and Q3 (x1, x3) on
+// every physical layout with the cost-based planner on and off and
+// requires identical answers — the planner may only change how a query
+// runs, never what it returns. The translated SQL carries the id
+// constant on the key table only, so planner on reads the history
+// through the id bound inference derives. CI runs this under -race.
 func TestPlannerDifferentialLayouts(t *testing.T) {
 	for _, lay := range []struct {
 		name string
@@ -48,7 +53,39 @@ func TestPlannerDifferentialLayouts(t *testing.T) {
 			t.Errorf("%s join: planner changed the answer: %+v vs %+v",
 				lay.name, resultOf(gj), resultOf(wj))
 		}
+		translated, err := on.TranslatedSQL()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sql := range translated {
+			got, want := rowTexts(t, on, sql), rowTexts(t, off, sql)
+			if len(got) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("%s x%d: planner changed the answer:\n%v\nvs\n%v", lay.name, 2*i+1, got, want)
+			}
+			if plan := explain(t, on, sql); !strings.Contains(plan, "derived=1") {
+				t.Errorf("%s x%d: the history read carries no derived id bound:\n%s", lay.name, 2*i+1, plan)
+			}
+		}
 	}
+}
+
+// rowTexts runs sql and returns its rows as sorted text lines.
+func rowTexts(t *testing.T, e *Env, sql string) []string {
+	t.Helper()
+	res, err := e.Sys.Exec(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	out := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		parts := make([]string, len(row))
+		for j, v := range row {
+			parts[j] = v.Text()
+		}
+		out[i] = strings.Join(parts, "|")
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestPlannerAdversarialAccess pins the access-path decisions of the

@@ -15,10 +15,7 @@ import (
 // query, "warm" runs with a 32 MiB decoded-block cache already filled.
 // One intra-query worker, so the figure is the per-core read cost.
 func BenchmarkCompressedJoinInput(b *testing.B) {
-	cfg := dataset.DefaultConfig()
-	cfg.Employees = 200
-	cfg.Years = 10
-	e, err := bench.Build(cfg, bench.Options{Layout: core.LayoutCompressed, Compress: true, Workers: 1})
+	e, err := bench.Build(joinInputConfig(), bench.Options{Layout: core.LayoutCompressed, Compress: true, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,4 +60,35 @@ func BenchmarkCompressedJoinInput(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkClusteredJoinInput is the warm Q6 self-join on the
+// clustered layout, the same data and worker count as
+// BenchmarkCompressedJoinInput: every page cached, so the figure is
+// plan, hash build and band probe.
+func BenchmarkClusteredJoinInput(b *testing.B) {
+	e, err := bench.Build(joinInputConfig(), bench.Options{Layout: core.LayoutClustered, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("q6j/warm", func(b *testing.B) {
+		if _, err := e.Sys.Exec(e.JoinSQL()); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.Sys.Exec(e.JoinSQL()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// joinInputConfig is the data both join-input benchmarks read.
+func joinInputConfig() dataset.Config {
+	cfg := dataset.DefaultConfig()
+	cfg.Employees = 200
+	cfg.Years = 10
+	return cfg
 }

@@ -230,11 +230,7 @@ func (en *Engine) colConstConjunct(e Expr, s *source, sources []*source) (col in
 		if pos < 0 {
 			return 0, "", relstore.Null, false
 		}
-		aliasSet := map[string]bool{}
-		if err := exprAliases(constSide, sources, aliasSet); err != nil || len(aliasSet) > 0 {
-			return 0, "", relstore.Null, false
-		}
-		cv, okc := en.constValue(constSide)
+		cv, okc := en.constOf(constSide, sources)
 		if !okc || cv.IsNull() {
 			return 0, "", relstore.Null, false
 		}
@@ -444,6 +440,19 @@ func (en *Engine) equiJoinConds(conjuncts []Expr, joined *rowLayout, joinedAlias
 	return joins, rest
 }
 
+// foldConds splits the pending multi-source conjuncts for folding s
+// into the joined aliases: the equi-join keys, and, when the planner
+// chose a build-on-inner hash join, a band on s (bandConds). rest is
+// what the joins leave for later folds or the final filter.
+func (en *Engine) foldConds(pending []Expr, joined *rowLayout, joinedAliases map[string]bool, s *source, sources []*source, fp *foldPlan) ([]equiJoin, *joinBand, []Expr, error) {
+	joins, rest := en.equiJoinConds(pending, joined, joinedAliases, s, sources)
+	if fp == nil || fp.strategy != stratHashBuildInner || len(joins) == 0 {
+		return joins, nil, rest, nil
+	}
+	band, rest, err := en.bandConds(rest, joined, joinedAliases, s, sources)
+	return joins, band, rest, err
+}
+
 // appendKey appends a self-delimiting, collision-proof encoding of
 // vals to dst — the shared scratch-buffer key builder for hash joins,
 // GROUP BY and DISTINCT. Every value starts with its kind tag and
@@ -507,40 +516,12 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		sources[i] = s
 	}
 
-	var conjuncts []Expr
-	if stmt.Where != nil {
-		conjuncts = splitAnd(stmt.Where, nil)
-	}
-	// Valid-time scope (validtime.go): rewritten to plain conjuncts
-	// here, before partitioning, so pushdown and planning see them as
-	// ordinary predicates.
-	if d, ok := ValidAsOf(ctx); ok {
-		conjuncts = append(conjuncts, validConjuncts(sources, d)...)
-	}
-
-	// Partition conjuncts by the aliases they touch.
 	perAlias := map[string][]Expr{}
-	var multi []Expr
-	for _, c := range conjuncts {
-		aliases := map[string]bool{}
-		if err := exprAliases(c, sources, aliases); err != nil {
-			return nil, err
-		}
-		switch len(aliases) {
-		case 0, 1:
-			target := ""
-			for a := range aliases {
-				target = a
-			}
-			if target == "" {
-				multi = append(multi, c) // constant predicate; apply at end
-			} else {
-				perAlias[target] = append(perAlias[target], c)
-			}
-		default:
-			multi = append(multi, c)
-		}
+	split, err := en.splitConjuncts(ctx, stmt, sources, perAlias)
+	if err != nil {
+		return nil, err
 	}
+	conjuncts, multi := split.all, split.multi
 
 	// Batch reads decode only the columns the statement touches.
 	en.markNeeded(stmt, conjuncts, sources)
@@ -565,7 +546,6 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 	ordered := sources
 	var jplan *joinPlan
 	if en.Planner && len(sources) > 1 {
-		var err error
 		if jplan, err = en.planJoins(sources, perAlias, multi); err != nil {
 			return nil, err
 		}
@@ -586,7 +566,6 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 	joinedAliases := map[string]bool{strings.ToLower(first.alias): true}
 	pendingMulti := multi
 	var rows []relstore.Row
-	var err error
 	scanned := false
 
 	// scanFirst reads the leading source under a "scan" span.
@@ -618,15 +597,18 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		if foldProbe.check() {
 			return nil, foldProbe.err()
 		}
-		joins, rest := en.equiJoinConds(pendingMulti, layout, joinedAliases, s, sources)
-		pendingMulti = rest
-		newLayout := layout.concat(layoutFor(s.alias, s.schema))
-
-		singles := perAlias[strings.ToLower(s.alias)]
 		var fp *foldPlan
 		if jplan != nil {
 			fp = &jplan.folds[fi]
 		}
+		joins, band, rest, err := en.foldConds(pendingMulti, layout, joinedAliases, s, sources, fp)
+		if err != nil {
+			return nil, err
+		}
+		pendingMulti = rest
+		newLayout := layout.concat(layoutFor(s.alias, s.schema))
+
+		singles := perAlias[strings.ToLower(s.alias)]
 		if !scanned {
 			scanned = true
 			fuse := len(joins) > 0
@@ -638,7 +620,7 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 				fuse = fuse && !(s.base != nil && s.base.IndexOn(joins[0].newPos) != nil)
 			}
 			if fuse {
-				rows, err = en.hashJoinFirst(ctx, first, firstConjuncts, s, joins, singles, sources, fp, sp)
+				rows, err = en.hashJoinFirst(ctx, first, firstConjuncts, s, joins, band, singles, sources, fp, sp)
 				if err != nil {
 					return nil, err
 				}
@@ -672,7 +654,7 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 			js.AddRows(in, int64(len(rows)))
 			js.End()
 		case stratHashBuildInner:
-			rows, err = en.hashJoin(ctx, rows, s, joins, singles, sources, fp, sp)
+			rows, err = en.hashJoin(ctx, rows, s, joins, band, singles, sources, fp, sp)
 		case stratHashBuildOuter:
 			rows, err = en.hashJoinBuildOuter(ctx, rows, s, joins, singles, sources, fp, sp)
 		default:

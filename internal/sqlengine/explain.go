@@ -65,42 +65,26 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		sources[i] = s
 	}
 
-	var conjuncts []Expr
-	if stmt.Where != nil {
-		conjuncts = splitAnd(stmt.Where, nil)
-	}
-	validAt, hasValidAt := ValidAsOf(ctx)
-	if hasValidAt {
-		conjuncts = append(conjuncts, validConjuncts(sources, validAt)...)
-	}
 	perAlias := map[string][]Expr{}
-	var multi []Expr
-	for _, c := range conjuncts {
-		aliases := map[string]bool{}
-		if err := exprAliases(c, sources, aliases); err != nil {
-			return nil, err
-		}
-		switch len(aliases) {
-		case 0, 1:
-			target := ""
-			for a := range aliases {
-				target = a
-			}
-			if target == "" {
-				multi = append(multi, c)
-			} else {
-				perAlias[target] = append(perAlias[target], c)
-			}
-		default:
-			multi = append(multi, c)
-		}
+	split, err := en.splitConjuncts(ctx, stmt, sources, perAlias)
+	if err != nil {
+		return nil, err
 	}
+	conjuncts, multi := split.all, split.multi
+	validAt, hasValidAt := ValidAsOf(ctx)
 
 	var lines []string
 	add := func(depth int, format string, args ...any) {
 		lines = append(lines, strings.Repeat("  ", depth)+fmt.Sprintf(format, args...))
 	}
 
+	// derivedNote counts the conjuncts inference handed a source.
+	derivedNote := func(s *source) string {
+		if n := split.derived[strings.ToLower(s.alias)]; n > 0 {
+			return fmt.Sprintf(" derived=%d", n)
+		}
+		return ""
+	}
 	describeScan := func(s *source, cs []Expr) (string, *scanPlan, error) {
 		p, err := en.planScan(s, cs, sources)
 		if err != nil {
@@ -120,6 +104,7 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		if p.filter != nil {
 			d += fmt.Sprintf(" filter=%d conjuncts", len(cs))
 		}
+		d += derivedNote(s)
 		if p.est.Planned {
 			d += fmt.Sprintf(" est=%d", p.est.OutRows)
 		}
@@ -224,7 +209,6 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 	ordered := sources
 	var jplan *joinPlan
 	if en.Planner {
-		var err error
 		if jplan, err = en.planJoins(sources, perAlias, multi); err != nil {
 			return nil, err
 		}
@@ -239,14 +223,21 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 	pendingMulti := multi
 	scanned := false
 	for fi, s := range ordered[1:] {
-		joins, rest := en.equiJoinConds(pendingMulti, layout, joinedAliases, s, sources)
-		pendingMulti = rest
-		singles := perAlias[strings.ToLower(s.alias)]
-		innerIndexed := s.base != nil && len(joins) > 0 && s.base.IndexOn(joins[0].newPos) != nil
 		var fp *foldPlan
 		if jplan != nil {
 			fp = &jplan.folds[fi]
 		}
+		joins, band, rest, err := en.foldConds(pendingMulti, layout, joinedAliases, s, sources, fp)
+		if err != nil {
+			return nil, err
+		}
+		pendingMulti = rest
+		keys := fmt.Sprintf("keys=%d", len(joins))
+		if band != nil {
+			keys += " band=" + band.name
+		}
+		singles := perAlias[strings.ToLower(s.alias)]
+		innerIndexed := s.base != nil && len(joins) > 0 && s.base.IndexOn(joins[0].newPos) != nil
 		if !scanned {
 			scanned = true
 			fd, err := describeRead(first, perAlias[strings.ToLower(first.alias)])
@@ -267,8 +258,8 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 					return nil, err
 				}
 				if fp != nil {
-					add(1, "hash join keys=%d build=%s est outer=%d inner=%d out=%d",
-						len(joins), s.alias, fp.estOuter, fp.estInner, fp.estOut)
+					add(1, "hash join %s build=%s est outer=%d inner=%d out=%d",
+						keys, s.alias, fp.estOuter, fp.estInner, fp.estOut)
 				} else {
 					add(1, "hash join keys=%d", len(joins))
 				}
@@ -281,23 +272,23 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 			add(1, "%s", fd)
 		}
 		// The fold reads s through compileRead unless it probes an index.
-		note := ""
+		note := derivedNote(s)
 		if _, ok := s.virtual.(BatchSource); ok {
 			p, err := en.planScan(s, singles, sources)
 			if err != nil {
 				return nil, err
 			}
-			note = readNote(s, p)
+			note += readNote(s, p)
 		}
 		switch {
 		case fp != nil:
 			switch fp.strategy {
 			case stratIndex:
-				add(1, "index join %s keys=%d (index %s) est outer=%d out=%d",
-					s.alias, len(joins), fp.index.Name, fp.estOuter, fp.estOut)
+				add(1, "index join %s keys=%d (index %s) est outer=%d out=%d%s",
+					s.alias, len(joins), fp.index.Name, fp.estOuter, fp.estOut, derivedNote(s))
 			case stratHashBuildInner:
-				add(1, "hash join %s keys=%d build=%s est outer=%d inner=%d out=%d%s",
-					s.alias, len(joins), s.alias, fp.estOuter, fp.estInner, fp.estOut, note)
+				add(1, "hash join %s %s build=%s est outer=%d inner=%d out=%d%s",
+					s.alias, keys, s.alias, fp.estOuter, fp.estInner, fp.estOut, note)
 			case stratHashBuildOuter:
 				add(1, "hash join %s keys=%d build=outer est outer=%d inner=%d out=%d%s",
 					s.alias, len(joins), fp.estOuter, fp.estInner, fp.estOut, note)

@@ -14,6 +14,9 @@ package sqlengine
 
 import (
 	"context"
+	"slices"
+	"sort"
+	"strings"
 
 	"archis/internal/obs"
 	"archis/internal/relstore"
@@ -120,10 +123,116 @@ func (rd *sourceRead) label(sp *obs.Span) {
 type joinTable struct {
 	idx     map[string]int
 	buckets [][]relstore.Row
+	band    *joinBand
 }
 
-func buildJoinTable(inner []relstore.Row, joins []equiJoin) *joinTable {
-	jt := &joinTable{idx: make(map[string]int, len(inner))}
+// joinBand is a band probe on one build-side column: the join's
+// remaining conjuncts bound inner.col by expressions over the probe
+// row, lo <(=) inner.col <(=) hi (either side may be absent). Each
+// bucket is sorted by col once after the build, so a probe emits only
+// the rows inside the band and no residual filter runs after the join.
+type joinBand struct {
+	col                int    // position in the build side's schema
+	name               string // column name, for EXPLAIN and traces
+	lo, hi             evalFunc
+	loStrict, hiStrict bool
+}
+
+// bandConds takes a band for source s out of the conjuncts left after
+// the equi-join keys. A conjunct qualifies when it compares a bare INT
+// or DATE column of s with `col`, `col + n` or `col - n` over an
+// already-joined source: evaluating such a bound cannot fail, and the
+// comparison is monotone in the sorted column, so a binary search
+// finds exactly the rows the conjunct's filter would keep. The first
+// qualifying column wins, with at most one bound per side; the
+// conjuncts the band consumes leave the returned rest.
+func (en *Engine) bandConds(conjuncts []Expr, joined *rowLayout, joinedAliases map[string]bool, s *source, sources []*source) (*joinBand, []Expr, error) {
+	var band *joinBand
+	var rest []Expr
+	for _, c := range conjuncts {
+		b, ok := c.(*BinaryExpr)
+		if !ok || b.Op == "=" || flipOp[b.Op] == "" {
+			rest = append(rest, c)
+			continue
+		}
+		op, innerSide, outerSide := b.Op, b.L, b.R
+		in, ok := en.termOf(innerSide, sources)
+		if !ok || in.node.src != s {
+			op, innerSide, outerSide = flipOp[b.Op], b.R, b.L
+			in, ok = en.termOf(innerSide, sources)
+		}
+		out, outOK := en.termOf(outerSide, sources)
+		if !ok || in.node.src != s || in.off != 0 || !numericCol(in.node.typ()) ||
+			!outOK || !joinedAliases[strings.ToLower(out.node.src.alias)] || !numericCol(out.node.typ()) ||
+			(band != nil && band.col != in.node.col) {
+			rest = append(rest, c)
+			continue
+		}
+		lower := op == ">" || op == ">="
+		if band != nil && ((lower && band.lo != nil) || (!lower && band.hi != nil)) {
+			rest = append(rest, c)
+			continue
+		}
+		fn, err := en.compileExpr(outerSide, joined)
+		if err != nil {
+			return nil, nil, err
+		}
+		if band == nil {
+			band = &joinBand{col: in.node.col, name: s.schema.Columns[in.node.col].Name}
+		}
+		if lower {
+			band.lo, band.loStrict = fn, op == ">"
+		} else {
+			band.hi, band.hiStrict = fn, op == "<"
+		}
+	}
+	return band, rest, nil
+}
+
+// sortBuckets orders every bucket by the band column, stably so ties
+// keep read order, and drops rows whose column is NULL (no comparison
+// with NULL holds).
+func (b *joinBand) sortBuckets(buckets [][]relstore.Row) {
+	for i, rows := range buckets {
+		kept := rows[:0] // the bucket is the table's own
+		for _, r := range rows {
+			if !r[b.col].IsNull() {
+				kept = append(kept, r)
+			}
+		}
+		slices.SortStableFunc(kept, func(x, y relstore.Row) int { return compareValues(x[b.col], y[b.col]) })
+		buckets[i] = kept
+	}
+}
+
+// narrow returns the rows of a sorted bucket inside the band of probe
+// row o, using the comparison the residual filter would have applied.
+func (b *joinBand) narrow(rows []relstore.Row, o relstore.Row) ([]relstore.Row, error) {
+	if b.lo != nil {
+		v, err := b.lo(o)
+		if err != nil || v.IsNull() {
+			return nil, err
+		}
+		rows = rows[sort.Search(len(rows), func(i int) bool {
+			c := compareValues(rows[i][b.col], v)
+			return c > 0 || (c == 0 && !b.loStrict)
+		}):]
+	}
+	if b.hi != nil {
+		v, err := b.hi(o)
+		if err != nil || v.IsNull() {
+			return nil, err
+		}
+		rows = rows[:sort.Search(len(rows), func(i int) bool {
+			c := compareValues(rows[i][b.col], v)
+			return c > 0 || (c == 0 && b.hiStrict)
+		})]
+	}
+	return rows, nil
+}
+
+func buildJoinTable(inner []relstore.Row, joins []equiJoin, band *joinBand) *joinTable {
+	jt := &joinTable{idx: make(map[string]int, len(inner)), band: band}
 	var enc []byte
 	key := make([]relstore.Value, len(joins))
 	for _, r := range inner {
@@ -137,6 +246,9 @@ func buildJoinTable(inner []relstore.Row, joins []equiJoin) *joinTable {
 			jt.idx[string(enc)] = len(jt.buckets)
 			jt.buckets = append(jt.buckets, []relstore.Row{r})
 		}
+	}
+	if band != nil {
+		band.sortBuckets(jt.buckets)
 	}
 	return jt
 }
@@ -154,26 +266,40 @@ func newProbeScratch(joins []equiJoin) *probeScratch {
 
 // probe appends the combined rows for one outer row to out. Rows with
 // a NULL key component never match (SQL equality semantics); probed
-// reports whether the row had a fully non-NULL key.
-func (jt *joinTable) probe(o relstore.Row, joins []equiJoin, sc *probeScratch, out []relstore.Row) (res []relstore.Row, probed bool) {
+// reports whether the row had a fully non-NULL key. With a band, only
+// the bucket's rows inside the band are combined, in band-column order.
+func (jt *joinTable) probe(o relstore.Row, joins []equiJoin, sc *probeScratch, out []relstore.Row) (res []relstore.Row, probed bool, err error) {
 	for i, j := range joins {
 		sc.key[i] = o[j.boundPos]
 		if sc.key[i].IsNull() {
-			return out, false
+			return out, false, nil
 		}
 	}
 	sc.enc = appendKey(sc.enc[:0], sc.key)
 	b, ok := jt.idx[string(sc.enc)]
 	if !ok {
-		return out, true
+		return out, true, nil
 	}
-	for _, m := range jt.buckets[b] {
+	matches := jt.buckets[b]
+	if jt.band != nil {
+		if matches, err = jt.band.narrow(matches, o); err != nil {
+			return out, true, err
+		}
+	}
+	for _, m := range matches {
 		combined := make(relstore.Row, 0, len(o)+len(m))
 		combined = append(combined, o...)
 		combined = append(combined, m...)
 		out = append(out, combined)
 	}
-	return out, true
+	return out, true, nil
+}
+
+// label names a span's band column.
+func (b *joinBand) label(sp *obs.Span) {
+	if b != nil {
+		sp.SetAttr("band", b.name)
+	}
 }
 
 // setFoldEst annotates a join span with the planner's estimates.
@@ -188,8 +314,9 @@ func setFoldEst(sp *obs.Span, fp *foldPlan) {
 
 // buildInner reads source s under a "join:hash-build" span and hashes
 // it on the join keys (the build-on-inner side of hashJoin and
-// hashJoinFirst).
-func (en *Engine) buildInner(ctx context.Context, s *source, joins []equiJoin, singles []Expr, sources []*source, fp *foldPlan, sp *obs.Span) (*joinTable, error) {
+// hashJoinFirst), sorting the buckets for a band probe when band is
+// set.
+func (en *Engine) buildInner(ctx context.Context, s *source, joins []equiJoin, band *joinBand, singles []Expr, sources []*source, fp *foldPlan, sp *obs.Span) (*joinTable, error) {
 	bs := sp.Child("join:hash-build")
 	bs.SetAttr("table", s.alias)
 	bs.SetAttr("side", "inner")
@@ -203,7 +330,7 @@ func (en *Engine) buildInner(ctx context.Context, s *source, joins []equiJoin, s
 	if err != nil {
 		return nil, err
 	}
-	jt := buildJoinTable(inner, joins)
+	jt := buildJoinTable(inner, joins, band)
 	bs.AddRows(int64(len(inner)), 0)
 	bs.SetInt("buckets", int64(len(jt.buckets)))
 	bs.End()
@@ -214,12 +341,13 @@ func (en *Engine) buildInner(ctx context.Context, s *source, joins []equiJoin, s
 // building on the inner side (the planner picks this variant when the
 // inner input is the smaller estimate; hashJoinBuildOuter is its
 // mirror).
-func (en *Engine) hashJoin(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, singles []Expr, sources []*source, fp *foldPlan, sp *obs.Span) ([]relstore.Row, error) {
-	jt, err := en.buildInner(ctx, s, joins, singles, sources, fp, sp)
+func (en *Engine) hashJoin(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, band *joinBand, singles []Expr, sources []*source, fp *foldPlan, sp *obs.Span) ([]relstore.Row, error) {
+	jt, err := en.buildInner(ctx, s, joins, band, singles, sources, fp, sp)
 	if err != nil {
 		return nil, err
 	}
 	ps := sp.Child("join:hash-probe")
+	band.label(ps)
 	cc := newCancelProbe(ctx)
 	sc := newProbeScratch(joins)
 	var out []relstore.Row
@@ -229,7 +357,9 @@ func (en *Engine) hashJoin(ctx context.Context, outer []relstore.Row, s *source,
 			return nil, cc.err()
 		}
 		var ok bool
-		out, ok = jt.probe(o, joins, sc, out)
+		if out, ok, err = jt.probe(o, joins, sc, out); err != nil {
+			return nil, err
+		}
 		if ok {
 			probed++
 		}
@@ -255,8 +385,8 @@ type probePart struct {
 // fold is a build-on-inner hash join: planner-off, when the inner side
 // has no index on the leading key; planner-on, when the cost model
 // picked the inner build side.
-func (en *Engine) hashJoinFirst(ctx context.Context, outer *source, conjuncts []Expr, s *source, joins []equiJoin, singles []Expr, sources []*source, fp *foldPlan, sp *obs.Span) ([]relstore.Row, error) {
-	jt, err := en.buildInner(ctx, s, joins, singles, sources, fp, sp)
+func (en *Engine) hashJoinFirst(ctx context.Context, outer *source, conjuncts []Expr, s *source, joins []equiJoin, band *joinBand, singles []Expr, sources []*source, fp *foldPlan, sp *obs.Span) ([]relstore.Row, error) {
+	jt, err := en.buildInner(ctx, s, joins, band, singles, sources, fp, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -267,15 +397,16 @@ func (en *Engine) hashJoinFirst(ctx context.Context, outer *source, conjuncts []
 	ps := sp.Child("join:hash-probe")
 	ps.SetAttr("table", outer.alias)
 	rd.label(ps)
+	band.label(ps)
 	parts, err := readParts(ctx, en, rd, true, ps, func(p *probePart) func(relstore.Row) error {
 		sc := newProbeScratch(joins)
 		return func(row relstore.Row) error {
 			var ok bool
-			p.out, ok = jt.probe(row, joins, sc, p.out)
-			if ok {
+			var err error
+			if p.out, ok, err = jt.probe(row, joins, sc, p.out); ok {
 				p.probed++
 			}
-			return nil
+			return err
 		}
 	})
 	if err != nil {

@@ -212,7 +212,7 @@ func probeBenchTable() (*joinTable, []equiJoin) {
 	for i := range inner {
 		inner[i] = relstore.Row{relstore.Int(int64(i)), relstore.String_("x")}
 	}
-	return buildJoinTable(inner, joins), joins
+	return buildJoinTable(inner, joins, nil), joins
 }
 
 // BenchmarkHashJoinProbeMiss measures the pure probe path: every key
@@ -231,7 +231,7 @@ func BenchmarkHashJoinProbeMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out = out[:0]
 		for _, r := range probeRows {
-			out, _ = jt.probe(r, joins, sc, out)
+			out, _, _ = jt.probe(r, joins, sc, out)
 		}
 	}
 }
@@ -251,7 +251,7 @@ func BenchmarkHashJoinProbeMixed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out = out[:0]
 		for _, r := range probeRows {
-			out, _ = jt.probe(r, joins, sc, out)
+			out, _, _ = jt.probe(r, joins, sc, out)
 		}
 	}
 }

@@ -265,9 +265,13 @@ func TestPlannerFusedBuildInner(t *testing.T) {
 }
 
 // TestPlannerDifferentialRandomized runs seeded random queries over
-// three tables with planner on and off and requires identical
+// four tables with planner on and off and requires identical
 // answers. Queries carrying an ORDER BY over every projected column
-// must match byte for byte; the rest as multisets.
+// must match byte for byte; the rest as multisets. A second phase
+// draws interval-shaped joins (equi key plus lo <= w.c <= hi over the
+// outer row, strict variants, NULLs in w.c, equality chains through a
+// constant), the shapes bound inference and the band probe rewrite;
+// planner off applies neither and is the oracle.
 func TestPlannerDifferentialRandomized(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	build := func() *Engine {
@@ -293,6 +297,19 @@ func TestPlannerDifferentialRandomized(t *testing.T) {
 			rows = append(rows, fmt.Sprintf("(%d, %d)", rr.Intn(20), rr.Intn(6)))
 		}
 		insertBatched(en, "p3", rows)
+		en.MustExec(`create table p4 (k INT, c INT)`)
+		rows = rows[:0]
+		for i := 0; i < 50; i++ {
+			k, c := fmt.Sprint(rr.Intn(20)), fmt.Sprint(rr.Intn(15))
+			if rr.Intn(6) == 0 {
+				c = "NULL"
+			}
+			if rr.Intn(10) == 0 {
+				k = "NULL"
+			}
+			rows = append(rows, fmt.Sprintf("(%s, %s)", k, c))
+		}
+		insertBatched(en, "p4", rows)
 		return en
 	}
 	on := build()
@@ -370,5 +387,66 @@ func TestPlannerDifferentialRandomized(t *testing.T) {
 			t.Errorf("query %d: planner on/off answers differ\n  sql: %s\n  on:  %v\n  off: %v",
 				qi, q, got, want)
 		}
+	}
+
+	// Interval-shaped joins of an outer v and w (p4). v is p4 itself
+	// (the Q6 self-join shape, whose equal estimates build on w) or p1;
+	// y (p2) sometimes joins on the key too.
+	r = rand.New(rand.NewSource(43))
+	lower := []string{">=", ">"}
+	upper := []string{"<=", "<"}
+	banded := 0
+	for qi := 0; qi < 120; qi++ {
+		from, vc := "p4 v, p4 w", "v.c"
+		if r.Intn(3) == 0 {
+			from, vc = "p1 v, p4 w", "v.a"
+		}
+		cols := "v.k, " + vc + ", w.k, w.c"
+		conds := []string{"v.k = w.k"}
+		if r.Intn(4) == 0 {
+			from += ", p2 y"
+			cols += ", y.b"
+			conds = append(conds, "y.k = v.k")
+		}
+		if r.Intn(4) > 0 {
+			if r.Intn(2) == 0 {
+				conds = append(conds, fmt.Sprintf("w.c %s %s", lower[r.Intn(2)], vc))
+			} else {
+				conds = append(conds, fmt.Sprintf("%s %s w.c", vc, upper[r.Intn(2)]))
+			}
+		}
+		if r.Intn(4) > 0 {
+			conds = append(conds, fmt.Sprintf("w.c %s %s + %d", upper[r.Intn(2)], vc, r.Intn(8)))
+		}
+		switch r.Intn(4) {
+		case 0:
+			conds = append(conds, fmt.Sprintf("%s %s %d", vc, ops[r.Intn(len(ops))], r.Intn(10)))
+		case 1:
+			conds = append(conds, fmt.Sprintf("w.k = %d", r.Intn(20)))
+		case 2:
+			conds = append(conds, fmt.Sprintf("v.k %s %d", ops[r.Intn(len(ops))], r.Intn(20)))
+		}
+		r.Shuffle(len(conds), func(i, j int) { conds[i], conds[j] = conds[j], conds[i] })
+		q := "select " + cols + " from " + from + " where " + strings.Join(conds, " and ")
+		ordered := r.Intn(3) == 0
+		if ordered {
+			q += " order by " + cols
+		}
+		if strings.Contains(explainText(t, on, q), "band=") {
+			banded++
+		}
+		got := queryStrings(t, on, q)
+		want := queryStrings(t, off, q)
+		if !ordered {
+			sort.Strings(got)
+			sort.Strings(want)
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("interval query %d: planner on/off answers differ\n  sql: %s\n  on:  %v\n  off: %v",
+				qi, q, got, want)
+		}
+	}
+	if banded < 40 {
+		t.Errorf("only %d of 120 interval queries ran a band probe", banded)
 	}
 }

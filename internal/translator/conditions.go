@@ -388,61 +388,7 @@ func (g *gen) translateCmp(l xquery.Expr, op string, r xquery.Expr, ctx *varInfo
 	if err != nil {
 		return "", err
 	}
-	if op == "=" {
-		g.noteIDConst(l, r, rs, ctx)
-		g.noteIDConst(r, l, ls, ctx)
-	}
 	return fmt.Sprintf("%s %s %s", ls, op, rs), nil
-}
-
-// noteIDConst records `id = constant` entity predicates for
-// propagation to member tables.
-func (g *gen) noteIDConst(side, constSide xquery.Expr, constSQL string, ctx *varInfo) {
-	if !isConstExpr(constSide) {
-		return
-	}
-	// Syntactic pre-check before resolving: resolveToVar materializes
-	// tuple variables, and re-resolving a non-key leaf here would
-	// duplicate its FROM entry. The id leaf is safe — the key-table
-	// alias is cached per entity.
-	if !strings.EqualFold(leafName(side, ctx), "id") {
-		return
-	}
-	v, err := g.resolveToVar(side, ctx)
-	if err != nil || v.kind != kindAttr || !strings.EqualFold(v.attr, "id") {
-		return
-	}
-	// Only surrogate-free integer keys share id values with the
-	// attribute tables.
-	if v.ent.view.KeyColumn != "" && v.ent.view.KeyColumn != "id" {
-		return
-	}
-	v.ent.idConst = constSQL
-}
-
-// leafName extracts the final leaf name an expression denotes, without
-// materializing anything.
-func leafName(e xquery.Expr, ctx *varInfo) string {
-	switch x := e.(type) {
-	case *xquery.Path:
-		if len(x.Steps) > 0 {
-			return x.Steps[len(x.Steps)-1].Name
-		}
-	case *xquery.ContextItem:
-		if ctx != nil {
-			return ctx.attr
-		}
-	}
-	return ""
-}
-
-func isConstExpr(e xquery.Expr) bool {
-	switch e.(type) {
-	case *xquery.LiteralNumber, *xquery.LiteralString:
-		return true
-	}
-	_, ok := constDate(e)
-	return ok
 }
 
 func isTimeFunc(e xquery.Expr) bool {

@@ -59,10 +59,6 @@ type entityInfo struct {
 	view        *ViewInfo
 	anchorAlias string // first tuple alias joined on id
 	keyAlias    string // key-table alias, if materialized
-	// idConst, when non-empty, is a constant the entity's id equals;
-	// it is propagated to every member table so single-object queries
-	// can use indexes and block pruning (the Q1/Q3 shape).
-	idConst string
 }
 
 const (
@@ -267,8 +263,9 @@ func (g *gen) translateFLWOR(fl *xquery.FLWOR, wrapper string) (string, error) {
 		return "", unsupported("no table variables identified")
 	}
 
-	// Step 6 (Section 6.3): segment restrictions and id propagation.
-	g.applyIDPropagation()
+	// Step 6 (Section 6.3): segment restrictions. The paper's id
+	// propagation is left to the engine, whose planner derives
+	// `Tn.id = k` from the id joins and the id equality.
 	g.applySegmentRestrictions()
 
 	sb.WriteString(" FROM ")
@@ -375,18 +372,6 @@ func stepName(steps []xquery.Step, i int) string {
 		return steps[i].Name
 	}
 	return "?"
-}
-
-// applyIDPropagation copies entity-level id equalities onto every
-// member attribute table (ids are shared, so the predicate is
-// equivalent and lets each scan prune independently).
-func (g *gen) applyIDPropagation() {
-	for _, v := range g.attrs {
-		if v.ent.idConst == "" {
-			continue
-		}
-		g.conds = append(g.conds, fmt.Sprintf("%s.id = %s", v.alias, v.ent.idConst))
-	}
 }
 
 // applySegmentRestrictions injects segno conditions for variables with
