@@ -5,8 +5,12 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet also fails on any Go file gofmt would rewrite (dot-directories,
+# where the benchmark keeps its build output, are skipped).
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l $$(find . -path './.*' -prune -o -name '*.go' -print))"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -19,13 +23,14 @@ race:
 parallel-stress:
 	$(GO) test -race -run Parallel ./...
 
-# One-iteration benchmark smoke: the scan benchmarks must still
-# compile and run (allocation regressions show up here first), and so
+# One-iteration benchmark smoke: the scan and drain benchmarks must
+# still compile and run (allocation regressions show up here first), and so
 # must the nil-tracer overhead benchmark (the <2% budget is asserted
 # numerically in internal/obs tests) and the compressed join-input
 # benchmark.
 bench-smoke:
 	$(GO) test -bench='Scan(Copy|Borrow)' -benchtime=1x -run '^$$' ./internal/relstore/
+	$(GO) test -bench='Drain' -benchtime=1x -run '^$$' ./internal/bench/
 	$(GO) test -bench='NilSpan' -benchtime=1x -run '^$$' ./internal/obs/
 	$(GO) test -bench='JoinInput' -benchtime=1x -run '^$$' ./internal/blockzip/
 

@@ -124,7 +124,7 @@ func main() {
 	}
 	sys, err := archis.New(archis.Options{Layout: lay, Workers: *workers,
 		Planner: planner, Columnar: colMode,
-		WALDir:  *walDir, WALSync: sync,
+		WALDir: *walDir, WALSync: sync,
 		SlowQueryThreshold: *slowQ,
 		SlowQueryLog:       func(rec string) { fmt.Fprintln(os.Stderr, rec) }})
 	check(err)

@@ -186,6 +186,46 @@ func TestExplainAnalyzeJoinGolden(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeSerialGolden pins the executed plan trees of the
+// serial executor (Workers=1) on the clustered layout: a single-source
+// statement drains under its own "scan" span into the aggregate or
+// the projection, and the join's probe runs in one part. Every node
+// keeps its name, order and cardinalities when the drain streams its
+// rows instead of collecting them.
+func TestExplainAnalyzeSerialGolden(t *testing.T) {
+	e := buildDrainEnv(t)
+	for _, tc := range []struct{ name, sql, want string }{
+		{"Q3", e.SQL(Q3), `query  [T] rows=6 snapshot_lsn=0
+  scan  [T] rows=6 table=S access=scan est_rows=74
+  project  [T] rows=6 rows_in=6
+`},
+		{"Q4", e.SQL(Q4), `query  [T] rows=1 snapshot_lsn=0
+  scan  [T] rows=506 table=S access=scan est_rows=743
+  aggregate  [T] rows=1 rows_in=506
+  project  [T] rows=1 rows_in=1 grouped=true
+`},
+		{"Q6 self-join", e.JoinSQL(), `query  [T] rows=1 snapshot_lsn=0
+  join:hash-build  [T] rows=0 rows_in=143 table=S2 side=inner est_outer=131 est_inner=131 est_out=1320 buckets=72
+  join:hash-probe  [T] rows=261 rows_in=143 table=S1 band=tstart
+  aggregate  [T] rows=1 rows_in=261
+  project  [T] rows=1 rows_in=1 grouped=true
+`},
+	} {
+		res, err := e.Sys.Exec("EXPLAIN ANALYZE " + tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, row := range res.Rows {
+			b.WriteString(row[0].Text())
+			b.WriteByte('\n')
+		}
+		if got := maskTimings(b.String()); got != tc.want {
+			t.Errorf("%s: EXPLAIN ANALYZE drifted:\n--- got ---\n%s--- want ---\n%s", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestExplainAnalyzeSuite smoke-checks EXPLAIN ANALYZE over the whole
 // suite on the clustered layout: every tree must carry the root
 // cardinality and at least one timed operator node.

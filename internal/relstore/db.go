@@ -47,22 +47,22 @@ type Stats struct {
 // is attributed without touching the scan hot path.
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
-		BlockReads:       s.BlockReads - prev.BlockReads,
-		BytesRead:        s.BytesRead - prev.BytesRead,
-		CacheHits:        s.CacheHits - prev.CacheHits,
-		PagesSkipped:     s.PagesSkipped - prev.PagesSkipped,
-		Morsels:          s.Morsels - prev.Morsels,
-		RowsBorrowed:     s.RowsBorrowed - prev.RowsBorrowed,
-		RowsCopied:       s.RowsCopied - prev.RowsCopied,
-		BlockCacheHits:   s.BlockCacheHits - prev.BlockCacheHits,
-		BlockCacheMisses: s.BlockCacheMisses - prev.BlockCacheMisses,
-		BlockCacheBytes:  s.BlockCacheBytes,
-		JoinRowsBorrowed: s.JoinRowsBorrowed - prev.JoinRowsBorrowed,
-		JoinRowsCopied:   s.JoinRowsCopied - prev.JoinRowsCopied,
-		ColBatches:       s.ColBatches - prev.ColBatches,
-		ColBatchRows:     s.ColBatchRows - prev.ColBatchRows,
-		Epoch:            s.Epoch - prev.Epoch,
-		PinnedReaders:    s.PinnedReaders, // gauge
+		BlockReads:        s.BlockReads - prev.BlockReads,
+		BytesRead:         s.BytesRead - prev.BytesRead,
+		CacheHits:         s.CacheHits - prev.CacheHits,
+		PagesSkipped:      s.PagesSkipped - prev.PagesSkipped,
+		Morsels:           s.Morsels - prev.Morsels,
+		RowsBorrowed:      s.RowsBorrowed - prev.RowsBorrowed,
+		RowsCopied:        s.RowsCopied - prev.RowsCopied,
+		BlockCacheHits:    s.BlockCacheHits - prev.BlockCacheHits,
+		BlockCacheMisses:  s.BlockCacheMisses - prev.BlockCacheMisses,
+		BlockCacheBytes:   s.BlockCacheBytes,
+		JoinRowsBorrowed:  s.JoinRowsBorrowed - prev.JoinRowsBorrowed,
+		JoinRowsCopied:    s.JoinRowsCopied - prev.JoinRowsCopied,
+		ColBatches:        s.ColBatches - prev.ColBatches,
+		ColBatchRows:      s.ColBatchRows - prev.ColBatchRows,
+		Epoch:             s.Epoch - prev.Epoch,
+		PinnedReaders:     s.PinnedReaders, // gauge
 		ReclaimedVersions: s.ReclaimedVersions - prev.ReclaimedVersions,
 	}
 }
@@ -148,22 +148,22 @@ func (db *Database) SetCacheCapacity(pages int) {
 // Stats returns a snapshot of the physical counters.
 func (db *Database) Stats() Stats {
 	return Stats{
-		BlockReads:       db.stats.blockReads.Load(),
-		BytesRead:        db.stats.bytesRead.Load(),
-		CacheHits:        db.stats.cacheHits.Load(),
-		PagesSkipped:     db.stats.pagesSkipped.Load(),
-		Morsels:          db.stats.morsels.Load(),
-		RowsBorrowed:     db.stats.rowsBorrowed.Load(),
-		RowsCopied:       db.stats.rowsCopied.Load(),
-		BlockCacheHits:   db.stats.blockCacheHits.Load(),
-		BlockCacheMisses: db.stats.blockCacheMisses.Load(),
-		BlockCacheBytes:  int64(db.BlockCacheBytes()),
-		JoinRowsBorrowed: db.stats.joinRowsBorrowed.Load(),
-		JoinRowsCopied:   db.stats.joinRowsCopied.Load(),
-		ColBatches:       db.stats.colBatches.Load(),
-		ColBatchRows:     db.stats.colBatchRows.Load(),
-		Epoch:            int64(db.epoch.Load()),
-		PinnedReaders:    db.pinned.Load(),
+		BlockReads:        db.stats.blockReads.Load(),
+		BytesRead:         db.stats.bytesRead.Load(),
+		CacheHits:         db.stats.cacheHits.Load(),
+		PagesSkipped:      db.stats.pagesSkipped.Load(),
+		Morsels:           db.stats.morsels.Load(),
+		RowsBorrowed:      db.stats.rowsBorrowed.Load(),
+		RowsCopied:        db.stats.rowsCopied.Load(),
+		BlockCacheHits:    db.stats.blockCacheHits.Load(),
+		BlockCacheMisses:  db.stats.blockCacheMisses.Load(),
+		BlockCacheBytes:   int64(db.BlockCacheBytes()),
+		JoinRowsBorrowed:  db.stats.joinRowsBorrowed.Load(),
+		JoinRowsCopied:    db.stats.joinRowsCopied.Load(),
+		ColBatches:        db.stats.colBatches.Load(),
+		ColBatchRows:      db.stats.colBatchRows.Load(),
+		Epoch:             int64(db.epoch.Load()),
+		PinnedReaders:     db.pinned.Load(),
 		ReclaimedVersions: db.reclaimed.Load(),
 	}
 }

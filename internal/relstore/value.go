@@ -8,6 +8,7 @@
 package relstore
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -186,8 +187,9 @@ func (v Value) Text() string {
 }
 
 // Compare orders two values. NULL sorts first; values of different
-// numeric kinds compare numerically; otherwise mismatched kinds compare
-// by kind tag (stable, if arbitrary). Returns -1, 0 or 1.
+// numeric kinds compare numerically — two Int/Date payloads exactly as
+// int64, anything with a Float through float64; otherwise mismatched
+// kinds compare by kind tag (stable, if arbitrary). Returns -1, 0 or 1.
 func Compare(a, b Value) int {
 	if a.IsNull() || b.IsNull() {
 		switch {
@@ -199,7 +201,11 @@ func Compare(a, b Value) int {
 			return 1
 		}
 	}
-	numeric := func(v Value) bool { return v.Kind == TypeInt || v.Kind == TypeFloat || v.Kind == TypeDate }
+	integral := func(v Value) bool { return v.Kind == TypeInt || v.Kind == TypeDate }
+	if integral(a) && integral(b) {
+		return cmp.Compare(a.I, b.I)
+	}
+	numeric := func(v Value) bool { return integral(v) || v.Kind == TypeFloat }
 	if numeric(a) && numeric(b) {
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()

@@ -12,7 +12,9 @@
 package segment
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -549,8 +551,7 @@ func (s *Store) Scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) er
 				}
 				rows = append(rows, row)
 			}
-			sort.SliceStable(rows, func(i, j int) bool { return rows[i][0].I > rows[j][0].I })
-			for _, row := range rows {
+			for _, row := range newestFirst(rows) {
 				if !fn(row) {
 					return nil
 				}
@@ -585,6 +586,30 @@ func (s *Store) Scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) er
 	}
 	_ = stopped
 	return nil
+}
+
+// newestFirst orders index-probed rows by segno (column 0), newest
+// first, stably: rows of one segment keep their order. A probe returns
+// rows in RID order, which ascends by segno, so the usual case only
+// reverses the runs of equal segno, in place and in O(n); any other
+// order takes the stable sort.
+func newestFirst(rows []relstore.Row) []relstore.Row {
+	for i := 1; i < len(rows); i++ {
+		if rows[i][0].I < rows[i-1][0].I {
+			slices.SortStableFunc(rows, func(a, b relstore.Row) int { return cmp.Compare(b[0].I, a[0].I) })
+			return rows
+		}
+	}
+	slices.Reverse(rows)
+	for i := 0; i < len(rows); {
+		j := i + 1
+		for j < len(rows) && rows[j][0].I == rows[i][0].I {
+			j++
+		}
+		slices.Reverse(rows[i:j])
+		i = j
+	}
+	return rows
 }
 
 // ScanMorsels implements relstore.MorselSource with the same
@@ -635,8 +660,7 @@ func (s *Store) ScanMorsels(bounds []relstore.ZoneBound) ([]relstore.MorselFunc,
 					}
 					rows = append(rows, row)
 				}
-				sort.SliceStable(rows, func(i, j int) bool { return rows[i][0].I > rows[j][0].I })
-				for _, row := range rows {
+				for _, row := range newestFirst(rows) {
 					if !fn(row) {
 						return true, nil
 					}

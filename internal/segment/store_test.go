@@ -2,6 +2,8 @@ package segment
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"archis/internal/htable"
@@ -287,5 +289,35 @@ func TestSegmentsForLiveOnly(t *testing.T) {
 	}
 	if len(segs) != 1 || segs[0] != s.LiveSegment() {
 		t.Errorf("live-only = %v", segs)
+	}
+}
+
+// TestNewestFirstMatchesStableSort checks the index fast path's
+// ordering against the stable sort it replaces, on the ascending RID
+// order a probe returns (runs reversed in place) and on shuffled input
+// (the sort fallback): same rows, same order, ties in input order.
+func TestNewestFirstMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(40)
+		rows := make([]relstore.Row, n)
+		seg := int64(1)
+		for i := range rows {
+			if rng.Intn(3) == 0 {
+				seg += int64(1 + rng.Intn(2))
+			}
+			rows[i] = relstore.Row{relstore.Int(seg), relstore.Int(int64(i))}
+		}
+		if trial%2 == 1 {
+			rng.Shuffle(n, func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		}
+		want := append([]relstore.Row(nil), rows...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i][0].I > want[j][0].I })
+		got := newestFirst(rows)
+		for i := range want {
+			if got[i][0].I != want[i][0].I || got[i][1].I != want[i][1].I {
+				t.Fatalf("trial %d: row %d = %v, want %v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -527,5 +528,68 @@ func TestSelectDistinct(t *testing.T) {
 	got = queryStrings(t, en, `select id from employee_salary`)
 	if len(got) != 4 {
 		t.Errorf("non-distinct = %v", got)
+	}
+}
+
+// TestExactIntCompare runs the 2^53 neighbour repro on every read path
+// that compares integers: the row filter, an equality-index probe, and
+// a batch kernel. Through float64 both keys compare equal, so the
+// point query returned both rows and ORDER BY kept insertion order.
+func TestExactIntCompare(t *testing.T) {
+	const lo, hi = "9007199254740992", "9007199254740993"
+	point := `select v from t where k = ` + hi
+	desc := `select k from t order by k desc`
+	check := func(name string, en *Engine) {
+		t.Helper()
+		if got := queryStrings(t, en, point); fmt.Sprint(got) != "[b]" {
+			t.Errorf("%s: %s = %v, want [b]", name, point, got)
+		}
+		if got := queryStrings(t, en, desc); fmt.Sprint(got) != "["+hi+" "+lo+"]" {
+			t.Errorf("%s: %s = %v, want [%s %s]", name, desc, got, hi, lo)
+		}
+	}
+
+	en := New(relstore.NewDatabase())
+	en.MustExec(`create table t (k INT, v VARCHAR)`)
+	en.MustExec(`insert into t values (` + lo + `, 'a')`)
+	en.MustExec(`insert into t values (` + hi + `, 'b')`)
+	check("row path", en)
+	en.MustExec(`create index ix_t_k on t (k)`)
+	check("indexed", en)
+
+	bt := &batchTable{per: 1, sliceTable: sliceTable{schema: relstore.NewSchema("t",
+		relstore.Col("k", relstore.TypeInt), relstore.Col("v", relstore.TypeString))}}
+	for i, k := range []int64{1 << 53, 1<<53 + 1} {
+		bt.rows = append(bt.rows, relstore.Row{relstore.Int(k), relstore.String_(string(rune('a' + i)))})
+	}
+	ben := New(relstore.NewDatabase())
+	ben.RegisterVirtual("t", bt)
+	ben.Workers = 1
+	check("batch kernel", ben)
+	if bt.scans.Load() != 0 {
+		t.Errorf("batch kernel: %d row scans, want the batch drain only", bt.scans.Load())
+	}
+}
+
+// TestRenderLimitAndDistinct pins the shared tail of every SELECT:
+// LIMIT 0 returns no rows, and DISTINCT applies to grouped output as
+// it does to projected rows.
+func TestRenderLimitAndDistinct(t *testing.T) {
+	en := New(relstore.NewDatabase())
+	en.MustExec(`create table t (g INT, v INT)`)
+	for _, r := range [][2]int{{1, 5}, {1, 5}, {2, 5}, {3, 7}} {
+		en.MustExec(fmt.Sprintf(`insert into t values (%d, %d)`, r[0], r[1]))
+	}
+	for _, tc := range []struct{ sql, want string }{
+		{`select v from t limit 0`, `[]`},
+		{`select count(*) from t group by g order by g limit 0`, `[]`},
+		{`select v from t order by v desc limit 2`, `[7 5]`},
+		{`select distinct v from t order by v`, `[5 7]`},
+		{`select distinct sum(v) from t group by g order by sum(v)`, `[5 7 10]`},
+		{`select distinct count(*) from t group by g`, `[2 1]`},
+	} {
+		if got := fmt.Sprint(queryStrings(t, en, tc.sql)); got != tc.want {
+			t.Errorf("%s = %s, want %s", tc.sql, got, tc.want)
+		}
 	}
 }

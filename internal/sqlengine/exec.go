@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"archis/internal/obs"
@@ -314,23 +314,28 @@ func (en *Engine) planScan(s *source, conjuncts []Expr, sources []*source) (*sca
 	// Compile the full residual predicate (reapplying pushed bounds is
 	// harmless and keeps correctness independent of pruning).
 	if len(conjuncts) > 0 {
-		var pred Expr = conjuncts[0]
-		for _, c := range conjuncts[1:] {
-			pred = &BinaryExpr{Op: "AND", L: pred, R: c}
-		}
 		var err error
-		if p.filter, err = en.compileExpr(pred, layout); err != nil {
+		if p.filter, err = en.compileExpr(andAll(conjuncts), layout); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
+// andAll joins conjuncts into one left-deep AND.
+func andAll(conjuncts []Expr) Expr {
+	pred := conjuncts[0]
+	for _, c := range conjuncts[1:] {
+		pred = &BinaryExpr{Op: "AND", L: pred, R: c}
+	}
+	return pred
+}
+
 // runScanPlan drives a compiled plan (index probe or bounded borrow
-// scan) and streams each row surviving the residual filter into emit.
+// scan) and streams each row surviving the residual filter into out.
 // Rows are borrowed. The context is polled at row granularity so a
 // cancelled query stops mid-scan.
-func (en *Engine) runScanPlan(ctx context.Context, s *source, p *scanPlan, emit func(relstore.Row) error) error {
+func (en *Engine) runScanPlan(ctx context.Context, s *source, p *scanPlan, out rowSink) error {
 	cc := newCancelProbe(ctx)
 	pass := func(row relstore.Row) error {
 		if cc.tick() {
@@ -345,7 +350,7 @@ func (en *Engine) runScanPlan(ctx context.Context, s *source, p *scanPlan, emit 
 				return nil
 			}
 		}
-		return emit(row)
+		return out.put(row)
 	}
 
 	if p.eqIndex != nil {
@@ -531,10 +536,7 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 	// fan out over row morsels when the engine is configured for
 	// parallel scans.
 	if len(sources) == 1 {
-		if res, handled, err := en.execSingleBatch(ctx, stmt, sources[0], conjuncts, sources, sp); handled {
-			return res, err
-		}
-		if res, handled, err := en.execSingleParallel(ctx, stmt, sources[0], conjuncts, sources, sp); handled {
+		if res, handled, err := en.execSingleMorsels(ctx, stmt, sources[0], conjuncts, sources, sp); handled {
 			return res, err
 		}
 	}
@@ -559,23 +561,25 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 	// is a build-on-inner hash join, the initial scan is fused into the
 	// probe (hashJoinFirst), which streams the outer side and can fan
 	// it out over morsels. Every source is read once, through its
-	// compiled read (compileRead / readParts).
+	// compiled read (compileRead / readParts). The statement's consumer
+	// is compiled before the last read or fold, which streams its rows
+	// straight into it; only the inputs of later folds materialize.
 	first := ordered[0]
 	firstConjuncts := perAlias[strings.ToLower(first.alias)]
 	layout := layoutFor(first.alias, first.schema)
 	joinedAliases := map[string]bool{strings.ToLower(first.alias): true}
 	pendingMulti := multi
 	var rows []relstore.Row
-	scanned := false
 
-	// scanFirst reads the leading source under a "scan" span.
-	scanFirst := func() error {
+	// scanFirst reads the leading source under a "scan" span: into rows
+	// for the first fold, or into c when it is the only source.
+	scanFirst := func(c *consumer) ([]outPart, error) {
 		ss := sp.Child("scan")
+		defer ss.End()
 		ss.SetAttr("table", first.alias)
 		rd, err := en.compileRead(first, firstConjuncts, sources)
 		if err != nil {
-			ss.End()
-			return err
+			return nil, err
 		}
 		est := rd.plan.est
 		if rd.batch != nil {
@@ -586,12 +590,29 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		if est.Planned {
 			ss.SetInt("est_rows", int64(est.OutRows))
 		}
-		rows, err = en.readRows(ctx, rd, ss)
-		ss.AddRows(0, int64(len(rows)))
-		ss.End()
-		return err
+		if c == nil {
+			rows, err = en.readRows(ctx, rd, ss)
+			ss.AddRows(0, int64(len(rows)))
+			return nil, err
+		}
+		parts, err := readParts(ctx, en, rd, 1, false, ss, c.sink)
+		ss.AddRows(0, offered(parts))
+		return parts, err
+	}
+	if len(ordered) == 1 {
+		c, err := en.compileConsumer(stmt, pendingMulti, layout, sources)
+		if err != nil {
+			return nil, err
+		}
+		parts, err := scanFirst(c)
+		if err != nil {
+			return nil, err
+		}
+		return en.finish(c, parts, "aggregate", sp)
 	}
 
+	var c *consumer
+	var parts []outPart
 	foldProbe := newCancelProbe(ctx)
 	for fi, s := range ordered[1:] {
 		if foldProbe.check() {
@@ -607,11 +628,17 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		}
 		pendingMulti = rest
 		newLayout := layout.concat(layoutFor(s.alias, s.schema))
+		if fi == len(ordered)-2 {
+			// The last fold: what the joins leave is the residual filter.
+			if c, err = en.compileConsumer(stmt, pendingMulti, newLayout, sources); err != nil {
+				return nil, err
+			}
+		}
 
 		singles := perAlias[strings.ToLower(s.alias)]
-		if !scanned {
-			scanned = true
-			fuse := len(joins) > 0
+		fuse := false
+		if fi == 0 {
+			fuse = len(joins) > 0
 			if fp != nil {
 				fuse = fuse && fp.strategy == stratHashBuildInner
 			} else {
@@ -619,20 +646,12 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 				// off the table regardless of outer cardinality.
 				fuse = fuse && !(s.base != nil && s.base.IndexOn(joins[0].newPos) != nil)
 			}
-			if fuse {
-				rows, err = en.hashJoinFirst(ctx, first, firstConjuncts, s, joins, band, singles, sources, fp, sp)
-				if err != nil {
+			if !fuse {
+				if _, err := scanFirst(nil); err != nil {
 					return nil, err
 				}
-				layout = newLayout
-				joinedAliases[strings.ToLower(s.alias)] = true
-				continue
-			}
-			if err := scanFirst(); err != nil {
-				return nil, err
 			}
 		}
-		in := int64(len(rows))
 		strat := stratNested
 		switch {
 		case fp != nil:
@@ -644,88 +663,100 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		case len(joins) > 0:
 			strat = stratHashBuildInner
 		}
-		switch strat {
-		case stratIndex:
+		in := int64(len(rows))
+		var out []foldOut
+		var js *obs.Span // the span of a join that counts its rows here
+		switch {
+		case fuse:
+			out, err = en.hashJoinFirst(ctx, first, firstConjuncts, s, joins, band, singles, sources, fp, c, sp)
+		case strat == stratIndex:
 			// Index nested-loop join on the first equi key; remaining
 			// keys and single-table predicates filter after the probe.
-			js := sp.Child("join:index")
+			js = sp.Child("join:index")
 			js.SetAttr("table", s.alias)
-			rows, err = en.indexJoin(ctx, rows, s, joins, singles, sources, newLayout)
-			js.AddRows(in, int64(len(rows)))
-			js.End()
-		case stratHashBuildInner:
-			rows, err = en.hashJoin(ctx, rows, s, joins, band, singles, sources, fp, sp)
-		case stratHashBuildOuter:
-			rows, err = en.hashJoinBuildOuter(ctx, rows, s, joins, singles, sources, fp, sp)
+			out, err = en.indexJoin(ctx, rows, s, joins, singles, c)
+		case strat == stratHashBuildInner:
+			out, err = en.hashJoin(ctx, rows, s, joins, band, singles, sources, fp, c, sp)
+		case strat == stratHashBuildOuter:
+			out, err = en.hashJoinBuildOuter(ctx, rows, s, joins, singles, sources, fp, c, sp)
 		default:
-			js := sp.Child("join:nested-loop")
+			js = sp.Child("join:nested-loop")
 			js.SetAttr("table", s.alias)
-			rows, err = en.nestedLoopJoin(ctx, rows, s, singles, sources, js)
-			js.AddRows(in, int64(len(rows)))
-			js.End()
+			out, err = en.nestedLoopJoin(ctx, rows, s, singles, sources, c, js)
 		}
 		if err != nil {
 			return nil, err
 		}
+		if c != nil {
+			parts = make([]outPart, len(out))
+			for i := range out {
+				parts[i] = out[i].outPart
+			}
+			js.AddRows(in, offered(parts))
+		} else {
+			rows = foldRows(out)
+			js.AddRows(in, int64(len(rows)))
+		}
+		js.End()
 		layout = newLayout
 		joinedAliases[strings.ToLower(s.alias)] = true
 	}
-	if !scanned {
-		if err := scanFirst(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Residual predicates.
-	if len(pendingMulti) > 0 {
-		fs := sp.Child("filter")
-		fs.AddRows(int64(len(rows)), 0)
-		var pred Expr = pendingMulti[0]
-		for _, c := range pendingMulti[1:] {
-			pred = &BinaryExpr{Op: "AND", L: pred, R: c}
-		}
-		fn, err := en.compileExpr(pred, layout)
-		if err != nil {
-			return nil, err
-		}
-		fcc := newCancelProbe(ctx)
-		kept := rows[:0]
-		for _, r := range rows {
-			if fcc.tick() {
-				return nil, fcc.err()
-			}
-			v, err := fn(r)
-			if err != nil {
-				return nil, err
-			}
-			if v.AsBool() {
-				kept = append(kept, r)
-			}
-		}
-		rows = kept
-		fs.AddRows(0, int64(len(rows)))
-		fs.End()
-	}
-
-	return en.project(stmt, rows, layout, sources, sp)
+	return en.finish(c, parts, "aggregate", sp)
 }
 
-func (en *Engine) indexJoin(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, singles []Expr, sources []*source, newLayout *rowLayout) ([]relstore.Row, error) {
+// foldOut is one part of a join fold's output: it receives every
+// combined row, outer row then inner row. The statement's last fold
+// builds each in one reused buffer and streams it into the consumer
+// part it embeds, so nothing is materialized; an intermediate fold,
+// whose output the next fold reads, keeps a copy of each in rows. in
+// counts the combined rows either way; probed counts the probe rows
+// with a full join key.
+type foldOut struct {
+	outPart
+	rows   []relstore.Row
+	buf    relstore.Row
+	probed int64
+}
+
+func (f *foldOut) emit(o, m relstore.Row) error {
+	if f.c != nil {
+		f.buf = append(append(f.buf[:0], o...), m...)
+		return f.put(f.buf)
+	}
+	f.in++
+	row := make(relstore.Row, 0, len(o)+len(m))
+	f.rows = append(f.rows, append(append(row, o...), m...))
+	return nil
+}
+
+// copied is the number of combined rows this part materialized.
+func (f *foldOut) copied() int64 { return int64(len(f.rows)) }
+
+// foldRows concatenates an intermediate fold's parts in morsel order.
+func foldRows(out []foldOut) []relstore.Row {
+	if len(out) == 1 {
+		return out[0].rows
+	}
+	var rows []relstore.Row
+	for i := range out {
+		rows = append(rows, out[i].rows...)
+	}
+	return rows
+}
+
+func (en *Engine) indexJoin(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, singles []Expr, c *consumer) ([]foldOut, error) {
 	cc := newCancelProbe(ctx)
 	ix := s.base.IndexOn(joins[0].newPos)
 	// Compile the inner-side residual (single-table predicates).
 	var filter evalFunc
 	if len(singles) > 0 {
-		var pred Expr = singles[0]
-		for _, c := range singles[1:] {
-			pred = &BinaryExpr{Op: "AND", L: pred, R: c}
-		}
 		var err error
-		if filter, err = en.compileExpr(pred, layoutFor(s.alias, s.schema)); err != nil {
+		if filter, err = en.compileExpr(andAll(singles), layoutFor(s.alias, s.schema)); err != nil {
 			return nil, err
 		}
 	}
-	var out []relstore.Row
+	out := []foldOut{{outPart: c.open()}}
+	fo := &out[0]
 	for _, o := range outer {
 		if cc.tick() {
 			return nil, cc.err()
@@ -765,16 +796,15 @@ func (en *Engine) indexJoin(ctx context.Context, outer []relstore.Row, s *source
 					continue
 				}
 			}
-			combined := make(relstore.Row, 0, len(o)+len(row))
-			combined = append(combined, o...)
-			combined = append(combined, row...)
-			out = append(out, combined)
+			if err := fo.emit(o, row); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
 }
 
-func (en *Engine) nestedLoopJoin(ctx context.Context, outer []relstore.Row, s *source, singles []Expr, sources []*source, sp *obs.Span) ([]relstore.Row, error) {
+func (en *Engine) nestedLoopJoin(ctx context.Context, outer []relstore.Row, s *source, singles []Expr, sources []*source, c *consumer, sp *obs.Span) ([]foldOut, error) {
 	rd, err := en.compileRead(s, singles, sources)
 	if err != nil {
 		return nil, err
@@ -785,23 +815,16 @@ func (en *Engine) nestedLoopJoin(ctx context.Context, outer []relstore.Row, s *s
 		return nil, err
 	}
 	cc := newCancelProbe(ctx)
-	// Cap the up-front allocation: a cross product's full extent can
-	// be enormous, and reserving it all before the first probe would
-	// delay cancellation by the whole (possibly huge) zeroing.
-	capHint := len(outer) * len(inner)
-	if capHint > 1<<16 {
-		capHint = 1 << 16
-	}
-	out := make([]relstore.Row, 0, capHint)
+	out := []foldOut{{outPart: c.open()}}
+	fo := &out[0]
 	for _, o := range outer {
 		for _, m := range inner {
 			if cc.tick() {
 				return nil, cc.err()
 			}
-			combined := make(relstore.Row, 0, len(o)+len(m))
-			combined = append(combined, o...)
-			combined = append(combined, m...)
-			out = append(out, combined)
+			if err := fo.emit(o, m); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
@@ -882,16 +905,60 @@ func (en *Engine) isGrouped(stmt *SelectStmt) bool {
 	return stmt.Having != nil && en.hasAggregate(stmt.Having)
 }
 
-func (en *Engine) project(stmt *SelectStmt, rows []relstore.Row, layout *rowLayout, sources []*source, sp *obs.Span) (*Result, error) {
-	if en.isGrouped(stmt) {
-		return en.projectGrouped(stmt, rows, layout, sp)
-	}
-	ps := sp.Child("project")
+// consumer is a SELECT's last step, compiled before the read or join
+// fold that feeds it: the residual filter of the last fold, then the
+// group accumulator (aggregates) or the projection, which evaluates the
+// select items and ORDER BY keys into output rows; finish applies
+// DISTINCT, ORDER BY and LIMIT once the drain is done. Rows stream in
+// with no []Row in between. A row handed to a part is valid only
+// during the call — it may be borrowed storage, batch scratch or a
+// join fold's reused buffer — so the consumer copies what it keeps
+// (DESIGN.md §8.2).
+type consumer struct {
+	stmt   *SelectStmt
+	filter evalFunc   // residual conjuncts, nil when none
+	gplan  *groupPlan // aggregate shape; nil projects
+	// serial: an aggregate cannot merge partial results, so the rows
+	// go to one part.
+	serial   bool
+	cols     []string
+	evals    []evalFunc
+	orderFns []evalFunc
+}
 
-	// Expand stars.
-	var cols []string
-	var evals []evalFunc
-	var orderFns []evalFunc
+// outPart is one part of a consumer's input. A fanned-out read or
+// probe fills one per morsel and finish combines them in morsel order:
+// accumulators merge, projected rows concatenate, so the result is the
+// same at any worker count.
+type outPart struct {
+	c    *consumer
+	acc  *groupAcc
+	outs []outRow
+	in   int64 // rows offered
+	kept int64 // rows past the residual filter
+}
+
+// outRow is one output row with its ORDER BY keys.
+type outRow struct {
+	vals relstore.Row
+	keys relstore.Row
+}
+
+// compileConsumer compiles the consumer of stmt over rows of layout,
+// with the residual conjuncts as its filter.
+func (en *Engine) compileConsumer(stmt *SelectStmt, residual []Expr, layout *rowLayout, sources []*source) (*consumer, error) {
+	c := &consumer{stmt: stmt}
+	var err error
+	if len(residual) > 0 {
+		if c.filter, err = en.compileExpr(andAll(residual), layout); err != nil {
+			return nil, err
+		}
+	}
+	if en.isGrouped(stmt) {
+		c.gplan, err = en.compileGrouping(stmt, layout)
+		c.serial = !en.mergeableAggs(stmt)
+		return c, err
+	}
 	for _, it := range stmt.Select {
 		if it.Star {
 			// Expand in FROM order (sources), not physical layout
@@ -906,8 +973,8 @@ func (en *Engine) project(stmt *SelectStmt, rows []relstore.Row, layout *rowLayo
 					if err != nil {
 						return nil, err
 					}
-					cols = append(cols, col.Name)
-					evals = append(evals, func(row relstore.Row) (relstore.Value, error) { return row[pos], nil })
+					c.cols = append(c.cols, col.Name)
+					c.evals = append(c.evals, func(row relstore.Row) (relstore.Value, error) { return row[pos], nil })
 				}
 			}
 			continue
@@ -916,41 +983,155 @@ func (en *Engine) project(stmt *SelectStmt, rows []relstore.Row, layout *rowLayo
 		if err != nil {
 			return nil, err
 		}
-		evals = append(evals, fn)
-		cols = append(cols, selectItemName(it, len(cols)))
+		c.evals = append(c.evals, fn)
+		c.cols = append(c.cols, selectItemName(it, len(c.cols)))
 	}
 	for _, o := range stmt.OrderBy {
 		fn, err := en.compileExpr(o.Expr, layout)
 		if err != nil {
 			return nil, err
 		}
-		orderFns = append(orderFns, fn)
+		c.orderFns = append(c.orderFns, fn)
 	}
+	return c, nil
+}
 
-	type outRow struct {
-		vals relstore.Row
-		keys relstore.Row
+// open starts a part; on a nil consumer (an intermediate join fold) it
+// is the zero part.
+func (c *consumer) open() outPart {
+	if c == nil {
+		return outPart{}
 	}
-	outs := make([]outRow, 0, len(rows))
-	for _, r := range rows {
-		vals := make(relstore.Row, len(evals))
-		for i, fn := range evals {
-			v, err := fn(r)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		keys := make(relstore.Row, len(orderFns))
-		for i, fn := range orderFns {
-			v, err := fn(r)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = v
-		}
-		outs = append(outs, outRow{vals, keys})
+	p := outPart{c: c}
+	if c.gplan != nil {
+		p.acc = c.gplan.newAcc()
 	}
+	return p
+}
+
+// sink opens part p and returns the drain sink that feeds it.
+func (c *consumer) sink(p *outPart) rowSink {
+	*p = c.open()
+	return rowSink{part: p}
+}
+
+// put takes one row: the residual filter, then the accumulator or the
+// projection. The row is valid only during the call.
+func (p *outPart) put(row relstore.Row) error {
+	p.in++
+	c := p.c
+	if c.filter != nil {
+		v, err := c.filter(row)
+		if err != nil {
+			return err
+		}
+		if !v.AsBool() {
+			return nil
+		}
+	}
+	p.kept++
+	if p.acc != nil {
+		return p.acc.add(row)
+	}
+	o, err := evalOut(row, c.evals, c.orderFns)
+	if err != nil {
+		return err
+	}
+	p.outs = append(p.outs, o)
+	return nil
+}
+
+// offered sums the rows handed to the parts.
+func offered(parts []outPart) int64 {
+	var n int64
+	for i := range parts {
+		n += parts[i].in
+	}
+	return n
+}
+
+// evalOut evaluates one output row and its ORDER BY keys into a single
+// allocation.
+func evalOut(r relstore.Row, evals, orderFns []evalFunc) (outRow, error) {
+	n := len(evals)
+	buf := make(relstore.Row, n+len(orderFns))
+	for i, fn := range evals {
+		v, err := fn(r)
+		if err != nil {
+			return outRow{}, err
+		}
+		buf[i] = v
+	}
+	for i, fn := range orderFns {
+		v, err := fn(r)
+		if err != nil {
+			return outRow{}, err
+		}
+		buf[n+i] = v
+	}
+	return outRow{vals: buf[:n:n], keys: buf[n:]}, nil
+}
+
+// finish combines the parts in morsel order and renders the result.
+// Under a residual filter a "filter" span counts the rows it kept. A
+// grouped statement's accumulators merge under the span agg names —
+// "aggregate" (rows aggregated), "agg-merge" (a parallel drain's
+// partials) or none — and the groups go through HAVING; projected rows
+// concatenate.
+func (en *Engine) finish(c *consumer, parts []outPart, agg string, sp *obs.Span) (*Result, error) {
+	var in, kept int64
+	for i := range parts {
+		in += parts[i].in
+		kept += parts[i].kept
+	}
+	if c.filter != nil {
+		fs := sp.Child("filter")
+		fs.AddRows(in, kept)
+		fs.End()
+	}
+	if c.gplan != nil {
+		acc := c.gplan.newAcc()
+		if len(parts) == 1 {
+			acc = parts[0].acc
+		} else {
+			for i := range parts {
+				if err := acc.merge(parts[i].acc); err != nil {
+					return nil, err
+				}
+			}
+		}
+		switch agg {
+		case "aggregate":
+			as := sp.Child(agg)
+			as.AddRows(kept, int64(len(acc.order)))
+			as.End()
+		case "agg-merge":
+			mg := sp.Child(agg)
+			mg.SetInt("partials", int64(len(parts)))
+			mg.AddRows(0, int64(len(acc.order)))
+			mg.End()
+		}
+		return en.finalizeGroups(c.gplan, acc, sp)
+	}
+	ps := sp.Child("project")
+	var outs []outRow
+	if len(parts) == 1 {
+		outs = parts[0].outs
+	} else {
+		outs = make([]outRow, 0, kept)
+		for i := range parts {
+			outs = append(outs, parts[i].outs...)
+		}
+	}
+	res := render(c.stmt, c.cols, outs)
+	ps.AddRows(kept, int64(len(res.Rows)))
+	ps.End()
+	return res, nil
+}
+
+// render applies DISTINCT, ORDER BY (a stable sort of row positions)
+// and LIMIT to the output rows.
+func render(stmt *SelectStmt, cols []string, outs []outRow) *Result {
 	if stmt.Distinct {
 		seen := map[string]bool{}
 		var enc []byte
@@ -965,30 +1146,40 @@ func (en *Engine) project(stmt *SelectStmt, rows []relstore.Row, layout *rowLayo
 		}
 		outs = kept
 	}
-	if len(stmt.OrderBy) > 0 {
-		sort.SliceStable(outs, func(i, j int) bool {
-			for k, o := range stmt.OrderBy {
-				c := compareValues(outs[i].keys[k], outs[j].keys[k])
-				if c != 0 {
-					if o.Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
+	n := len(outs)
+	if stmt.Limit >= 0 && stmt.Limit < n {
+		n = stmt.Limit
 	}
 	res := &Result{Columns: cols}
-	for _, o := range outs {
-		res.Rows = append(res.Rows, o.vals)
-		if stmt.Limit >= 0 && len(res.Rows) >= stmt.Limit {
-			break
-		}
+	if n == 0 {
+		return res
 	}
-	ps.AddRows(int64(len(rows)), int64(len(res.Rows)))
-	ps.End()
-	return res, nil
+	res.Rows = make([]relstore.Row, n)
+	if len(stmt.OrderBy) == 0 {
+		for i := range res.Rows {
+			res.Rows[i] = outs[i].vals
+		}
+		return res
+	}
+	perm := make([]int32, len(outs))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(i, j int32) int {
+		for k, o := range stmt.OrderBy {
+			if c := compareValues(outs[i].keys[k], outs[j].keys[k]); c != 0 {
+				if o.Desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return 0
+	})
+	for i := range res.Rows {
+		res.Rows[i] = outs[perm[i]].vals
+	}
+	return res
 }
 
 func selectItemName(it SelectItem, ordinal int) string {
@@ -1105,15 +1296,29 @@ func (en *Engine) compileGrouping(stmt *SelectStmt, layout *rowLayout) (*groupPl
 	return p, nil
 }
 
-// mergeable reports whether every aggregate in the plan supports
-// partial-result merging — the precondition for parallel execution.
-func (p *groupPlan) mergeable() bool {
-	for _, ab := range p.aggs {
-		if _, ok := ab.mk().(MergeableAggState); !ok {
-			return false
-		}
+// mergeableAggs reports whether every aggregate stmt calls supports
+// partial-result merging — the precondition for a fanned-out drain.
+func (en *Engine) mergeableAggs(stmt *SelectStmt) bool {
+	ok := true
+	check := func(e Expr) {
+		walkExpr(e, func(sub Expr) {
+			if fc, isCall := sub.(*FuncCall); isCall {
+				if mk, isAgg := en.aggFuncs[fc.Name]; isAgg {
+					if _, m := mk().(MergeableAggState); !m {
+						ok = false
+					}
+				}
+			}
+		})
 	}
-	return true
+	for _, it := range stmt.Select {
+		check(it.Expr)
+	}
+	check(stmt.Having)
+	for _, o := range stmt.OrderBy {
+		check(o.Expr)
+	}
+	return ok
 }
 
 type group struct {
@@ -1287,14 +1492,10 @@ func (en *Engine) finalizeGroups(p *groupPlan, acc *groupAcc, sp *obs.Span) (*Re
 		orderFns[i] = fn
 	}
 
-	type outRow struct {
-		vals relstore.Row
-		keys relstore.Row
-	}
 	var outs []outRow
+	groupRow := make(relstore.Row, len(p.groupLayout.cols))
 	for _, k := range order {
 		g := groups[k]
-		groupRow := make(relstore.Row, len(p.groupLayout.cols))
 		copy(groupRow, g.keys)
 		for i, st := range g.states {
 			groupRow[len(stmt.GroupBy)+i] = st.Result()
@@ -1308,65 +1509,16 @@ func (en *Engine) finalizeGroups(p *groupPlan, acc *groupAcc, sp *obs.Span) (*Re
 				continue
 			}
 		}
-		vals := make(relstore.Row, len(evals))
-		for i, fn := range evals {
-			v, err := fn(groupRow)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
+		o, err := evalOut(groupRow, evals, orderFns)
+		if err != nil {
+			return nil, err
 		}
-		keys := make(relstore.Row, len(orderFns))
-		for i, fn := range orderFns {
-			v, err := fn(groupRow)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = v
-		}
-		outs = append(outs, outRow{vals, keys})
+		outs = append(outs, o)
 	}
-	if len(stmt.OrderBy) > 0 {
-		sort.SliceStable(outs, func(i, j int) bool {
-			for k, o := range stmt.OrderBy {
-				c := compareValues(outs[i].keys[k], outs[j].keys[k])
-				if c != 0 {
-					if o.Desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-	}
-	res := &Result{Columns: cols}
-	for _, o := range outs {
-		res.Rows = append(res.Rows, o.vals)
-		if stmt.Limit >= 0 && len(res.Rows) >= stmt.Limit {
-			break
-		}
-	}
+	res := render(stmt, cols, outs)
 	ps.AddRows(int64(len(order)), int64(len(res.Rows)))
 	ps.End()
 	return res, nil
-}
-
-func (en *Engine) projectGrouped(stmt *SelectStmt, rows []relstore.Row, layout *rowLayout, sp *obs.Span) (*Result, error) {
-	p, err := en.compileGrouping(stmt, layout)
-	if err != nil {
-		return nil, err
-	}
-	as := sp.Child("aggregate")
-	acc := p.newAcc()
-	for _, r := range rows {
-		if err := acc.add(r); err != nil {
-			return nil, err
-		}
-	}
-	as.AddRows(int64(len(rows)), int64(len(acc.order)))
-	as.End()
-	return en.finalizeGroups(p, acc, sp)
 }
 
 // rewriteAggs replaces aggregate calls with references to their slots

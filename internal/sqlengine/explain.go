@@ -116,23 +116,26 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		_, ok := s.virtual.(BatchSource)
 		return ok && en.Columnar && p.eqIndex == nil
 	}
+	// An aggregate that cannot merge partials drains serially.
+	workers := en.scanWorkers()
+	serialAgg := en.isGrouped(stmt) && !en.mergeableAggs(stmt)
 	// readNote labels a multi-source input read through the batch
-	// drain, with the worker count when the read fans out.
-	readNote := func(s *source, p *scanPlan) string {
+	// drain, with the worker count when the read fans out (w > 1).
+	readNote := func(s *source, p *scanPlan, w int) string {
 		if !batchRead(s, p) {
 			return ""
 		}
-		if w := en.scanWorkers(); w > 1 {
+		if w > 1 {
 			return fmt.Sprintf(" access=colscan workers=%d", w)
 		}
 		return " access=colscan"
 	}
-	describeRead := func(s *source, cs []Expr) (string, error) {
+	describeRead := func(s *source, cs []Expr, w int) (string, error) {
 		d, p, err := describeScan(s, cs)
 		if err != nil {
 			return "", err
 		}
-		return d + readNote(s, p), nil
+		return d + readNote(s, p, w), nil
 	}
 
 	add(0, "select")
@@ -150,47 +153,15 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 			return nil, err
 		}
 		// Vectorized path first, mirroring execSelect's decision order.
+		parallel := false
 		if batchRead(s, p) {
 			d += " access=colscan"
-			workers := en.scanWorkers()
-			grouped := en.isGrouped(stmt)
-			if grouped {
-				p, err := en.compileGrouping(stmt, layoutFor(s.alias, s.schema))
-				if err != nil {
-					return nil, err
-				}
-				if !p.mergeable() {
-					workers = 1
-				}
-			}
-			if workers > 1 {
-				add(1, "morsel-fanout workers=%d", workers)
-				add(2, "%s", d)
-				if grouped {
-					add(1, "agg-merge")
-				}
-			} else {
-				add(1, "%s", d)
-			}
-			explainProject(stmt, add)
-			return lines, nil
-		}
-		parallel := false
-		if workers := en.scanWorkers(); workers > 1 && p.eqIndex == nil {
-			if _, ok := s.morselSource(); ok {
-				if en.isGrouped(stmt) {
-					p, err := en.compileGrouping(stmt, layoutFor(s.alias, s.schema))
-					if err != nil {
-						return nil, err
-					}
-					parallel = p.mergeable()
-				} else {
-					parallel = true
-				}
-			}
+			parallel = workers > 1 && !serialAgg
+		} else if _, ok := s.morselSource(); ok && workers > 1 && p.eqIndex == nil {
+			parallel = !serialAgg
 		}
 		if parallel {
-			add(1, "morsel-fanout workers=%d", en.scanWorkers())
+			add(1, "morsel-fanout workers=%d", workers)
 			add(2, "%s", d)
 			if en.isGrouped(stmt) {
 				add(1, "agg-merge")
@@ -240,20 +211,26 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		innerIndexed := s.base != nil && len(joins) > 0 && s.base.IndexOn(joins[0].newPos) != nil
 		if !scanned {
 			scanned = true
-			fd, err := describeRead(first, perAlias[strings.ToLower(first.alias)])
-			if err != nil {
-				return nil, err
-			}
 			fuse := len(joins) > 0
 			if fp != nil {
 				fuse = fuse && fp.strategy == stratHashBuildInner
 			} else {
 				fuse = fuse && !innerIndexed
 			}
+			// A fused probe that is the last fold streams into the
+			// consumer, so it fans out only when the consumer can merge.
+			fw := workers
+			if fuse && serialAgg && fi == len(ordered)-2 {
+				fw = 1
+			}
+			fd, err := describeRead(first, perAlias[strings.ToLower(first.alias)], fw)
+			if err != nil {
+				return nil, err
+			}
 			if fuse {
 				// Fused first fold: scan streams into the probe
-				// (hashJoinFirst), exactly like execSelect's continue.
-				id, err := describeRead(s, singles)
+				// (hashJoinFirst), exactly like execSelect's.
+				id, err := describeRead(s, singles, workers)
 				if err != nil {
 					return nil, err
 				}
@@ -278,7 +255,7 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 			if err != nil {
 				return nil, err
 			}
-			note += readNote(s, p)
+			note += readNote(s, p, workers)
 		}
 		switch {
 		case fp != nil:

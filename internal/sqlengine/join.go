@@ -4,13 +4,14 @@ package sqlengine
 // build side indexes borrowed inner rows by their appendKey encoding;
 // probes encode outer keys into a reusable scratch buffer, so a probe
 // allocates nothing for non-matching rows (map lookups keyed on
-// string(scratch) do not copy the bytes) and materializes only the
-// combined output row on a match. Every join input is read through
-// its source's compiled read (readParts): a BatchSource streams
-// kernel-filtered column batches decoding only the columns the
-// statement reads from that alias, and with Workers > 1 the read fans
-// its morsels out over the worker pool (a row source fans out only as
-// hashJoinFirst's probe).
+// string(scratch) do not copy the bytes); a match goes to the fold's
+// foldOut, which streams it into the consumer on the statement's last
+// fold and materializes it only on an intermediate one. Every join
+// input is read through its source's compiled read (readParts): a
+// BatchSource streams kernel-filtered column batches decoding only the
+// columns the statement reads from that alias, and with Workers > 1
+// the read fans its morsels out over the worker pool (a row source
+// fans out only as hashJoinFirst's probe).
 
 import (
 	"context"
@@ -24,16 +25,14 @@ import (
 
 // readParts drains rd into parts and returns them in morsel order:
 // concatenated, they reproduce the serial scan at any worker count.
-// sink opens a part and returns the function that takes the part's
-// rows (fanOut). A batch read fans its morsels out when Workers > 1; a
-// row read does so only when fanRows is set and the storage provides
-// row morsels, and is otherwise one serial part through runScanPlan. A
+// sink opens a part and returns where its rows go (fanOut). A batch
+// read fans its morsels out over up to workers goroutines; a row read
+// does so only when fanRows is set and the storage provides row
+// morsels, and is otherwise one serial part through runScanPlan. A
 // fan-out is noted on sp as workers/morsels. On the batch path an
-// emitted row is scratch, valid only during the call: the sink clones
+// emitted row is scratch, valid only during the call: the sink copies
 // what it keeps.
-func readParts[P any](ctx context.Context, en *Engine, rd *sourceRead, fanRows bool, sp *obs.Span, sink func(*P) func(relstore.Row) error) ([]P, error) {
-	workers := en.scanWorkers()
-	open := func(p *P) rowSink { return rowSink{emit: sink(p)} }
+func readParts[P any](ctx context.Context, en *Engine, rd *sourceRead, workers int, fanRows bool, sp *obs.Span, sink func(*P) rowSink) ([]P, error) {
 	noteFanOut := func(n int) {
 		if w := min(workers, n); w > 1 {
 			sp.SetInt("workers", int64(w))
@@ -46,7 +45,7 @@ func readParts[P any](ctx context.Context, en *Engine, rd *sourceRead, fanRows b
 			return nil, err
 		}
 		noteFanOut(len(morsels))
-		return fanOut(ctx, len(morsels), workers, open, rd.batchWorker(morsels))
+		return fanOut(ctx, len(morsels), workers, sink, rd.batchWorker(morsels))
 	}
 	if fanRows && workers > 1 && rd.plan.eqIndex == nil {
 		if ms, ok := rd.s.morselSource(); ok {
@@ -56,7 +55,7 @@ func readParts[P any](ctx context.Context, en *Engine, rd *sourceRead, fanRows b
 			}
 			if len(morsels) > 1 {
 				noteFanOut(len(morsels))
-				return fanOut(ctx, len(morsels), workers, open, func() func(int, *cancelProbe, rowSink) error {
+				return fanOut(ctx, len(morsels), workers, sink, func() func(int, *cancelProbe, rowSink) error {
 					return func(i int, cc *cancelProbe, out rowSink) error {
 						return runMorsel(morsels[i], rd.plan, cc, out)
 					}
@@ -68,26 +67,20 @@ func readParts[P any](ctx context.Context, en *Engine, rd *sourceRead, fanRows b
 	return parts, en.runScanPlan(ctx, rd.s, rd.plan, sink(&parts[0]))
 }
 
-// readRows drains a read into rows the caller keeps: the leading scan,
-// a hash join's build side, nested-loop inners. Row-path rows are
-// borrowed and kept as they are; rows cloned out of a batch count as
-// copied join rows.
+// readRows drains a read into rows the caller keeps: the leading scan
+// of a join, a hash join's build side, nested-loop inners. Row-path
+// rows are borrowed and kept as they are; rows cloned out of a batch
+// count as copied join rows.
 func (en *Engine) readRows(ctx context.Context, rd *sourceRead, sp *obs.Span) ([]relstore.Row, error) {
-	// The row path keeps its plain loop: sending it through readParts'
-	// part sink cost warm-clustered scans 8-15 % under concurrent load.
-	if rd.batch == nil {
-		var rows []relstore.Row
-		err := en.runScanPlan(ctx, rd.s, rd.plan, func(row relstore.Row) error {
-			rows = append(rows, row)
+	clone := rd.batch != nil
+	parts, err := readParts(ctx, en, rd, en.scanWorkers(), false, sp, func(p *[]relstore.Row) rowSink {
+		return rowSink{emit: func(row relstore.Row) error {
+			if clone {
+				row = row.Clone()
+			}
+			*p = append(*p, row)
 			return nil
-		})
-		return rows, err
-	}
-	parts, err := readParts(ctx, en, rd, false, sp, func(p *[]relstore.Row) func(relstore.Row) error {
-		return func(row relstore.Row) error {
-			*p = append(*p, row.Clone())
-			return nil
-		}
+		}}
 	})
 	if err != nil {
 		return nil, err
@@ -96,16 +89,11 @@ func (en *Engine) readRows(ctx context.Context, rd *sourceRead, sp *obs.Span) ([
 	if len(parts) == 1 {
 		rows = parts[0]
 	} else {
-		n := 0
-		for _, p := range parts {
-			n += len(p)
-		}
-		rows = make([]relstore.Row, 0, n)
-		for _, p := range parts {
-			rows = append(rows, p...)
-		}
+		rows = slices.Concat(parts...)
 	}
-	en.DB.AddJoinRows(0, int64(len(rows)))
+	if clone {
+		en.DB.AddJoinRows(0, int64(len(rows)))
+	}
 	return rows, nil
 }
 
@@ -264,35 +252,34 @@ func newProbeScratch(joins []equiJoin) *probeScratch {
 	return &probeScratch{key: make([]relstore.Value, len(joins))}
 }
 
-// probe appends the combined rows for one outer row to out. Rows with
-// a NULL key component never match (SQL equality semantics); probed
+// probe sends the combined rows for one outer row to out. Rows with a
+// NULL key component never match (SQL equality semantics); probed
 // reports whether the row had a fully non-NULL key. With a band, only
 // the bucket's rows inside the band are combined, in band-column order.
-func (jt *joinTable) probe(o relstore.Row, joins []equiJoin, sc *probeScratch, out []relstore.Row) (res []relstore.Row, probed bool, err error) {
+func (jt *joinTable) probe(o relstore.Row, joins []equiJoin, sc *probeScratch, out *foldOut) (probed bool, err error) {
 	for i, j := range joins {
 		sc.key[i] = o[j.boundPos]
 		if sc.key[i].IsNull() {
-			return out, false, nil
+			return false, nil
 		}
 	}
 	sc.enc = appendKey(sc.enc[:0], sc.key)
 	b, ok := jt.idx[string(sc.enc)]
 	if !ok {
-		return out, true, nil
+		return true, nil
 	}
 	matches := jt.buckets[b]
 	if jt.band != nil {
 		if matches, err = jt.band.narrow(matches, o); err != nil {
-			return out, true, err
+			return true, err
 		}
 	}
 	for _, m := range matches {
-		combined := make(relstore.Row, 0, len(o)+len(m))
-		combined = append(combined, o...)
-		combined = append(combined, m...)
-		out = append(out, combined)
+		if err := out.emit(o, m); err != nil {
+			return true, err
+		}
 	}
-	return out, true, nil
+	return true, nil
 }
 
 // label names a span's band column.
@@ -340,8 +327,9 @@ func (en *Engine) buildInner(ctx context.Context, s *source, joins []equiJoin, b
 // hashJoin folds source s into already-materialized outer rows,
 // building on the inner side (the planner picks this variant when the
 // inner input is the smaller estimate; hashJoinBuildOuter is its
-// mirror).
-func (en *Engine) hashJoin(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, band *joinBand, singles []Expr, sources []*source, fp *foldPlan, sp *obs.Span) ([]relstore.Row, error) {
+// mirror). Its output goes to c, or is materialized when c is nil
+// (foldOut).
+func (en *Engine) hashJoin(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, band *joinBand, singles []Expr, sources []*source, fp *foldPlan, c *consumer, sp *obs.Span) ([]foldOut, error) {
 	jt, err := en.buildInner(ctx, s, joins, band, singles, sources, fp, sp)
 	if err != nil {
 		return nil, err
@@ -350,42 +338,37 @@ func (en *Engine) hashJoin(ctx context.Context, outer []relstore.Row, s *source,
 	band.label(ps)
 	cc := newCancelProbe(ctx)
 	sc := newProbeScratch(joins)
-	var out []relstore.Row
-	var probed int64
+	out := []foldOut{{outPart: c.open()}}
+	fo := &out[0]
 	for _, o := range outer {
 		if cc.tick() {
 			return nil, cc.err()
 		}
-		var ok bool
-		if out, ok, err = jt.probe(o, joins, sc, out); err != nil {
+		ok, err := jt.probe(o, joins, sc, fo)
+		if err != nil {
 			return nil, err
 		}
 		if ok {
-			probed++
+			fo.probed++
 		}
 	}
-	en.DB.AddJoinRows(probed, int64(len(out)))
-	ps.AddRows(probed, int64(len(out)))
+	en.DB.AddJoinRows(fo.probed, fo.copied())
+	ps.AddRows(fo.probed, fo.in)
 	ps.End()
 	return out, nil
-}
-
-// probePart is one part of a streamed probe: the combined rows it
-// produced and how many probe rows had a full key.
-type probePart struct {
-	out    []relstore.Row
-	probed int64
 }
 
 // hashJoinFirst fuses the statement's initial table scan into the
 // probe side of its first hash join: outer rows stream from the
 // source's read straight into the probe with no intermediate []Row,
-// and the probe fans out with the read (readParts). Probe rows need no
-// clone: jt.probe copies them into the combined row. Called when the
-// fold is a build-on-inner hash join: planner-off, when the inner side
-// has no index on the leading key; planner-on, when the cost model
-// picked the inner build side.
-func (en *Engine) hashJoinFirst(ctx context.Context, outer *source, conjuncts []Expr, s *source, joins []equiJoin, band *joinBand, singles []Expr, sources []*source, fp *foldPlan, sp *obs.Span) ([]relstore.Row, error) {
+// and the probe fans out with the read (readParts), one foldOut per
+// part — unless c aggregates with a function that cannot merge
+// partials, which drains serially. Probe rows need no clone: the fold
+// copies them into the combined row. Called when the fold is a
+// build-on-inner hash join: planner-off, when the inner side has no
+// index on the leading key; planner-on, when the cost model picked the
+// inner build side.
+func (en *Engine) hashJoinFirst(ctx context.Context, outer *source, conjuncts []Expr, s *source, joins []equiJoin, band *joinBand, singles []Expr, sources []*source, fp *foldPlan, c *consumer, sp *obs.Span) ([]foldOut, error) {
 	jt, err := en.buildInner(ctx, s, joins, band, singles, sources, fp, sp)
 	if err != nil {
 		return nil, err
@@ -398,37 +381,32 @@ func (en *Engine) hashJoinFirst(ctx context.Context, outer *source, conjuncts []
 	ps.SetAttr("table", outer.alias)
 	rd.label(ps)
 	band.label(ps)
-	parts, err := readParts(ctx, en, rd, true, ps, func(p *probePart) func(relstore.Row) error {
+	workers := en.scanWorkers()
+	if c != nil && c.serial {
+		workers = 1
+	}
+	out, err := readParts(ctx, en, rd, workers, true, ps, func(fo *foldOut) rowSink {
+		*fo = foldOut{outPart: c.open()}
 		sc := newProbeScratch(joins)
-		return func(row relstore.Row) error {
-			var ok bool
-			var err error
-			if p.out, ok, err = jt.probe(row, joins, sc, p.out); ok {
-				p.probed++
+		return rowSink{emit: func(row relstore.Row) error {
+			ok, err := jt.probe(row, joins, sc, fo)
+			if ok {
+				fo.probed++
 			}
 			return err
-		}
+		}}
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []relstore.Row
-	var probed int64
-	if len(parts) == 1 {
-		out, probed = parts[0].out, parts[0].probed
-	} else {
-		n := 0
-		for _, p := range parts {
-			n += len(p.out)
-		}
-		out = make([]relstore.Row, 0, n)
-		for _, p := range parts {
-			out = append(out, p.out...)
-			probed += p.probed
-		}
+	var probed, emitted, copied int64
+	for i := range out {
+		probed += out[i].probed
+		emitted += out[i].in
+		copied += out[i].copied()
 	}
-	en.DB.AddJoinRows(probed, int64(len(out)))
-	ps.AddRows(probed, int64(len(out)))
+	en.DB.AddJoinRows(probed, copied)
+	ps.AddRows(probed, emitted)
 	ps.End()
 	return out, nil
 }
@@ -436,10 +414,9 @@ func (en *Engine) hashJoinFirst(ctx context.Context, outer *source, conjuncts []
 // buildOuterPart is one part of hashJoinBuildOuter's probe: per outer
 // row, the inner rows of this part that join it, in read order.
 type buildOuterPart struct {
-	matches  [][]relstore.Row
-	probed   int64
-	combined int64 // output rows this part's matches produce
-	copied   int64 // inner rows cloned out of a batch
+	matches [][]relstore.Row
+	probed  int64
+	copied  int64 // inner rows cloned out of a batch
 }
 
 // hashJoinBuildOuter is hashJoin with the build side flipped: the
@@ -450,7 +427,7 @@ type buildOuterPart struct {
 // a million-row inner). Matches are emitted outer-major afterwards,
 // inner rows in read order within each outer row, so the output order
 // is byte-identical to the build-inner executor's.
-func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, singles []Expr, sources []*source, fp *foldPlan, sp *obs.Span) ([]relstore.Row, error) {
+func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, singles []Expr, sources []*source, fp *foldPlan, c *consumer, sp *obs.Span) ([]foldOut, error) {
 	bs := sp.Child("join:hash-build")
 	bs.SetAttr("table", s.alias)
 	bs.SetAttr("side", "outer")
@@ -487,10 +464,10 @@ func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, 
 	ps.SetAttr("table", s.alias)
 	rd.label(ps)
 	// A matching inner row is kept (cloned once when it comes from a
-	// batch) for the whole statement.
-	parts, err := readParts(ctx, en, rd, false, ps, func(p *buildOuterPart) func(relstore.Row) error {
+	// batch) until the matches are emitted.
+	parts, err := readParts(ctx, en, rd, en.scanWorkers(), false, ps, func(p *buildOuterPart) rowSink {
 		sc := newProbeScratch(joins)
-		return func(row relstore.Row) error {
+		return rowSink{emit: func(row relstore.Row) error {
 			for k, j := range joins {
 				sc.key[k] = row[j.newPos]
 				if sc.key[k].IsNull() {
@@ -514,37 +491,35 @@ func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, 
 			for _, oi := range ois {
 				p.matches[oi] = append(p.matches[oi], kept)
 			}
-			p.combined += int64(len(ois))
 			return nil
-		}
+		}}
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Emit outer-major; within an outer row, parts in morsel order keep
 	// the inner rows in read order.
-	var probed, combined, copied int64
+	var probed, copied int64
 	for _, p := range parts {
 		probed += p.probed
-		combined += p.combined
 		copied += p.copied
 	}
-	out := make([]relstore.Row, 0, combined)
+	out := []foldOut{{outPart: c.open()}}
+	fo := &out[0]
 	for i, o := range outer {
 		for _, p := range parts {
 			if p.matches == nil {
 				continue
 			}
 			for _, m := range p.matches[i] {
-				c := make(relstore.Row, 0, len(o)+len(m))
-				c = append(c, o...)
-				c = append(c, m...)
-				out = append(out, c)
+				if err := fo.emit(o, m); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-	en.DB.AddJoinRows(probed, int64(len(out))+copied)
-	ps.AddRows(probed, int64(len(out)))
+	en.DB.AddJoinRows(probed, fo.copied()+copied)
+	ps.AddRows(probed, fo.in)
 	ps.End()
 	return out, nil
 }

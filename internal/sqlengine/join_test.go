@@ -170,8 +170,10 @@ func TestHashJoinParallelMatchesSerial(t *testing.T) {
 	if st.JoinRowsBorrowed == 0 {
 		t.Error("parallel join did not count borrowed probe rows")
 	}
-	if st.JoinRowsCopied != int64(len(par.Rows)) {
-		t.Errorf("JoinRowsCopied=%d, want %d (one combined row per output row)", st.JoinRowsCopied, len(par.Rows))
+	// The join is the statement's last fold: its combined rows stream
+	// through a reused buffer into the projection, so none is copied.
+	if st.JoinRowsCopied != 0 {
+		t.Errorf("JoinRowsCopied=%d, want 0 (the last fold streams its rows)", st.JoinRowsCopied)
 	}
 }
 
@@ -225,19 +227,19 @@ func BenchmarkHashJoinProbeMiss(b *testing.B) {
 		probeRows[i] = relstore.Row{relstore.Int(int64(i)), relstore.Int(int64(i%640) + 1000)}
 	}
 	sc := newProbeScratch(joins)
-	out := make([]relstore.Row, 0, 4096)
+	fo := &foldOut{rows: make([]relstore.Row, 0, 4096)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out = out[:0]
+		fo.rows = fo.rows[:0]
 		for _, r := range probeRows {
-			out, _, _ = jt.probe(r, joins, sc, out)
+			_, _ = jt.probe(r, joins, sc, fo)
 		}
 	}
 }
 
 // BenchmarkHashJoinProbeMixed has one key in eight match: the only
-// allocations are the materialized combined output rows.
+// allocations are the combined rows an intermediate fold materializes.
 func BenchmarkHashJoinProbeMixed(b *testing.B) {
 	jt, joins := probeBenchTable()
 	probeRows := make([]relstore.Row, 1024)
@@ -245,13 +247,13 @@ func BenchmarkHashJoinProbeMixed(b *testing.B) {
 		probeRows[i] = relstore.Row{relstore.Int(int64(i)), relstore.Int(int64(i % 512))}
 	}
 	sc := newProbeScratch(joins)
-	out := make([]relstore.Row, 0, 4096)
+	fo := &foldOut{rows: make([]relstore.Row, 0, 4096)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out = out[:0]
+		fo.rows = fo.rows[:0]
 		for _, r := range probeRows {
-			out, _, _ = jt.probe(r, joins, sc, out)
+			_, _ = jt.probe(r, joins, sc, fo)
 		}
 	}
 }
@@ -357,6 +359,28 @@ func TestJoinReadsBatchSources(t *testing.T) {
 				if uRead != tc.uRead {
 					t.Errorf("%s: %d reads decoded column u, want %d: %v", q, uRead, tc.uRead, bt.neededSeen)
 				}
+			}
+		}
+	}
+}
+
+// TestJoinEmptyBatchSource joins batch sources that stream no morsels
+// at all: every read — build side, streamed probe, nested-loop inner —
+// yields zero parts, and the aggregate still answers one row.
+func TestJoinEmptyBatchSource(t *testing.T) {
+	bt := &batchTable{per: 4, sliceTable: sliceTable{schema: relstore.NewSchema("t",
+		relstore.Col("k", relstore.TypeInt), relstore.Col("w", relstore.TypeInt))}}
+	en := New(relstore.NewDatabase())
+	en.RegisterVirtual("t", bt)
+	for _, workers := range []int{1, 4} {
+		en.Workers = workers
+		for _, tc := range []struct{ sql, want string }{
+			{`select count(*) from t a, t b where a.k = b.k`, "[0]"},
+			{`select count(*) from t a, t b where a.w < b.w`, "[0]"},
+			{`select a.k from t a, t b, t c where a.k = b.k and b.w = c.w`, "[]"},
+		} {
+			if got := fmt.Sprint(queryStrings(t, en, tc.sql)); got != tc.want {
+				t.Errorf("workers=%d: %s = %s, want %s", workers, tc.sql, got, tc.want)
 			}
 		}
 	}

@@ -9,7 +9,9 @@ import (
 	"archis/internal/relstore"
 )
 
-// Morsel-parallel single-table execution. A statement qualifies when:
+// Morsel-parallel single-table execution (execSingleMorsels; a batch
+// read also drains here when it stays serial). A statement fans out
+// when:
 //
 //   - it reads exactly one source whose storage provides morsels,
 //   - the planner found no equality-index probe (point lookups beat
@@ -96,68 +98,95 @@ func fanOut[P any](ctx context.Context, n, workers int, sink func(*P) rowSink,
 	return parts, nil
 }
 
-// execSingleParallel attempts the parallel path for a single-source
-// SELECT. handled=false means the caller should run the serial plan.
-func (en *Engine) execSingleParallel(ctx context.Context, stmt *SelectStmt, s *source, conjuncts []Expr, sources []*source, sp *obs.Span) (*Result, bool, error) {
+// execSingleMorsels runs a single-source SELECT over its storage's
+// morsels: column batches when the read is a batch read (any worker
+// count), else row morsels when Workers > 1 and the storage provides
+// them. handled=false means the caller should run the serial plan. A
+// batch read that stays serial drains under a "scan" span into one
+// consumer part (any aggregate works); a fan-out runs under a
+// "morsel-fanout" span with one part per morsel, merged in morsel
+// order, so results are identical to the serial drain. A row read
+// whose aggregate cannot merge partials is left to the serial plan.
+func (en *Engine) execSingleMorsels(ctx context.Context, stmt *SelectStmt, s *source, conjuncts []Expr, sources []*source, sp *obs.Span) (*Result, bool, error) {
 	workers := en.scanWorkers()
-	if workers <= 1 {
+	ms, rowMorsels := s.morselSource()
+	_, batchSource := s.virtual.(BatchSource)
+	if !(batchSource && en.Columnar) && (workers <= 1 || !rowMorsels) {
 		return nil, false, nil
 	}
-	ms, ok := s.morselSource()
-	if !ok {
-		return nil, false, nil
-	}
-	plan, err := en.planScan(s, conjuncts, sources)
+	rd, err := en.compileRead(s, conjuncts, sources)
 	if err != nil {
 		return nil, true, err
 	}
-	if plan.eqIndex != nil {
+	if rd.batch == nil && (workers <= 1 || !rowMorsels || rd.plan.eqIndex != nil) {
 		return nil, false, nil
 	}
-	layout := layoutFor(s.alias, s.schema)
+	c, err := en.compileConsumer(stmt, nil, layoutFor(s.alias, s.schema), sources)
+	if err != nil {
+		return nil, true, err
+	}
+	if c.serial {
+		if rd.batch == nil {
+			return nil, false, nil
+		}
+		workers = 1
+	}
 
-	var gplan *groupPlan
-	if en.isGrouped(stmt) {
-		gplan, err = en.compileGrouping(stmt, layout)
+	est := rd.plan.est
+	access := ""
+	if est.Planned {
+		access = est.Access
+	}
+	var n int
+	var worker func() func(int, *cancelProbe, rowSink) error
+	if rd.batch != nil {
+		morsels, err := rd.batch.ScanBatches(rd.plan.bounds, s.needed)
 		if err != nil {
 			return nil, true, err
 		}
-		if !gplan.mergeable() {
-			return nil, false, nil
+		n, worker, access = len(morsels), rd.batchWorker(morsels), "colscan"
+	} else {
+		morsels, err := ms.ScanMorsels(rd.plan.bounds)
+		if err != nil {
+			return nil, true, err
+		}
+		// Rows are borrowed (zero-copy): the consumer copies what it
+		// keeps.
+		n, worker = len(morsels), func() func(int, *cancelProbe, rowSink) error {
+			return func(i int, cc *cancelProbe, out rowSink) error {
+				return runMorsel(morsels[i], rd.plan, cc, out)
+			}
 		}
 	}
-
-	morsels, err := ms.ScanMorsels(plan.bounds)
+	workers = min(workers, n)
+	fan := rd.batch == nil || workers > 1
+	name, agg := "morsel-fanout", "agg-merge"
+	if !fan {
+		name, agg = "scan", ""
+	}
+	ds := sp.Child(name)
+	ds.SetAttr("table", s.alias)
+	if access != "" {
+		ds.SetAttr("access", access)
+	}
+	if fan {
+		ds.SetInt("morsels", int64(n))
+	}
+	if est.Planned {
+		ds.SetInt("est_rows", int64(est.OutRows))
+	}
+	if fan {
+		ds.SetInt("workers", int64(workers))
+	}
+	parts, err := fanOut(ctx, n, workers, c.sink, worker)
+	ds.End()
 	if err != nil {
 		return nil, true, err
 	}
-
-	fanout := sp.Child("morsel-fanout")
-	fanout.SetAttr("table", s.alias)
-	fanout.SetInt("morsels", int64(len(morsels)))
-	if plan.est.Planned {
-		fanout.SetAttr("access", plan.est.Access)
-		fanout.SetInt("est_rows", int64(plan.est.OutRows))
+	if c.gplan == nil {
+		ds.AddRows(0, offered(parts))
 	}
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-	fanout.SetInt("workers", int64(workers))
-
-	// Rows are borrowed (zero-copy) because everything downstream
-	// treats them as read-only.
-	outs, err := fanOut(ctx, len(morsels), workers, func(o *morselOut) rowSink {
-		return o.sink(gplan, false)
-	}, func() func(int, *cancelProbe, rowSink) error {
-		return func(i int, cc *cancelProbe, out rowSink) error {
-			return runMorsel(morsels[i], plan, cc, out)
-		}
-	})
-	fanout.End()
-	if err != nil {
-		return nil, true, err
-	}
-	res, err := en.finishMorsels(stmt, gplan, outs, true, layout, sources, fanout, sp)
+	res, err := en.finish(c, parts, agg, sp)
 	return res, true, err
 }
 

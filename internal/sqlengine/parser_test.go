@@ -220,9 +220,9 @@ func TestParseBlockCommentsAndParenWrapping(t *testing.T) {
 		}
 	}
 	for _, sql := range []string{
-		"(select a from t",      // unbalanced
-		"(select a from t))",    // extra close
-		"select a from t /* x",  // unterminated comment swallows rest
+		"(select a from t",     // unbalanced
+		"(select a from t))",   // extra close
+		"select a from t /* x", // unterminated comment swallows rest
 	} {
 		if _, err := Parse(sql); err == nil {
 			t.Errorf("Parse(%q): expected error", sql)

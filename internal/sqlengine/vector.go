@@ -1,10 +1,9 @@
 package sqlengine
 
 import (
-	"context"
+	"cmp"
 	"strings"
 
-	"archis/internal/obs"
 	"archis/internal/relstore"
 	"archis/internal/temporal"
 )
@@ -13,12 +12,13 @@ import (
 // source's storage can stream column batches (BatchSource — the
 // compressed store's columnar path), filter conjuncts of the form
 // `col op const` compile into batch kernels that narrow a selection
-// vector column-at-a-time, and only the surviving rows are
-// materialized for aggregation, projection or a join. A read
-// qualifies when the engine's columnar mode is on, its source provides
-// ScanBatches and the planner found no equality-index probe; this file
-// runs single-table statements (whose parallel drain also needs every
-// aggregate to merge partials), join.go's readParts every join input.
+// vector column-at-a-time, and only the surviving rows are filled
+// into scratch for aggregation, projection or a join. A read qualifies
+// when the engine's columnar mode is on, its source provides
+// ScanBatches and the planner found no equality-index probe;
+// parallel.go's execSingleMorsels runs single-table statements (whose
+// parallel drain also needs every aggregate to merge partials),
+// join.go's readParts every join input.
 //
 // Results are identical to the row path: batch morsels are consumed in
 // morsel order (or merged in morsel order after a parallel fan-out),
@@ -38,67 +38,70 @@ type BatchSource interface {
 
 // colKernel is one compiled `col op const` conjunct, evaluated against
 // a column vector. The fast paths compare raw numeric payloads against
-// a precomputed float; everything else reconstructs the Value and
+// the precomputed constant; everything else reconstructs the Value and
 // defers to compareValues, so kernel semantics match the compiled
 // row filter bit for bit.
 type colKernel struct {
 	col int
 	cv  relstore.Value // original constant, for the generic fallback
-	cf  float64        // numeric image of the constant (fast paths)
-	// Constant shape: numConst means the constant itself is numeric
-	// (Int/Float/Date — every numeric column value compares as float,
-	// exactly relstore.Compare); dateConst means a string constant that
-	// parses as a date, whose fast path applies only to Date values
-	// (compareValues' date-string coercion).
-	numConst  bool
-	dateConst bool
+	// Fast paths, exactly relstore.Compare: an Int/Date constant
+	// (intConst) compares Int/Date values on ci, exactly, and Float
+	// values on cf; a Float constant (floatConst) compares every
+	// numeric value on cf; a string constant that parses as a date
+	// (dateConst) compares Date values on ci (compareValues'
+	// date-string coercion).
+	ci                              int64
+	cf                              float64
+	intConst, floatConst, dateConst bool
 	// Truth table for the comparison outcome.
 	ltOK, eqOK, gtOK bool
 }
 
-func (k *colKernel) cmpF(x float64) bool {
+// outcome maps a comparison result to the kernel's verdict.
+func (k *colKernel) outcome(c int) bool {
 	switch {
-	case x < k.cf:
+	case c < 0:
 		return k.ltOK
-	case x > k.cf:
+	case c > 0:
 		return k.gtOK
 	default:
 		return k.eqOK
 	}
+}
+
+// cmpFloat orders floats as relstore.Compare does: NaN compares equal.
+func cmpFloat(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
 }
 
 // pass reports whether row i of vec survives this kernel, mirroring
 // the row filter: NULL on either side drops the row, otherwise the
 // comparison outcome decides.
 func (k *colKernel) pass(vec *relstore.ColVec, i int) bool {
-	kind := vec.KindAt(i)
-	if kind == relstore.TypeNull {
+	switch kind := vec.KindAt(i); {
+	case kind == relstore.TypeNull:
 		return false
-	}
-	if k.numConst {
-		switch kind {
-		case relstore.TypeInt, relstore.TypeDate:
-			return k.cmpF(float64(vec.I[i]))
-		case relstore.TypeFloat:
-			return k.cmpF(vec.F[i])
+	case kind == relstore.TypeFloat && (k.intConst || k.floatConst):
+		return k.outcome(cmpFloat(vec.F[i], k.cf))
+	case kind == relstore.TypeInt || kind == relstore.TypeDate:
+		if k.intConst || (k.dateConst && kind == relstore.TypeDate) {
+			return k.outcome(cmp.Compare(vec.I[i], k.ci))
 		}
-	}
-	if k.dateConst && kind == relstore.TypeDate {
-		return k.cmpF(float64(vec.I[i]))
+		if k.floatConst {
+			return k.outcome(cmpFloat(float64(vec.I[i]), k.cf))
+		}
 	}
 	v := vec.ValueAt(i)
 	if v.IsNull() {
 		return false
 	}
-	cmp := compareValues(v, k.cv)
-	switch {
-	case cmp < 0:
-		return k.ltOK
-	case cmp > 0:
-		return k.gtOK
-	default:
-		return k.eqOK
-	}
+	return k.outcome(compareValues(v, k.cv))
 }
 
 // batchPlan is the compiled vectorized filter: the kernels plus
@@ -136,13 +139,13 @@ func (en *Engine) compileKernels(conjuncts []Expr, s *source, sources []*source)
 		}
 		switch v.Kind {
 		case relstore.TypeInt, relstore.TypeDate:
-			k.numConst, k.cf = true, float64(v.I)
+			k.intConst, k.ci, k.cf = true, v.I, float64(v.I)
 		case relstore.TypeFloat:
-			k.numConst, k.cf = true, v.F
+			k.floatConst, k.cf = true, v.F
 		case relstore.TypeString:
 			if s.schema.Columns[col].Type == relstore.TypeDate {
 				if d, err := temporal.ParseDate(strings.TrimSpace(v.S)); err == nil {
-					k.dateConst, k.cf = true, float64(d)
+					k.dateConst, k.ci = true, int64(d)
 				}
 			}
 		}
@@ -274,153 +277,19 @@ func (en *Engine) compileRead(s *source, conjuncts []Expr, sources []*source) (*
 	return rd, nil
 }
 
-// morselOut is one part of a single-table drain: a group accumulator
-// (aggregate shape) or a row list (filter shape).
-type morselOut struct {
-	acc  *groupAcc
-	rows []relstore.Row
-}
-
-// rowSink is where a drain sends the rows that pass its filter: a
-// group accumulator, called directly in the aggregate hot loop, or
-// else emit.
+// rowSink is where a drain sends the rows that pass its filter: the
+// statement's consumer part, called directly in the hot loop, or else
+// emit.
 type rowSink struct {
-	acc  *groupAcc
+	part *outPart
 	emit func(relstore.Row) error
 }
 
 func (k rowSink) put(row relstore.Row) error {
-	if k.acc != nil {
-		return k.acc.add(row)
+	if k.part != nil {
+		return k.part.put(row)
 	}
 	return k.emit(row)
-}
-
-// sink opens the part: rows fold into a fresh group accumulator
-// (aggregate shape) or append to the row list, cloned out of batch
-// scratch when clone is set.
-func (o *morselOut) sink(gplan *groupPlan, clone bool) rowSink {
-	if gplan != nil {
-		o.acc = gplan.newAcc()
-		return rowSink{acc: o.acc}
-	}
-	if clone {
-		return rowSink{emit: func(row relstore.Row) error {
-			o.rows = append(o.rows, row.Clone())
-			return nil
-		}}
-	}
-	return rowSink{emit: func(row relstore.Row) error {
-		o.rows = append(o.rows, row)
-		return nil
-	}}
-}
-
-// finishMorsels combines a single-table drain's parts in morsel order
-// and projects: one accumulator (serial drain, any aggregate) or
-// per-morsel partials merged under an "agg-merge" span (parallel
-// drain, mergeable aggregates only), or the row lists concatenated.
-func (en *Engine) finishMorsels(stmt *SelectStmt, gplan *groupPlan, outs []morselOut, parallel bool,
-	layout *rowLayout, sources []*source, ds, sp *obs.Span) (*Result, error) {
-	if gplan != nil {
-		acc := gplan.newAcc()
-		if !parallel {
-			if len(outs) == 1 {
-				acc = outs[0].acc
-			}
-			return en.finalizeGroups(gplan, acc, sp)
-		}
-		mg := sp.Child("agg-merge")
-		for _, o := range outs {
-			if err := acc.merge(o.acc); err != nil {
-				return nil, err
-			}
-		}
-		mg.SetInt("partials", int64(len(outs)))
-		mg.AddRows(0, int64(len(acc.order)))
-		mg.End()
-		return en.finalizeGroups(gplan, acc, sp)
-	}
-	n := 0
-	for _, o := range outs {
-		n += len(o.rows)
-	}
-	ds.AddRows(0, int64(n))
-	rows := make([]relstore.Row, 0, n)
-	for _, o := range outs {
-		rows = append(rows, o.rows...)
-	}
-	return en.project(stmt, rows, layout, sources, sp)
-}
-
-// execSingleBatch attempts the vectorized path for a single-source
-// SELECT. handled=false means the caller should try the next path
-// (parallel row morsels, then the serial plan). A serial drain runs
-// under a "scan" span and folds every morsel into one accumulator (any
-// aggregate works); a parallel one runs under a "morsel-fanout" span
-// and merges per-morsel partials in morsel order — the same
-// combination rule as the row-morsel path, so results are identical
-// to the serial drain.
-func (en *Engine) execSingleBatch(ctx context.Context, stmt *SelectStmt, s *source, conjuncts []Expr, sources []*source, sp *obs.Span) (*Result, bool, error) {
-	if _, ok := s.virtual.(BatchSource); !ok || !en.Columnar {
-		return nil, false, nil
-	}
-	rd, err := en.compileRead(s, conjuncts, sources)
-	if err != nil {
-		return nil, true, err
-	}
-	if rd.batch == nil {
-		return nil, false, nil
-	}
-	layout := layoutFor(s.alias, s.schema)
-	workers := en.scanWorkers()
-
-	var gplan *groupPlan
-	if en.isGrouped(stmt) {
-		gplan, err = en.compileGrouping(stmt, layout)
-		if err != nil {
-			return nil, true, err
-		}
-		if workers > 1 && !gplan.mergeable() {
-			// Serial consumption folds everything into one accumulator,
-			// so only the parallel fan-out needs mergeable partials.
-			workers = 1
-		}
-	}
-
-	morsels, err := rd.batch.ScanBatches(rd.plan.bounds, s.needed)
-	if err != nil {
-		return nil, true, err
-	}
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-	parallel := workers > 1
-	name := "scan"
-	if parallel {
-		name = "morsel-fanout"
-	}
-	ds := sp.Child(name)
-	ds.SetAttr("table", s.alias)
-	ds.SetAttr("access", "colscan")
-	if parallel {
-		ds.SetInt("morsels", int64(len(morsels)))
-	}
-	if rd.plan.est.Planned {
-		ds.SetInt("est_rows", int64(rd.plan.est.OutRows))
-	}
-	if parallel {
-		ds.SetInt("workers", int64(workers))
-	}
-	outs, err := fanOut(ctx, len(morsels), workers, func(o *morselOut) rowSink {
-		return o.sink(gplan, true)
-	}, rd.batchWorker(morsels))
-	ds.End()
-	if err != nil {
-		return nil, true, err
-	}
-	res, err := en.finishMorsels(stmt, gplan, outs, parallel, layout, sources, ds, sp)
-	return res, true, err
 }
 
 // batchWorker is fanOut's worker for the batch morsels of this read:
@@ -440,7 +309,7 @@ func (rd *sourceRead) batchWorker(morsels []relstore.BatchFunc) func() func(int,
 // everything the statement reads, so unneeded slots can hold stale
 // values no consumer looks at), the residual filter (when present)
 // makes the final call, and each passing row goes to out. The row is
-// scratch, valid only during the call: the sink clones what it keeps.
+// scratch, valid only during the call: the sink copies what it keeps.
 func (rd *sourceRead) drainBatch(m relstore.BatchFunc, w *batchWork, cc *cancelProbe, out rowSink) error {
 	bp, filter, needed := &rd.bp, rd.plan.filter, rd.s.needed
 	var rowErr error
