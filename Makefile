@@ -19,9 +19,11 @@ race:
 	$(GO) test -race ./...
 
 # Focused stress of the morsel-parallel executor: the randomized
-# serial-vs-parallel differential tests, under the race detector.
+# serial-vs-parallel differential tests and the forced-plan
+# differentials (every plan, Workers 1 and 2 among them, must answer
+# as the planned one), under the race detector.
 parallel-stress:
-	$(GO) test -race -run Parallel ./...
+	$(GO) test -race -run 'Parallel|PlannerDifferential' ./...
 
 # One-iteration benchmark smoke: the scan and drain benchmarks must
 # still compile and run (allocation regressions show up here first), and so

@@ -66,15 +66,6 @@ const (
 	LayoutCompressed = core.LayoutCompressed
 )
 
-// PlannerMode toggles cost-based query planning (DESIGN.md §12).
-type PlannerMode = core.PlannerMode
-
-// Planner modes.
-const (
-	PlannerOn  = core.PlannerOn
-	PlannerOff = core.PlannerOff
-)
-
 // ColumnarMode toggles columnar frozen blocks and vectorized
 // execution on the compressed layout (DESIGN.md §13).
 type ColumnarMode = core.ColumnarMode

@@ -52,7 +52,6 @@ var (
 	workers   = flag.Int("workers", 0, "intra-query scan workers (0 = GOMAXPROCS, 1 = serial)")
 	walDir    = flag.String("wal", "", "run durably: write-ahead log and snapshots in this directory")
 	syncMode  = flag.String("sync", "always", "WAL commit policy: always, batch or none")
-	plannerOn = flag.Bool("planner", true, "cost-based query planning (false = legacy fixed access heuristics)")
 	columnar  = flag.Bool("columnar", true, "columnar frozen blocks + vectorized execution on the compressed layout (false = legacy row-in-blob)")
 	traceOn   = flag.Bool("trace", false, "print the execution trace tree after every xquery")
 	slowQ     = flag.Duration("slow", 0, "log queries at least this slow to stderr (0 = off)")
@@ -114,16 +113,11 @@ func main() {
 			return
 		}
 	}
-	planner := archis.PlannerOn
-	if !*plannerOn {
-		planner = archis.PlannerOff
-	}
 	colMode := archis.ColumnarOn
 	if !*columnar {
 		colMode = archis.ColumnarOff
 	}
-	sys, err := archis.New(archis.Options{Layout: lay, Workers: *workers,
-		Planner: planner, Columnar: colMode,
+	sys, err := archis.New(archis.Options{Layout: lay, Workers: *workers, Columnar: colMode,
 		WALDir: *walDir, WALSync: sync,
 		SlowQueryThreshold: *slowQ,
 		SlowQueryLog:       func(rec string) { fmt.Fprintln(os.Stderr, rec) }})

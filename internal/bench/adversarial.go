@@ -10,7 +10,7 @@ import (
 
 // Adversarial-selectivity planner benchmark (TestPlannerAdversarialAccess
 // and BenchmarkAdversarial*). The workload is built to punish the
-// legacy always-index heuristic: an indexed eq predicate matching 75%
+// always-index heuristic: an indexed eq predicate matching 75%
 // of the table (a skewed two-value column), where a sequential scan
 // is clearly cheaper than probing the B+tree row by row — with the
 // zero-copy probe path, exactly 50% is near break-even on one core,
@@ -20,18 +20,19 @@ import (
 // planner still takes the index when it should.
 
 // PlannerRecord is one cell of the adversarial workload: a query run
-// with the planner on or off, with the access path the engine chose.
+// under the planner's access path or a forced one, with the access
+// path taken and the rows matched.
 type PlannerRecord struct {
-	Case    string
-	Planner bool
-	Access  string // "scan" or "index"
-	Rows    int    // rows the predicate matches
+	Case   string
+	Forced string // "" for the planned access path, else the forced plan's name
+	Access string // "scan" or "index"
+	Rows   int    // rows the predicate matches
 }
 
 // BuildAdversarialEngine creates a standalone SQL engine holding one
 // table `adv` of n rows: id is unique, flag is 1 on three rows out of
 // four. Both columns are indexed, so every eq predicate tempts the
-// legacy always-index heuristic.
+// always-index heuristic.
 func BuildAdversarialEngine(n int) (*sqlengine.Engine, error) {
 	en := sqlengine.New(relstore.NewDatabase())
 	if _, err := en.Exec(`create table adv (id INT, flag INT, v INT)`); err != nil {
@@ -66,7 +67,7 @@ func BuildAdversarialEngine(n int) (*sqlengine.Engine, error) {
 }
 
 // AccessPath EXPLAINs the query and reports which access path the
-// current planner mode chose for its (single) table.
+// planner chose for its (single) table.
 func AccessPath(en *sqlengine.Engine, query string) (string, error) {
 	res, err := en.Exec("EXPLAIN " + query)
 	if err != nil {
@@ -85,17 +86,21 @@ func AccessPath(en *sqlengine.Engine, query string) (string, error) {
 }
 
 // PlannerAdversarial runs the permissive (75%-match) and selective eq
-// predicates with the cost-based planner on and off and reports the
-// chosen access path and the matched row count per cell. The caller
-// asserts the decisions (scan on the permissive predicate, index when
-// selective); BenchmarkAdversarialScan/Probe time the two paths.
+// predicates under the planner's access path and under the other one,
+// forced (sqlengine.ForEachPlan): the ix_adv_flag probe the
+// always-index heuristic takes, and a scan. It reports the access
+// path and the matched row count per cell. The caller asserts the
+// decisions (scan on the permissive predicate, index when selective);
+// BenchmarkAdversarialScan/Probe time the two paths.
 func PlannerAdversarial(n int) ([]PlannerRecord, error) {
 	cases := []struct {
-		name  string
-		query string
+		name   string
+		query  string
+		forced string // the forced plan, and its access path
+		access string
 	}{
-		{"permissive-eq", `select count(*), sum(v) from adv where flag = 1`},
-		{"selective-eq", fmt.Sprintf(`select count(*), sum(v) from adv where id = %d`, n/2)},
+		{"permissive-eq", `select count(*), sum(v) from adv where flag = 1`, "adv: index ix_adv_flag #0", "index"},
+		{"selective-eq", fmt.Sprintf(`select count(*), sum(v) from adv where id = %d`, n/2), "adv: pruned scan", "scan"},
 	}
 	var out []PlannerRecord
 	for _, c := range cases {
@@ -103,23 +108,33 @@ func PlannerAdversarial(n int) ([]PlannerRecord, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, planner := range []bool{true, false} {
-			en.Planner = planner
-			access, err := AccessPath(en, c.query)
-			if err != nil {
-				return nil, err
+		planned, err := AccessPath(en, c.query)
+		if err != nil {
+			return nil, err
+		}
+		err = sqlengine.ForEachPlan(en, nil, c.query, func(plan string, run func() (*sqlengine.Result, error)) error {
+			rec := PlannerRecord{Case: c.name, Access: planned}
+			switch plan {
+			case "planned":
+			case c.forced:
+				rec.Forced, rec.Access = plan, c.access
+			default:
+				return nil
 			}
-			res, err := en.Exec(c.query)
+			res, err := run()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			matched := 0
 			if len(res.Rows) == 1 && len(res.Rows[0]) > 0 {
 				if v, ok := res.Rows[0][0].AsInt(); ok {
-					matched = int(v)
+					rec.Rows = int(v)
 				}
 			}
-			out = append(out, PlannerRecord{Case: c.name, Planner: planner, Access: access, Rows: matched})
+			out = append(out, rec)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

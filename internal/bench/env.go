@@ -49,9 +49,6 @@ type Options struct {
 	// Workers is the intra-query scan parallelism (0 = GOMAXPROCS,
 	// 1 = serial); see core.Options.Workers.
 	Workers int
-	// Planner toggles cost-based planning (zero value = on); see
-	// core.Options.Planner.
-	Planner core.PlannerMode
 	// Columnar toggles columnar frozen blocks + vectorized execution
 	// (zero value = on); see core.Options.Columnar.
 	Columnar core.ColumnarMode
@@ -84,7 +81,6 @@ func Build(cfg dataset.Config, opts Options) (*Env, error) {
 		MinSegmentRows:          opts.MinSegmentRows,
 		WholeSegmentCompression: opts.WholeSegments,
 		Workers:                 opts.Workers,
-		Planner:                 opts.Planner,
 		Columnar:                opts.Columnar,
 		WALDir:                  opts.WALDir,
 		WALFS:                   opts.WALFS,

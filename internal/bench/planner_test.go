@@ -1,20 +1,26 @@
 package bench
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"archis/internal/core"
+	"archis/internal/relstore"
+	"archis/internal/sqlengine"
 )
 
 // TestPlannerDifferentialLayouts runs the full Table 3 suite, the
 // self-join and the translated XQuery forms of Q1 and Q3 (x1, x3) on
-// every physical layout with the cost-based planner on and off and
-// requires identical answers — the planner may only change how a query
-// runs, never what it returns. The translated SQL carries the id
-// constant on the key table only, so planner on reads the history
-// through the id bound inference derives. CI runs this under -race.
+// every physical layout under every forced plan (sqlengine.ForEachPlan)
+// and requires the planned run's answer from each — a plan may only
+// change how a query runs, never what it returns. The translated SQL
+// carries the id constant on the key table only, so the planned run
+// reads the history through the id bound inference derives, and the
+// no-derived-bounds plan reads it whole. CI runs this under -race.
 func TestPlannerDifferentialLayouts(t *testing.T) {
 	for _, lay := range []struct {
 		name string
@@ -24,49 +30,62 @@ func TestPlannerDifferentialLayouts(t *testing.T) {
 		{"clustered", Options{Layout: core.LayoutClustered}},
 		{"compressed", Options{Layout: core.LayoutCompressed, Compress: true}},
 	} {
-		on := buildExplainEnv(t, lay.opts)
-		offOpts := lay.opts
-		offOpts.Planner = core.PlannerOff
-		off := buildExplainEnv(t, offOpts)
+		e := buildExplainEnv(t, lay.opts)
+		check := func(name, sql string) {
+			t.Helper()
+			if err := comparePlans(e, sql); err != nil {
+				t.Errorf("%s %s: %v", lay.name, name, err)
+			}
+		}
 		for _, q := range AllQueries {
-			got, err := on.Run(q)
-			if err != nil {
-				t.Fatalf("%s Q%d planner on: %v", lay.name, q, err)
-			}
-			want, err := off.Run(q)
-			if err != nil {
-				t.Fatalf("%s Q%d planner off: %v", lay.name, q, err)
-			}
-			if got != want {
-				t.Errorf("%s Q%d: planner changed the answer: %+v vs %+v", lay.name, q, got, want)
-			}
+			check(Describe(q), e.SQL(q))
 		}
-		gj, err := on.Sys.Exec(on.JoinSQL())
-		if err != nil {
-			t.Fatalf("%s join planner on: %v", lay.name, err)
-		}
-		wj, err := off.Sys.Exec(off.JoinSQL())
-		if err != nil {
-			t.Fatalf("%s join planner off: %v", lay.name, err)
-		}
-		if resultOf(gj) != resultOf(wj) || len(gj.Rows) != len(wj.Rows) {
-			t.Errorf("%s join: planner changed the answer: %+v vs %+v",
-				lay.name, resultOf(gj), resultOf(wj))
-		}
-		translated, err := on.TranslatedSQL()
+		check("join", e.JoinSQL())
+		translated, err := e.TranslatedSQL()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, sql := range translated {
-			got, want := rowTexts(t, on, sql), rowTexts(t, off, sql)
-			if len(got) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
-				t.Errorf("%s x%d: planner changed the answer:\n%v\nvs\n%v", lay.name, 2*i+1, got, want)
+			if len(rowTexts(t, e, sql)) == 0 {
+				t.Errorf("%s x%d: no rows", lay.name, 2*i+1)
 			}
-			if plan := explain(t, on, sql); !strings.Contains(plan, "derived=1") {
+			check(fmt.Sprintf("x%d", 2*i+1), sql)
+			if plan := explain(t, e, sql); !strings.Contains(plan, "derived=1") {
 				t.Errorf("%s x%d: the history read carries no derived id bound:\n%s", lay.name, 2*i+1, plan)
 			}
 		}
 	}
+}
+
+// comparePlans runs sql under every plan (sqlengine.ForEachPlan) and
+// returns an error naming the first whose rows, as a multiset, differ
+// from the planned run's. Floats compare to 12 significant digits:
+// plans may add them in different orders.
+func comparePlans(e *Env, sql string) error {
+	var want []string
+	return sqlengine.ForEachPlan(e.Sys.Engine, nil, sql, func(plan string, run func() (*sqlengine.Result, error)) error {
+		res, err := run()
+		if err != nil {
+			return fmt.Errorf("plan %s: %w", plan, err)
+		}
+		got := make([]string, len(res.Rows))
+		for i, row := range res.Rows {
+			for _, v := range row {
+				if v.Kind == relstore.TypeFloat {
+					got[i] += strconv.FormatFloat(v.F, 'g', 12, 64) + "|"
+				} else {
+					got[i] += v.Text() + "|"
+				}
+			}
+		}
+		sort.Strings(got)
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			return fmt.Errorf("plan %s answers differently from the planned run\n  sql: %s\n  planned: %q\n  forced:  %q", plan, sql, want, got)
+		}
+		return nil
+	})
 }
 
 // rowTexts runs sql and returns its rows as sorted text lines.
@@ -90,9 +109,9 @@ func rowTexts(t *testing.T, e *Env, sql string) []string {
 
 // TestPlannerAdversarialAccess pins the access-path decisions of the
 // adversarial benchmark without timing anything: on the permissive
-// (75%-match) predicate the planner must scan where the legacy
-// heuristic probes the index, at 1/n selectivity both must probe, and
-// every cell must agree on the answer.
+// (75%-match) predicate the planner must scan, at 1/n selectivity it
+// must probe the index, and the other path, forced, must agree on the
+// answer in every cell.
 func TestPlannerAdversarialAccess(t *testing.T) {
 	recs, err := PlannerAdversarial(20000)
 	if err != nil {
@@ -100,29 +119,26 @@ func TestPlannerAdversarialAccess(t *testing.T) {
 	}
 	byCell := map[string]PlannerRecord{}
 	for _, r := range recs {
-		key := r.Case
-		if r.Planner {
-			key += "/on"
-		} else {
-			key += "/off"
+		key := r.Case + "/planned"
+		if r.Forced != "" {
+			key = r.Case + "/forced"
 		}
 		byCell[key] = r
 	}
-	if got := byCell["permissive-eq/on"].Access; got != "scan" {
-		t.Errorf("planner chose %q for the permissive predicate, want scan", got)
-	}
-	if got := byCell["permissive-eq/off"].Access; got != "index" {
-		t.Errorf("legacy heuristic chose %q for the permissive predicate, want index", got)
-	}
-	for _, cell := range []string{"selective-eq/on", "selective-eq/off"} {
-		if got := byCell[cell].Access; got != "index" {
-			t.Errorf("%s chose %q, want index", cell, got)
+	for cell, want := range map[string]string{
+		"permissive-eq/planned": "scan",
+		"permissive-eq/forced":  "index",
+		"selective-eq/planned":  "index",
+		"selective-eq/forced":   "scan",
+	} {
+		if got := byCell[cell].Access; got != want {
+			t.Errorf("%s took %q, want %s", cell, got, want)
 		}
 	}
-	if on, off := byCell["permissive-eq/on"].Rows, byCell["permissive-eq/off"].Rows; on != off || on != 15000 {
-		t.Errorf("permissive-eq matched %d (on) vs %d (off) rows, want 15000", on, off)
+	if p, f := byCell["permissive-eq/planned"].Rows, byCell["permissive-eq/forced"].Rows; p != f || p != 15000 {
+		t.Errorf("permissive-eq matched %d (planned) vs %d (forced) rows, want 15000", p, f)
 	}
-	if on, off := byCell["selective-eq/on"].Rows, byCell["selective-eq/off"].Rows; on != off || on != 1 {
-		t.Errorf("selective-eq matched %d (on) vs %d (off) rows, want 1", on, off)
+	if p, f := byCell["selective-eq/planned"].Rows, byCell["selective-eq/forced"].Rows; p != f || p != 1 {
+		t.Errorf("selective-eq matched %d (planned) vs %d (forced) rows, want 1", p, f)
 	}
 }

@@ -45,19 +45,6 @@ const (
 	LayoutCompressed
 )
 
-// PlannerMode toggles cost-based query planning (DESIGN.md §12).
-type PlannerMode uint8
-
-const (
-	// PlannerOn is the default: cost-based access-path selection,
-	// hash-join build-side choice and greedy join ordering.
-	PlannerOn PlannerMode = iota
-	// PlannerOff forces the legacy fixed heuristics (always prefer an
-	// eq-index probe, build hash joins on the inner side, fold joins
-	// in FROM order) — kept for differential testing.
-	PlannerOff
-)
-
 // ColumnarMode toggles columnar frozen-segment encoding and the
 // vectorized batch executor (DESIGN.md §13).
 type ColumnarMode uint8
@@ -94,10 +81,6 @@ type Options struct {
 	// scan/aggregate SELECTs (0 = GOMAXPROCS, 1 = serial). See
 	// sqlengine.Engine.Workers.
 	Workers int
-	// Planner toggles cost-based access-path and join planning (the
-	// PlannerOn zero value enables it; PlannerOff forces the legacy
-	// heuristics). See sqlengine.Engine.Planner.
-	Planner PlannerMode
 	// Columnar toggles columnar frozen-block encoding plus vectorized
 	// batch execution (the ColumnarOn zero value enables it;
 	// ColumnarOff restores legacy row-in-blob writes and the
@@ -204,7 +187,6 @@ func newWithDB(db *relstore.Database, opts Options) (*System, error) {
 	}
 	en := sqlengine.New(db)
 	en.Workers = opts.Workers
-	en.Planner = opts.Planner == PlannerOn
 	en.Columnar = opts.Columnar == ColumnarOn
 	db.SetBlockCacheBytes(opts.BlockCacheBytes)
 	a, err := htable.New(en, opts.Capture)

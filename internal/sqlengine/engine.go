@@ -79,13 +79,6 @@ type Engine struct {
 	// paths fan out.
 	Workers int
 
-	// Planner enables cost-based access-path and join planning
-	// (DESIGN.md §12; New sets it). False falls back to the legacy
-	// fixed heuristics — always prefer an eq-index probe, build hash
-	// joins on the inner side, fold joins in FROM order — kept for
-	// planner-on/off differential testing.
-	Planner bool
-
 	// Columnar enables the vectorized single-table path over storage
 	// that streams column batches (DESIGN.md §13; New sets it). False
 	// falls back to the row-at-a-time executor on the same storage —
@@ -122,7 +115,6 @@ func (en *Engine) scanWorkers() int {
 func New(db *relstore.Database) *Engine {
 	en := &Engine{
 		DB:          db,
-		Planner:     true,
 		Columnar:    true,
 		scalarFuncs: map[string]ScalarFunc{},
 		aggFuncs:    map[string]AggFunc{},
@@ -278,7 +270,7 @@ func (en *Engine) ExecStmtTracedAtCtx(ctx context.Context, stmt Statement, sp *o
 	case *SelectStmt:
 		sn, release := en.snapshotFor(sn)
 		defer release()
-		return en.execSelect(ctx, s, sp, sn)
+		return en.execSelect(ctx, s, sp, sn, planned)
 	case *ExplainStmt:
 		sn, release := en.snapshotFor(sn)
 		defer release()
@@ -416,12 +408,6 @@ func (en *Engine) execUpdate(s *UpdateStmt) (*Result, error) {
 		return nil, err
 	}
 	layout := layoutFor(s.Table, tbl.Schema())
-	var where evalFunc
-	if s.Where != nil {
-		if where, err = en.compileExpr(s.Where, layout); err != nil {
-			return nil, err
-		}
-	}
 	type setOp struct {
 		pos int
 		fn  evalFunc
@@ -440,7 +426,7 @@ func (en *Engine) execUpdate(s *UpdateStmt) (*Result, error) {
 	}
 	// Materialize targets first: mutating while scanning would skew
 	// the scan.
-	targets, err := en.findTargets(tbl, s.Table, s.Where, where)
+	targets, err := en.findTargets(tbl, s.Table, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -470,13 +456,7 @@ func (en *Engine) execDelete(s *DeleteStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var where evalFunc
-	if s.Where != nil {
-		if where, err = en.compileExpr(s.Where, layoutFor(s.Table, tbl.Schema())); err != nil {
-			return nil, err
-		}
-	}
-	targets, err := en.findTargets(tbl, s.Table, s.Where, where)
+	targets, err := en.findTargets(tbl, s.Table, s.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -497,72 +477,48 @@ type dmlTarget struct {
 	old relstore.Row
 }
 
-// findTargets locates the rows matching a DML WHERE clause, using an
-// index-equality fast path and zone-map pruning when possible so
-// point updates don't scan the whole table.
-func (en *Engine) findTargets(tbl *relstore.Table, alias string, whereExpr Expr, compiled evalFunc) ([]dmlTarget, error) {
+// findTargets locates the rows matching a DML WHERE clause through the
+// planner's access path (planScan): an eq-index probe or a zone-pruned
+// scan, then the full WHERE filter.
+func (en *Engine) findTargets(tbl *relstore.Table, alias string, where Expr) ([]dmlTarget, error) {
+	src := &source{alias: alias, schema: tbl.Schema(), base: tbl}
+	var conjuncts []Expr
+	if where != nil {
+		conjuncts = splitAnd(where, nil)
+	}
+	p, err := en.planScan(src, conjuncts, []*source{src})
+	if err != nil {
+		return nil, err
+	}
 	var targets []dmlTarget
-	emit := func(rid relstore.RID, row relstore.Row) (bool, error) {
-		if compiled != nil {
-			v, err := compiled(row)
-			if err != nil {
-				return false, err
-			}
-			if !v.AsBool() {
-				return true, nil
+	keep := func(rid relstore.RID, row relstore.Row) error {
+		if p.filter != nil {
+			if v, err := p.filter(row); err != nil || !v.AsBool() {
+				return err
 			}
 		}
 		targets = append(targets, dmlTarget{rid, row.Clone()})
-		return true, nil
+		return nil
 	}
-
-	src := &source{alias: alias, schema: tbl.Schema(), base: tbl}
-	var bounds []relstore.ZoneBound
-	if whereExpr != nil {
-		for _, c := range splitAnd(whereExpr, nil) {
-			col, op, v, ok := en.colConstConjunct(c, src, []*source{src})
-			if !ok {
-				continue
+	if p.eqIndex != nil {
+		for _, rid := range p.eqIndex.Lookup([]relstore.Value{p.eqVal}) {
+			row, live, err := tbl.GetBorrow(rid)
+			if err == nil && live {
+				err = keep(rid, row)
 			}
-			ct := tbl.Schema().Columns[col].Type
-			zv, err := coerce(v, ct)
 			if err != nil {
-				continue
-			}
-			if (ct == relstore.TypeInt || ct == relstore.TypeDate) &&
-				(zv.Kind == relstore.TypeInt || zv.Kind == relstore.TypeDate) {
-				bounds = append(bounds, relstore.ZoneBound{Col: col, Op: op, Bound: zv.I})
-			}
-			if op == "=" {
-				if ix := tbl.IndexOn(col); ix != nil {
-					for _, rid := range ix.Lookup([]relstore.Value{zv}) {
-						row, live, err := tbl.GetBorrow(rid)
-						if err != nil {
-							return nil, err
-						}
-						if !live {
-							continue
-						}
-						if _, err := emit(rid, row); err != nil {
-							return nil, err
-						}
-					}
-					return targets, nil
-				}
+				return nil, err
 			}
 		}
+		return targets, nil
 	}
-	var scanErr error
-	err := tbl.ScanBorrow(bounds, func(rid relstore.RID, row relstore.Row) bool {
-		cont, err := emit(rid, row)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		return cont
+	var keepErr error
+	err = tbl.ScanBorrow(p.bounds, func(rid relstore.RID, row relstore.Row) bool {
+		keepErr = keep(rid, row)
+		return keepErr == nil
 	})
 	if err == nil {
-		err = scanErr
+		err = keepErr
 	}
 	return targets, err
 }

@@ -593,3 +593,31 @@ func TestRenderLimitAndDistinct(t *testing.T) {
 		}
 	}
 }
+
+// TestDMLTargetsMatchSelect pins that UPDATE and DELETE pick the rows a
+// SELECT with the same WHERE returns: their targets go through the
+// planner's access path. A float bound on an INT column once became a
+// truncated zone bound (`k < 0.5` pruned as `k < 0`), so the DML
+// skipped the row k = 0 that the SELECT counted.
+func TestDMLTargetsMatchSelect(t *testing.T) {
+	en := New(relstore.NewDatabase())
+	en.MustExec(`create table t (k INT, v INT)`)
+	en.MustExec(`create index ix_t_k on t (k)`)
+	for i := 0; i < 500; i++ {
+		if err := en.InsertRow("t", relstore.Row{relstore.Int(int64(i)), relstore.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tb, ok := en.DB.Table("t"); ok {
+		tb.Flush()
+	}
+	for _, where := range []string{`k < 0.5`, `k <= 3.5`, `k > 497.5`, `k = 7`, `k = 7.0`, `k = '9'`, `k >= 100 and k < 102`} {
+		want := queryStrings(t, en, `select count(*) from t where `+where)[0]
+		if got := fmt.Sprint(en.MustExec(`update t set v = v + 1 where ` + where).RowsAffected); got != want {
+			t.Errorf("update where %s touched %s rows, select counts %s", where, got, want)
+		}
+		if got := fmt.Sprint(en.MustExec(`delete from t where ` + where).RowsAffected); got != want {
+			t.Errorf("delete where %s removed %s rows, select counts %s", where, got, want)
+		}
+	}
+}

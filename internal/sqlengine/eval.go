@@ -61,10 +61,6 @@ type evalFunc func(row relstore.Row) (relstore.Value, error)
 // and unwrapped at output time; the tag never reaches serialized XML.
 const forestTag = "#forest"
 
-func isForest(v relstore.Value) bool {
-	return v.Kind == relstore.TypeXML && v.X != nil && v.X.Name == forestTag
-}
-
 // compileExpr builds an evaluator for e. Aggregate calls are not
 // allowed here; grouping compiles them separately.
 func (en *Engine) compileExpr(e Expr, layout *rowLayout) (evalFunc, error) {

@@ -13,11 +13,6 @@ import (
 	"archis/internal/temporal"
 )
 
-// indexJoinThreshold: below this many outer rows, an index
-// nested-loop join beats building a hash table over the (possibly
-// huge) inner table — the Q1/Q3 "single object" shape.
-const indexJoinThreshold = 4096
-
 // source abstracts base and virtual tables for scanning.
 type source struct {
 	alias   string
@@ -27,16 +22,14 @@ type source struct {
 	// needed marks the columns the statement reads from this source
 	// (markNeeded); nil means all. Batch reads decode only these.
 	needed []bool
+	// workers is the read's morsel parallelism (Engine.Workers
+	// resolved). access is zero unless a forced plan pins the read's
+	// access path (forcedplan.go).
+	workers int
+	access  accessForce
 }
 
-func (s *source) scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error {
-	if s.base != nil {
-		return s.base.Scan(bounds, func(_ relstore.RID, row relstore.Row) bool { return fn(row) })
-	}
-	return s.virtual.Scan(bounds, fn)
-}
-
-// scanBorrow is scan on the zero-copy path: rows may alias shared
+// scanBorrow scans s on the zero-copy path: rows may alias shared
 // immutable storage and must be treated as read-only (virtual tables
 // already hand out borrowed rows; see VirtualTable).
 func (s *source) scanBorrow(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error {
@@ -90,6 +83,30 @@ func (en *Engine) resolveSource(ref TableRef, sn *relstore.Snapshot) (*source, e
 	return &source{alias: ref.Alias, schema: tbl.Schema(), base: tbl}, nil
 }
 
+// bindSources resolves a SELECT's FROM list against sn, rejecting a
+// repeated alias.
+func (en *Engine) bindSources(stmt *SelectStmt, sn *relstore.Snapshot) ([]*source, error) {
+	if len(stmt.From) == 0 {
+		return nil, fmt.Errorf("sql: SELECT requires FROM")
+	}
+	sources := make([]*source, len(stmt.From))
+	seen := map[string]bool{}
+	for i, ref := range stmt.From {
+		s, err := en.resolveSource(ref, sn)
+		if err != nil {
+			return nil, err
+		}
+		key := strings.ToLower(ref.Alias)
+		if seen[key] {
+			return nil, fmt.Errorf("sql: duplicate alias %s", ref.Alias)
+		}
+		seen[key] = true
+		s.workers = en.scanWorkers()
+		sources[i] = s
+	}
+	return sources, nil
+}
+
 // splitAnd flattens a conjunction into its conjuncts.
 func splitAnd(e Expr, out []Expr) []Expr {
 	if b, ok := e.(*BinaryExpr); ok && b.Op == "AND" {
@@ -102,101 +119,28 @@ func splitAnd(e Expr, out []Expr) []Expr {
 // exprAliases collects the table aliases referenced by an expression,
 // resolving unqualified column names against the candidate sources.
 func exprAliases(e Expr, sources []*source, out map[string]bool) error {
-	switch x := e.(type) {
-	case nil, *Literal:
-	case *ColRef:
-		if x.Qual != "" {
-			out[strings.ToLower(x.Qual)] = true
-			return nil
-		}
-		matches := 0
-		var owner string
-		for _, s := range sources {
-			if s.schema.ColumnIndex(x.Name) >= 0 {
-				matches++
-				owner = s.alias
+	var err error
+	walkExpr(e, func(sub Expr) {
+		ref, ok := sub.(*ColRef)
+		switch {
+		case !ok || err != nil:
+		case ref.Qual != "":
+			out[strings.ToLower(ref.Qual)] = true
+		default:
+			matches, owner := 0, ""
+			for _, s := range sources {
+				if s.schema.ColumnIndex(ref.Name) >= 0 {
+					matches, owner = matches+1, s.alias
+				}
+			}
+			if matches > 1 {
+				err = fmt.Errorf("sql: ambiguous column %s", ref.Name)
+			} else if matches == 1 {
+				out[strings.ToLower(owner)] = true
 			}
 		}
-		if matches > 1 {
-			return fmt.Errorf("sql: ambiguous column %s", x.Name)
-		}
-		if matches == 1 {
-			out[strings.ToLower(owner)] = true
-		}
-	case *BinaryExpr:
-		if err := exprAliases(x.L, sources, out); err != nil {
-			return err
-		}
-		return exprAliases(x.R, sources, out)
-	case *UnaryExpr:
-		return exprAliases(x.X, sources, out)
-	case *IsNullExpr:
-		return exprAliases(x.X, sources, out)
-	case *InExpr:
-		if err := exprAliases(x.X, sources, out); err != nil {
-			return err
-		}
-		for _, it := range x.List {
-			if err := exprAliases(it, sources, out); err != nil {
-				return err
-			}
-		}
-	case *BetweenExpr:
-		for _, sub := range []Expr{x.X, x.Lo, x.Hi} {
-			if err := exprAliases(sub, sources, out); err != nil {
-				return err
-			}
-		}
-	case *FuncCall:
-		for _, a := range x.Args {
-			if err := exprAliases(a, sources, out); err != nil {
-				return err
-			}
-		}
-	case *XMLElementExpr:
-		for _, a := range x.Attrs {
-			if err := exprAliases(a.Expr, sources, out); err != nil {
-				return err
-			}
-		}
-		for _, c := range x.Children {
-			if err := exprAliases(c, sources, out); err != nil {
-				return err
-			}
-		}
-	case *XMLForestExpr:
-		for _, a := range x.Items {
-			if err := exprAliases(a.Expr, sources, out); err != nil {
-				return err
-			}
-		}
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			if err := exprAliases(w.Cond, sources, out); err != nil {
-				return err
-			}
-			if err := exprAliases(w.Result, sources, out); err != nil {
-				return err
-			}
-		}
-		if x.Else != nil {
-			return exprAliases(x.Else, sources, out)
-		}
-	}
-	return nil
-}
-
-// constValue evaluates an expression with no column references.
-func (en *Engine) constValue(e Expr) (relstore.Value, bool) {
-	fn, err := en.compileExpr(e, &rowLayout{})
-	if err != nil {
-		return relstore.Null, false
-	}
-	v, err := fn(nil)
-	if err != nil {
-		return relstore.Null, false
-	}
-	return v, true
+	})
+	return err
 }
 
 // colConstConjunct recognizes `col op const` (or reversed) against one
@@ -216,31 +160,20 @@ func (en *Engine) colConstConjunct(e Expr, s *source, sources []*source) (col in
 		if !isRef {
 			return 0, "", relstore.Null, false
 		}
-		if ref.Qual != "" && !strings.EqualFold(ref.Qual, s.alias) {
-			return 0, "", relstore.Null, false
-		}
-		if ref.Qual == "" {
-			// Must resolve uniquely to this source.
-			owners := map[string]bool{}
-			if err := exprAliases(ref, sources, owners); err != nil || len(owners) != 1 || !owners[strings.ToLower(s.alias)] {
-				return 0, "", relstore.Null, false
-			}
-		}
-		pos := s.schema.ColumnIndex(ref.Name)
-		if pos < 0 {
+		n, found := resolveColRef(ref, sources)
+		if !found || n.src != s {
 			return 0, "", relstore.Null, false
 		}
 		cv, okc := en.constOf(constSide, sources)
 		if !okc || cv.IsNull() {
 			return 0, "", relstore.Null, false
 		}
-		return pos, op, cv, true
+		return n.col, op, cv, true
 	}
 	if c, o, cv, okc := try(b.L, b.R, b.Op); okc {
 		return c, o, cv, true
 	}
-	flip := map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-	if c, o, cv, okc := try(b.R, b.L, flip[b.Op]); okc {
+	if c, o, cv, okc := try(b.R, b.L, flipOp[b.Op]); okc {
 		return c, o, cv, true
 	}
 	return 0, "", relstore.Null, false
@@ -248,21 +181,21 @@ func (en *Engine) colConstConjunct(e Expr, s *source, sources []*source) (col in
 
 // scanPlan is the compiled single-table access plan: pushed-down zone
 // bounds, an optional equality-index probe, the residual filter, and
-// (planner on) the cardinality estimates behind the choice.
+// the cardinality estimates behind the choice. cands lists every
+// usable eq-index probe, the ones a forced plan can pick.
 type scanPlan struct {
 	bounds  []relstore.ZoneBound
 	eqVal   relstore.Value
 	eqIndex *relstore.Index
 	filter  evalFunc
 	est     planEstimate
+	cands   []eqCandidate
 }
 
 // planScan builds the access plan for one source: index selection,
-// zone-bound pushdown, residual filter compilation. With the planner
-// on, the eq-index probe is taken only when the cost model prefers it
-// over the bounded scan and the most selective candidate wins; with
-// the planner off, the first eq conjunct with an index wins
-// unconditionally (the legacy heuristic).
+// zone-bound pushdown, residual filter compilation. The eq-index probe
+// is taken only when the cost model prefers it over the bounded scan,
+// and the most selective candidate wins.
 func (en *Engine) planScan(s *source, conjuncts []Expr, sources []*source) (*scanPlan, error) {
 	layout := layoutFor(s.alias, s.schema)
 	p := &scanPlan{}
@@ -305,11 +238,9 @@ func (en *Engine) planScan(s *source, conjuncts []Expr, sources []*source) (*sca
 			conj.ranges++
 		}
 	}
-	if en.Planner {
-		en.chooseAccess(s, p, cands, conj)
-	} else if len(cands) > 0 {
-		p.eqVal, p.eqIndex = cands[0].val, cands[0].ix
-	}
+	en.chooseAccess(s, p, cands, conj)
+	p.cands = cands
+	s.access.apply(p)
 
 	// Compile the full residual predicate (reapplying pushed bounds is
 	// harmless and keeps correctness independent of pruning).
@@ -386,61 +317,47 @@ func (en *Engine) runScanPlan(ctx context.Context, s *source, p *scanPlan, out r
 	return err
 }
 
-// equiJoinCond recognizes `a.x = b.y` between a bound alias set and a
-// new alias.
+// equiJoin is one `a.x = b.y` join key between the joined aliases and
+// a new one.
 type equiJoin struct {
 	boundPos int // column position in the joined layout
 	newPos   int // column position in the new source's schema
 }
 
+// equiJoinConds takes the join keys for folding s into the joined
+// aliases out of conjuncts; rest holds every other conjunct.
 func (en *Engine) equiJoinConds(conjuncts []Expr, joined *rowLayout, joinedAliases map[string]bool, s *source, sources []*source) ([]equiJoin, []Expr) {
 	var joins []equiJoin
 	var rest []Expr
 	for _, c := range conjuncts {
-		b, ok := c.(*BinaryExpr)
-		if !ok || b.Op != "=" {
-			rest = append(rest, c)
-			continue
-		}
-		lref, lok := b.L.(*ColRef)
-		rref, rok := b.R.(*ColRef)
-		if !lok || !rok {
-			rest = append(rest, c)
-			continue
-		}
-		side := func(ref *ColRef) (onNew bool, onBound bool) {
-			if ref.Qual != "" {
-				q := strings.ToLower(ref.Qual)
-				return q == strings.ToLower(s.alias), joinedAliases[q]
+		// ends[0] is the column of s, ends[1] the already-joined one.
+		var ends [2]colNode
+		ok := false
+		if b, isBin := c.(*BinaryExpr); isBin && b.Op == "=" {
+			lref, lok := b.L.(*ColRef)
+			rref, rok := b.R.(*ColRef)
+			if lok && rok {
+				ends[0], lok = resolveColRef(lref, sources)
+				ends[1], rok = resolveColRef(rref, sources)
+				ok = lok && rok
 			}
-			owners := map[string]bool{}
-			if err := exprAliases(ref, sources, owners); err != nil || len(owners) != 1 {
-				return false, false
-			}
-			for o := range owners {
-				return o == strings.ToLower(s.alias), joinedAliases[o]
-			}
-			return false, false
 		}
-		lNew, lBound := side(lref)
-		rNew, rBound := side(rref)
-		var newRef, boundRef *ColRef
-		switch {
-		case lNew && rBound:
-			newRef, boundRef = lref, rref
-		case rNew && lBound:
-			newRef, boundRef = rref, lref
-		default:
+		if ok && ends[1].src == s {
+			ends[0], ends[1] = ends[1], ends[0]
+		}
+		// Hash on the key only when both columns are of one key class,
+		// so key equality is compareValues equality (DESIGN.md §12).
+		if !ok || ends[0].src != s || !joinedAliases[strings.ToLower(ends[1].src.alias)] ||
+			keyClass(ends[0].typ()) != keyClass(ends[1].typ()) {
 			rest = append(rest, c)
 			continue
 		}
-		np := s.schema.ColumnIndex(newRef.Name)
-		bp, err := joined.resolve(boundRef.Qual, boundRef.Name)
-		if np < 0 || err != nil {
+		bp, err := joined.resolve(ends[1].src.alias, ends[1].src.schema.Columns[ends[1].col].Name)
+		if err != nil {
 			rest = append(rest, c)
 			continue
 		}
-		joins = append(joins, equiJoin{boundPos: bp, newPos: np})
+		joins = append(joins, equiJoin{boundPos: bp, newPos: ends[0].col})
 	}
 	return joins, rest
 }
@@ -448,28 +365,44 @@ func (en *Engine) equiJoinConds(conjuncts []Expr, joined *rowLayout, joinedAlias
 // foldConds splits the pending multi-source conjuncts for folding s
 // into the joined aliases: the equi-join keys, and, when the planner
 // chose a build-on-inner hash join, a band on s (bandConds). rest is
-// what the joins leave for later folds or the final filter.
-func (en *Engine) foldConds(pending []Expr, joined *rowLayout, joinedAliases map[string]bool, s *source, sources []*source, fp *foldPlan) ([]equiJoin, *joinBand, []Expr, error) {
+// what the joins leave for later folds or the final filter; a nested
+// loop takes no keys, so all of pending is.
+func (en *Engine) foldConds(pending []Expr, joined *rowLayout, joinedAliases map[string]bool, s *source, sources []*source, fp *foldPlan, f *planForce) ([]equiJoin, *joinBand, []Expr, error) {
+	if fp.strategy == stratNested {
+		return nil, nil, pending, nil
+	}
 	joins, rest := en.equiJoinConds(pending, joined, joinedAliases, s, sources)
-	if fp == nil || fp.strategy != stratHashBuildInner || len(joins) == 0 {
+	if fp.strategy != stratHashBuildInner || len(joins) == 0 || f.noBand {
 		return joins, nil, rest, nil
 	}
 	band, rest, err := en.bandConds(rest, joined, joinedAliases, s, sources)
 	return joins, band, rest, err
 }
 
+// keyClass is the key class of a kind: INT and DATE share one, since
+// compareValues compares their payloads; every other kind is its own.
+// Two values of one class have equal keys exactly when compareValues
+// finds them equal (DESIGN.md §12).
+func keyClass(t relstore.Type) relstore.Type {
+	if t == relstore.TypeDate {
+		return relstore.TypeInt
+	}
+	return t
+}
+
 // appendKey appends a self-delimiting, collision-proof encoding of
 // vals to dst — the shared scratch-buffer key builder for hash joins,
-// GROUP BY and DISTINCT. Every value starts with its kind tag and
+// GROUP BY and DISTINCT. Every value starts with its key-class tag and
 // carries a fixed-width payload (floats, bools), a varint (ints,
-// dates) or a uvarint length prefix (text, blobs), so no two distinct
-// value lists can share an encoding. The previous terminator-based
+// dates) or a uvarint length prefix (text, blobs), so two value lists
+// share an encoding only when compareValues finds them equal, value by
+// value, within a key class. The previous terminator-based
 // scheme collided whenever a payload embedded the terminator:
 // ("a\x00\x03b","c") and ("a","b\x00\x03c") encoded identically.
 func appendKey(dst []byte, vals []relstore.Value) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	for _, v := range vals {
-		dst = append(dst, byte(v.Kind))
+		dst = append(dst, byte(keyClass(v.Kind)))
 		switch v.Kind {
 		case relstore.TypeNull:
 			// The kind tag alone identifies NULL.
@@ -477,7 +410,11 @@ func appendKey(dst []byte, vals []relstore.Value) []byte {
 			n := binary.PutVarint(tmp[:], v.I)
 			dst = append(dst, tmp[:n]...)
 		case relstore.TypeFloat:
-			binary.LittleEndian.PutUint64(tmp[:8], math.Float64bits(v.F))
+			f := v.F
+			if f == 0 {
+				f = 0 // -0 compares equal to 0, so it keys as 0
+			}
+			binary.LittleEndian.PutUint64(tmp[:8], math.Float64bits(f))
 			dst = append(dst, tmp[:8]...)
 		case relstore.TypeBool:
 			if v.Truth {
@@ -499,30 +436,20 @@ func appendKey(dst []byte, vals []relstore.Value) []byte {
 	return dst
 }
 
-func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span, sn *relstore.Snapshot) (*Result, error) {
-	if len(stmt.From) == 0 {
-		return nil, fmt.Errorf("sql: SELECT requires FROM")
-	}
+// execSelect runs a SELECT under the alternatives f pins
+// (forcedplan.go); every production path passes planned.
+func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span, sn *relstore.Snapshot, f *planForce) (*Result, error) {
 	if sn != nil {
 		sp.SetInt("snapshot_lsn", int64(sn.LSN()))
 	}
-	sources := make([]*source, len(stmt.From))
-	seen := map[string]bool{}
-	for i, ref := range stmt.From {
-		s, err := en.resolveSource(ref, sn)
-		if err != nil {
-			return nil, err
-		}
-		key := strings.ToLower(ref.Alias)
-		if seen[key] {
-			return nil, fmt.Errorf("sql: duplicate alias %s", ref.Alias)
-		}
-		seen[key] = true
-		sources[i] = s
+	sources, err := en.bindSources(stmt, sn)
+	if err != nil {
+		return nil, err
 	}
+	f.bind(sources)
 
 	perAlias := map[string][]Expr{}
-	split, err := en.splitConjuncts(ctx, stmt, sources, perAlias)
+	split, err := en.splitConjuncts(ctx, stmt, sources, perAlias, f)
 	if err != nil {
 		return nil, err
 	}
@@ -541,14 +468,12 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		}
 	}
 
-	// Plan the fold order. With the planner on, sources are reordered
-	// greedily by estimated cardinality and each fold gets a static,
-	// estimate-driven strategy; with it off, FROM order and the legacy
-	// runtime heuristics apply.
+	// Plan the fold order: sources are reordered greedily by estimated
+	// cardinality and each fold gets a static, estimate-driven strategy.
 	ordered := sources
 	var jplan *joinPlan
-	if en.Planner && len(sources) > 1 {
-		if jplan, err = en.planJoins(sources, perAlias, multi); err != nil {
+	if len(sources) > 1 {
+		if jplan, err = en.planJoins(sources, perAlias, multi, f); err != nil {
 			return nil, err
 		}
 		ordered = make([]*source, len(sources))
@@ -581,15 +506,12 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		if err != nil {
 			return nil, err
 		}
-		est := rd.plan.est
 		if rd.batch != nil {
 			rd.label(ss)
-		} else if est.Planned {
-			ss.SetAttr("access", est.Access)
+		} else {
+			ss.SetAttr("access", rd.plan.est.Access)
 		}
-		if est.Planned {
-			ss.SetInt("est_rows", int64(est.OutRows))
-		}
+		ss.SetInt("est_rows", int64(rd.plan.est.OutRows))
 		if c == nil {
 			rows, err = en.readRows(ctx, rd, ss)
 			ss.AddRows(0, int64(len(rows)))
@@ -618,11 +540,8 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		if foldProbe.check() {
 			return nil, foldProbe.err()
 		}
-		var fp *foldPlan
-		if jplan != nil {
-			fp = &jplan.folds[fi]
-		}
-		joins, band, rest, err := en.foldConds(pendingMulti, layout, joinedAliases, s, sources, fp)
+		fp := &jplan.folds[fi]
+		joins, band, rest, err := en.foldConds(pendingMulti, layout, joinedAliases, s, sources, fp, f)
 		if err != nil {
 			return nil, err
 		}
@@ -636,32 +555,11 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		}
 
 		singles := perAlias[strings.ToLower(s.alias)]
-		fuse := false
-		if fi == 0 {
-			fuse = len(joins) > 0
-			if fp != nil {
-				fuse = fuse && fp.strategy == stratHashBuildInner
-			} else {
-				// Legacy rule: fuse only when the index-join plan is
-				// off the table regardless of outer cardinality.
-				fuse = fuse && !(s.base != nil && s.base.IndexOn(joins[0].newPos) != nil)
+		fuse := fi == 0 && fp.strategy == stratHashBuildInner
+		if fi == 0 && !fuse {
+			if _, err := scanFirst(nil); err != nil {
+				return nil, err
 			}
-			if !fuse {
-				if _, err := scanFirst(nil); err != nil {
-					return nil, err
-				}
-			}
-		}
-		strat := stratNested
-		switch {
-		case fp != nil:
-			strat = fp.strategy
-		case len(joins) > 0 && s.base != nil && len(rows) <= indexJoinThreshold && s.base.IndexOn(joins[0].newPos) != nil:
-			// Legacy rule: index nested-loop join on the first equi key
-			// below the fixed outer-row threshold.
-			strat = stratIndex
-		case len(joins) > 0:
-			strat = stratHashBuildInner
 		}
 		in := int64(len(rows))
 		var out []foldOut
@@ -669,15 +567,15 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		switch {
 		case fuse:
 			out, err = en.hashJoinFirst(ctx, first, firstConjuncts, s, joins, band, singles, sources, fp, c, sp)
-		case strat == stratIndex:
+		case fp.strategy == stratIndex:
 			// Index nested-loop join on the first equi key; remaining
 			// keys and single-table predicates filter after the probe.
 			js = sp.Child("join:index")
 			js.SetAttr("table", s.alias)
 			out, err = en.indexJoin(ctx, rows, s, joins, singles, c)
-		case strat == stratHashBuildInner:
+		case fp.strategy == stratHashBuildInner:
 			out, err = en.hashJoin(ctx, rows, s, joins, band, singles, sources, fp, c, sp)
-		case strat == stratHashBuildOuter:
+		case fp.strategy == stratHashBuildOuter:
 			out, err = en.hashJoinBuildOuter(ctx, rows, s, joins, singles, sources, fp, c, sp)
 		default:
 			js = sp.Child("join:nested-loop")
@@ -761,15 +659,13 @@ func (en *Engine) indexJoin(ctx context.Context, outer []relstore.Row, s *source
 		if cc.tick() {
 			return nil, cc.err()
 		}
+		// Join keys share a key class, so the probe value needs no
+		// conversion: the index compares INT and DATE payloads exactly.
 		probe := o[joins[0].boundPos]
 		if probe.IsNull() {
 			continue
 		}
-		pv, err := coerce(probe, s.schema.Columns[joins[0].newPos].Type)
-		if err != nil {
-			continue
-		}
-		for _, rid := range ix.Lookup([]relstore.Value{pv}) {
+		for _, rid := range ix.Lookup([]relstore.Value{probe}) {
 			row, live, err := s.base.GetBorrow(rid)
 			if err != nil {
 				return nil, err

@@ -19,7 +19,7 @@ import (
 func (en *Engine) execExplain(ctx context.Context, st *ExplainStmt, sn *relstore.Snapshot) (*Result, error) {
 	if st.Analyze {
 		tr := obs.NewTracer("query")
-		res, err := en.execSelect(ctx, st.Inner, tr.Root(), sn)
+		res, err := en.execSelect(ctx, st.Inner, tr.Root(), sn, planned)
 		if err != nil {
 			return nil, err
 		}
@@ -43,35 +43,39 @@ func planResult(text string) *Result {
 }
 
 // explainSelect renders the static access plan, mirroring the
-// decision order of execSelect. Cardinality-dependent runtime choices
-// (index vs hash join under indexJoinThreshold outer rows) are shown
-// as the rule the executor applies.
+// decision order of execSelect.
 func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relstore.Snapshot) ([]string, error) {
-	if len(stmt.From) == 0 {
-		return nil, fmt.Errorf("sql: SELECT requires FROM")
+	sources, err := en.bindSources(stmt, sn)
+	if err != nil {
+		return nil, err
 	}
-	sources := make([]*source, len(stmt.From))
-	seen := map[string]bool{}
-	for i, ref := range stmt.From {
-		s, err := en.resolveSource(ref, sn)
-		if err != nil {
-			return nil, err
-		}
-		key := strings.ToLower(ref.Alias)
-		if seen[key] {
-			return nil, fmt.Errorf("sql: duplicate alias %s", ref.Alias)
-		}
-		seen[key] = true
-		sources[i] = s
-	}
-
 	perAlias := map[string][]Expr{}
-	split, err := en.splitConjuncts(ctx, stmt, sources, perAlias)
+	split, err := en.splitConjuncts(ctx, stmt, sources, perAlias, planned)
 	if err != nil {
 		return nil, err
 	}
 	conjuncts, multi := split.all, split.multi
 	validAt, hasValidAt := ValidAsOf(ctx)
+
+	// batchRead mirrors compileRead's rule: a batch read, no index
+	// probe.
+	batchRead := func(s *source, p *scanPlan) bool {
+		return en.batchOf(s) != nil && p.eqIndex == nil
+	}
+	// An aggregate that cannot merge partials drains serially.
+	workers := en.scanWorkers()
+	serialAgg := en.isGrouped(stmt) && !en.mergeableAggs(stmt)
+	// readNote labels a read through the batch drain, with the worker
+	// count when a multi-source input read fans out (w > 1).
+	readNote := func(s *source, p *scanPlan, w int) string {
+		if !batchRead(s, p) {
+			return ""
+		}
+		if w > 1 {
+			return fmt.Sprintf(" access=colscan workers=%d", w)
+		}
+		return " access=colscan"
+	}
 
 	var lines []string
 	add := func(depth int, format string, args ...any) {
@@ -85,7 +89,9 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		}
 		return ""
 	}
-	describeScan := func(s *source, cs []Expr) (string, *scanPlan, error) {
+	// describeScan renders one read; w is the worker count of a batch
+	// read (readNote).
+	describeScan := func(s *source, cs []Expr, w int) (string, *scanPlan, error) {
 		p, err := en.planScan(s, cs, sources)
 		if err != nil {
 			return "", nil, err
@@ -105,37 +111,8 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 			d += fmt.Sprintf(" filter=%d conjuncts", len(cs))
 		}
 		d += derivedNote(s)
-		if p.est.Planned {
-			d += fmt.Sprintf(" est=%d", p.est.OutRows)
-		}
-		return d, p, nil
-	}
-	// batchRead mirrors compileRead's rule: columnar mode on, a batch
-	// source, no index probe.
-	batchRead := func(s *source, p *scanPlan) bool {
-		_, ok := s.virtual.(BatchSource)
-		return ok && en.Columnar && p.eqIndex == nil
-	}
-	// An aggregate that cannot merge partials drains serially.
-	workers := en.scanWorkers()
-	serialAgg := en.isGrouped(stmt) && !en.mergeableAggs(stmt)
-	// readNote labels a multi-source input read through the batch
-	// drain, with the worker count when the read fans out (w > 1).
-	readNote := func(s *source, p *scanPlan, w int) string {
-		if !batchRead(s, p) {
-			return ""
-		}
-		if w > 1 {
-			return fmt.Sprintf(" access=colscan workers=%d", w)
-		}
-		return " access=colscan"
-	}
-	describeRead := func(s *source, cs []Expr, w int) (string, error) {
-		d, p, err := describeScan(s, cs)
-		if err != nil {
-			return "", err
-		}
-		return d + readNote(s, p, w), nil
+		d += fmt.Sprintf(" est=%d", p.est.OutRows)
+		return d + readNote(s, p, w), p, nil
 	}
 
 	add(0, "select")
@@ -148,19 +125,14 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 
 	if len(sources) == 1 {
 		s := sources[0]
-		d, p, err := describeScan(s, conjuncts)
+		d, p, err := describeScan(s, conjuncts, 1)
 		if err != nil {
 			return nil, err
 		}
-		// Vectorized path first, mirroring execSelect's decision order.
-		parallel := false
-		if batchRead(s, p) {
-			d += " access=colscan"
-			parallel = workers > 1 && !serialAgg
-		} else if _, ok := s.morselSource(); ok && workers > 1 && p.eqIndex == nil {
-			parallel = !serialAgg
-		}
-		if parallel {
+		// A batch read, or a row read of morsels without an index
+		// probe, fans out, as execSingleMorsels does.
+		_, rowMorsels := s.morselSource()
+		if workers > 1 && !serialAgg && (batchRead(s, p) || rowMorsels && p.eqIndex == nil) {
 			add(1, "morsel-fanout workers=%d", workers)
 			add(2, "%s", d)
 			if en.isGrouped(stmt) {
@@ -173,32 +145,25 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		return lines, nil
 	}
 
-	// Multi-source: describe the fold order of execSelect. With the
-	// planner on, the folds follow planJoins (greedy reordering plus
-	// static build-side/strategy choices); with it off, FROM order and
-	// the legacy runtime rules are rendered.
-	ordered := sources
-	var jplan *joinPlan
-	if en.Planner {
-		if jplan, err = en.planJoins(sources, perAlias, multi); err != nil {
-			return nil, err
-		}
-		ordered = make([]*source, len(sources))
-		for i, idx := range jplan.order {
-			ordered[i] = sources[idx]
-		}
+	// Multi-source: describe the fold order of execSelect, which
+	// follows planJoins (greedy reordering plus static
+	// build-side/strategy choices).
+	jplan, err := en.planJoins(sources, perAlias, multi, planned)
+	if err != nil {
+		return nil, err
+	}
+	ordered := make([]*source, len(sources))
+	for i, idx := range jplan.order {
+		ordered[i] = sources[idx]
 	}
 	first := ordered[0]
 	layout := layoutFor(first.alias, first.schema)
 	joinedAliases := map[string]bool{strings.ToLower(first.alias): true}
 	pendingMulti := multi
-	scanned := false
+	var probe string // the leading read, streamed into a fused first fold
 	for fi, s := range ordered[1:] {
-		var fp *foldPlan
-		if jplan != nil {
-			fp = &jplan.folds[fi]
-		}
-		joins, band, rest, err := en.foldConds(pendingMulti, layout, joinedAliases, s, sources, fp)
+		fp := &jplan.folds[fi]
+		joins, band, rest, err := en.foldConds(pendingMulti, layout, joinedAliases, s, sources, fp, planned)
 		if err != nil {
 			return nil, err
 		}
@@ -208,49 +173,24 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 			keys += " band=" + band.name
 		}
 		singles := perAlias[strings.ToLower(s.alias)]
-		innerIndexed := s.base != nil && len(joins) > 0 && s.base.IndexOn(joins[0].newPos) != nil
-		if !scanned {
-			scanned = true
-			fuse := len(joins) > 0
-			if fp != nil {
-				fuse = fuse && fp.strategy == stratHashBuildInner
-			} else {
-				fuse = fuse && !innerIndexed
-			}
+		fuse := fi == 0 && fp.strategy == stratHashBuildInner
+		if fi == 0 {
 			// A fused probe that is the last fold streams into the
 			// consumer, so it fans out only when the consumer can merge.
 			fw := workers
 			if fuse && serialAgg && fi == len(ordered)-2 {
 				fw = 1
 			}
-			fd, err := describeRead(first, perAlias[strings.ToLower(first.alias)], fw)
-			if err != nil {
+			if probe, _, err = describeScan(first, perAlias[strings.ToLower(first.alias)], fw); err != nil {
 				return nil, err
 			}
-			if fuse {
-				// Fused first fold: scan streams into the probe
-				// (hashJoinFirst), exactly like execSelect's.
-				id, err := describeRead(s, singles, workers)
-				if err != nil {
-					return nil, err
-				}
-				if fp != nil {
-					add(1, "hash join %s build=%s est outer=%d inner=%d out=%d",
-						keys, s.alias, fp.estOuter, fp.estInner, fp.estOut)
-				} else {
-					add(1, "hash join keys=%d", len(joins))
-				}
-				add(2, "build: %s", id)
-				add(2, "probe: %s (streamed)", fd)
-				layout = layout.concat(layoutFor(s.alias, s.schema))
-				joinedAliases[strings.ToLower(s.alias)] = true
-				continue
+			if !fuse {
+				add(1, "%s", probe)
 			}
-			add(1, "%s", fd)
 		}
 		// The fold reads s through compileRead unless it probes an index.
 		note := derivedNote(s)
-		if _, ok := s.virtual.(BatchSource); ok {
+		if en.batchOf(s) != nil {
 			p, err := en.planScan(s, singles, sources)
 			if err != nil {
 				return nil, err
@@ -258,27 +198,28 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 			note += readNote(s, p, workers)
 		}
 		switch {
-		case fp != nil:
-			switch fp.strategy {
-			case stratIndex:
-				add(1, "index join %s keys=%d (index %s) est outer=%d out=%d%s",
-					s.alias, len(joins), fp.index.Name, fp.estOuter, fp.estOut, derivedNote(s))
-			case stratHashBuildInner:
-				add(1, "hash join %s %s build=%s est outer=%d inner=%d out=%d%s",
-					s.alias, keys, s.alias, fp.estOuter, fp.estInner, fp.estOut, note)
-			case stratHashBuildOuter:
-				add(1, "hash join %s keys=%d build=outer est outer=%d inner=%d out=%d%s",
-					s.alias, len(joins), fp.estOuter, fp.estInner, fp.estOut, note)
-			default:
-				add(1, "nested-loop join %s est out=%d%s", s.alias, fp.estOut, note)
+		case fuse:
+			// Fused first fold: scan streams into the probe
+			// (hashJoinFirst), exactly like execSelect's.
+			build, _, err := describeScan(s, singles, workers)
+			if err != nil {
+				return nil, err
 			}
-		case len(joins) > 0 && innerIndexed:
-			add(1, "join %s keys=%d: index join (index %s) if outer rows <= %d, else hash join",
-				s.alias, len(joins), s.base.IndexOn(joins[0].newPos).Name, indexJoinThreshold)
-		case len(joins) > 0:
-			add(1, "hash join %s keys=%d%s", s.alias, len(joins), note)
+			add(1, "hash join %s build=%s est outer=%d inner=%d out=%d",
+				keys, s.alias, fp.estOuter, fp.estInner, fp.estOut)
+			add(2, "build: %s", build)
+			add(2, "probe: %s (streamed)", probe)
+		case fp.strategy == stratIndex:
+			add(1, "index join %s keys=%d (index %s) est outer=%d out=%d%s",
+				s.alias, len(joins), fp.index.Name, fp.estOuter, fp.estOut, derivedNote(s))
+		case fp.strategy == stratHashBuildInner:
+			add(1, "hash join %s %s build=%s est outer=%d inner=%d out=%d%s",
+				s.alias, keys, s.alias, fp.estOuter, fp.estInner, fp.estOut, note)
+		case fp.strategy == stratHashBuildOuter:
+			add(1, "hash join %s keys=%d build=outer est outer=%d inner=%d out=%d%s",
+				s.alias, len(joins), fp.estOuter, fp.estInner, fp.estOut, note)
 		default:
-			add(1, "nested-loop join %s%s", s.alias, note)
+			add(1, "nested-loop join %s est out=%d%s", s.alias, fp.estOut, note)
 		}
 		layout = layout.concat(layoutFor(s.alias, s.schema))
 		joinedAliases[strings.ToLower(s.alias)] = true

@@ -4,9 +4,9 @@ package sqlengine
 // multi-source WHERE clause often bounds one source only through
 // another: in `S1.id = S2.id AND S1.tstart >= c AND S2.tstart >=
 // S1.tstart` nothing limits the S2 read, although every answer row
-// has S2.tstart >= c. With the planner on, inferBounds closes the
-// top-level conjuncts under two rules and hands each source the
-// single-source bounds that follow:
+// has S2.tstart >= c. inferBounds closes the top-level conjuncts under
+// two rules and hands each source the single-source bounds that
+// follow:
 //
 //   - equality chains: A.x = B.y ∧ B.y = k ⇒ A.x = k;
 //   - comparisons with constant offsets: B.c <= A.c + n ∧ A.c <= k ⇒
@@ -44,9 +44,9 @@ type conjunctSplit struct {
 // and partitions the conjuncts by the aliases they touch: each
 // single-source conjunct goes to perAlias under its lower-case alias,
 // which the caller allocates so the map can stay on its stack. With
-// the planner on and more than one source, inferred bounds are
-// appended to perAlias last; planner off stays the uninferred oracle.
-func (en *Engine) splitConjuncts(ctx context.Context, stmt *SelectStmt, sources []*source, perAlias map[string][]Expr) (conjunctSplit, error) {
+// more than one source, inferred bounds are appended to perAlias last,
+// unless a forced plan (f) turns them off.
+func (en *Engine) splitConjuncts(ctx context.Context, stmt *SelectStmt, sources []*source, perAlias map[string][]Expr, f *planForce) (conjunctSplit, error) {
 	var sp conjunctSplit
 	if stmt.Where != nil {
 		sp.all = splitAnd(stmt.Where, nil)
@@ -71,7 +71,7 @@ func (en *Engine) splitConjuncts(ctx context.Context, stmt *SelectStmt, sources 
 			sp.multi = append(sp.multi, c)
 		}
 	}
-	if en.Planner && len(sources) > 1 {
+	if len(sources) > 1 && !f.noDerived {
 		for _, d := range en.inferBounds(sp.all, sources) {
 			if sp.derived == nil {
 				sp.derived = map[string]int{}
@@ -125,7 +125,12 @@ func (en *Engine) constOf(e Expr, sources []*source) (relstore.Value, bool) {
 	if exprAliases(e, sources, aliases) != nil || len(aliases) > 0 {
 		return relstore.Null, false
 	}
-	return en.constValue(e)
+	fn, err := en.compileExpr(e, &rowLayout{})
+	if err != nil {
+		return relstore.Null, false
+	}
+	v, err := fn(nil)
+	return v, err == nil
 }
 
 // termOf parses e as `col`, `col + n` or `col - n` with n an integer

@@ -32,23 +32,21 @@ func newInferDB(t *testing.T) *Engine {
 	return en
 }
 
-// derivedOf runs the planner-on conjunct split of sql and renders the
+// derivedOf runs the conjunct split of sql under f and renders the
 // conjuncts inference added, sorted.
-func derivedOf(t *testing.T, en *Engine, sql string) []string {
+func derivedOf(t *testing.T, en *Engine, sql string, f *planForce) []string {
 	t.Helper()
 	st, err := Parse(sql)
 	if err != nil {
 		t.Fatalf("parse %s: %v", sql, err)
 	}
 	sel := st.(*SelectStmt)
-	sources := make([]*source, len(sel.From))
-	for i, ref := range sel.From {
-		if sources[i], err = en.resolveSource(ref, nil); err != nil {
-			t.Fatal(err)
-		}
+	sources, err := en.bindSources(sel, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	perAlias := map[string][]Expr{}
-	split, err := en.splitConjuncts(context.Background(), sel, sources, perAlias)
+	split, err := en.splitConjuncts(context.Background(), sel, sources, perAlias, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +70,8 @@ func derivedOf(t *testing.T, en *Engine, sql string) []string {
 
 // TestInferBounds checks each inference rule on a small statement,
 // the cases that must derive nothing, and that every statement keeps
-// its answer against the planner-off oracle.
+// its answer under every forced plan, the uninferred one (no derived
+// bounds) included.
 func TestInferBounds(t *testing.T) {
 	en := newInferDB(t)
 	for _, tc := range []struct {
@@ -132,45 +131,40 @@ func TestInferBounds(t *testing.T) {
 		{"inequality", `a.k = b.k and b.k != 5`, nil},
 	} {
 		sql := `select a.k, a.c, b.k, b.c from ia a, ib b where ` + tc.where
-		got := derivedOf(t, en, sql)
+		got := derivedOf(t, en, sql, planned)
 		if strings.Join(got, "; ") != strings.Join(tc.want, "; ") {
 			t.Errorf("%s: derived %q, want %q\n  sql: %s", tc.name, got, tc.want, sql)
 		}
-		on := queryStrings(t, en, sql)
-		en.Planner = false
-		off := queryStrings(t, en, sql)
-		en.Planner = true
-		sort.Strings(on)
-		sort.Strings(off)
-		if strings.Join(on, "\n") != strings.Join(off, "\n") {
-			t.Errorf("%s: inference changed the answer\n  sql: %s\n  on:  %v\n  off: %v", tc.name, sql, on, off)
+		if err := comparePlans(en, sql); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
 		}
 	}
 
 	// A chain through three sources reaches every member, and EXPLAIN
 	// counts each source's derived conjuncts.
 	three := `select count(*) from ia a, ib b, ic c where a.k = b.k and b.k = c.k and c.k = 3`
-	if got := derivedOf(t, en, three); strings.Join(got, "; ") != "a.k = 3; b.k = 3" {
+	if got := derivedOf(t, en, three, planned); strings.Join(got, "; ") != "a.k = 3; b.k = 3" {
 		t.Errorf("three-way chain derived %q", got)
 	}
 	if plan := explainText(t, en, three); strings.Count(plan, "derived=1") != 2 {
 		t.Errorf("EXPLAIN does not mark both derived reads:\n%s", plan)
 	}
 
-	// Single-source statements and planner-off never infer.
-	if got := derivedOf(t, en, `select k from ia a where a.k = a.c and a.c = 3`); got != nil {
+	// Single-source statements and the no-derived-bounds plan never
+	// infer.
+	if got := derivedOf(t, en, `select k from ia a where a.k = a.c and a.c = 3`, planned); got != nil {
 		t.Errorf("single-source statement derived %q", got)
 	}
-	en.Planner = false
-	if got := derivedOf(t, en, `select a.k from ia a, ib b where a.k = b.k and b.k = 5`); got != nil {
-		t.Errorf("planner off derived %q", got)
+	if got := derivedOf(t, en, `select a.k from ia a, ib b where a.k = b.k and b.k = 5`, &planForce{noDerived: true}); got != nil {
+		t.Errorf("the no-derived-bounds plan derived %q", got)
 	}
-	en.Planner = true
 }
 
 // TestBandProbe checks the band probe's plan and edges: NULL band
 // columns, strict and inclusive sides, one-sided bands, and that a
 // band replaces the residual filter rather than sitting beside it.
+// Every forced plan, the residual-filter one (no band) included, must
+// answer as the band probe does.
 func TestBandProbe(t *testing.T) {
 	en := New(relstore.NewDatabase())
 	en.MustExec(`create table bo (k INT, c INT)`)
@@ -203,15 +197,7 @@ func TestBandProbe(t *testing.T) {
 		if !strings.Contains(plan, "band=c") {
 			t.Errorf("no band probe for %s:\n%s", where, plan)
 		}
-		on := queryStrings(t, en, sql)
-		en.Planner = false
-		off := queryStrings(t, en, sql)
-		en.Planner = true
-		sort.Strings(on)
-		sort.Strings(off)
-		if strings.Join(on, "\n") != strings.Join(off, "\n") {
-			t.Errorf("band changed the answer of %s\n  on:  %v\n  off: %v", where, on, off)
-		}
+		checkPlans(t, en, sql)
 	}
 	// The band consumes both sides; a second lower bound stays
 	// residual.

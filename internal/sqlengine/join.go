@@ -73,7 +73,7 @@ func readParts[P any](ctx context.Context, en *Engine, rd *sourceRead, workers i
 // count as copied join rows.
 func (en *Engine) readRows(ctx context.Context, rd *sourceRead, sp *obs.Span) ([]relstore.Row, error) {
 	clone := rd.batch != nil
-	parts, err := readParts(ctx, en, rd, en.scanWorkers(), false, sp, func(p *[]relstore.Row) rowSink {
+	parts, err := readParts(ctx, en, rd, rd.s.workers, false, sp, func(p *[]relstore.Row) rowSink {
 		return rowSink{emit: func(row relstore.Row) error {
 			if clone {
 				row = row.Clone()
@@ -291,9 +291,6 @@ func (b *joinBand) label(sp *obs.Span) {
 
 // setFoldEst annotates a join span with the planner's estimates.
 func setFoldEst(sp *obs.Span, fp *foldPlan) {
-	if sp == nil || fp == nil {
-		return
-	}
 	sp.SetInt("est_outer", int64(fp.estOuter))
 	sp.SetInt("est_inner", int64(fp.estInner))
 	sp.SetInt("est_out", int64(fp.estOut))
@@ -364,10 +361,8 @@ func (en *Engine) hashJoin(ctx context.Context, outer []relstore.Row, s *source,
 // and the probe fans out with the read (readParts), one foldOut per
 // part — unless c aggregates with a function that cannot merge
 // partials, which drains serially. Probe rows need no clone: the fold
-// copies them into the combined row. Called when the fold is a
-// build-on-inner hash join: planner-off, when the inner side has no
-// index on the leading key; planner-on, when the cost model picked the
-// inner build side.
+// copies them into the combined row. Called when the first fold is a
+// build-on-inner hash join.
 func (en *Engine) hashJoinFirst(ctx context.Context, outer *source, conjuncts []Expr, s *source, joins []equiJoin, band *joinBand, singles []Expr, sources []*source, fp *foldPlan, c *consumer, sp *obs.Span) ([]foldOut, error) {
 	jt, err := en.buildInner(ctx, s, joins, band, singles, sources, fp, sp)
 	if err != nil {
@@ -381,7 +376,7 @@ func (en *Engine) hashJoinFirst(ctx context.Context, outer *source, conjuncts []
 	ps.SetAttr("table", outer.alias)
 	rd.label(ps)
 	band.label(ps)
-	workers := en.scanWorkers()
+	workers := outer.workers
 	if c != nil && c.serial {
 		workers = 1
 	}
@@ -465,7 +460,7 @@ func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, 
 	rd.label(ps)
 	// A matching inner row is kept (cloned once when it comes from a
 	// batch) until the matches are emitted.
-	parts, err := readParts(ctx, en, rd, en.scanWorkers(), false, ps, func(p *buildOuterPart) rowSink {
+	parts, err := readParts(ctx, en, rd, rd.s.workers, false, ps, func(p *buildOuterPart) rowSink {
 		sc := newProbeScratch(joins)
 		return rowSink{emit: func(row relstore.Row) error {
 			for k, j := range joins {

@@ -53,7 +53,11 @@ func TestAppendKeyCollisionRegression(t *testing.T) {
 
 // TestHashJoinAdversarialKeys runs a two-column equi join whose key
 // values are built to collide under the old encoding and checks the
-// join returns exactly the true matches.
+// join returns exactly the true matches. It then joins one-row tables
+// whose keys differ in kind but compare equal — INT = DATE, INT =
+// FLOAT, VARCHAR = DATE, INT = VARCHAR — and requires the row under
+// every forced plan: a hash join on kind-tagged keys returned none
+// while a range filter returned it.
 func TestHashJoinAdversarialKeys(t *testing.T) {
 	en := New(relstore.NewDatabase())
 	en.MustExec(`create table l (a VARCHAR, b VARCHAR, tag INT)`)
@@ -86,6 +90,27 @@ func TestHashJoinAdversarialKeys(t *testing.T) {
 		if res.Rows[i][0].I != want-10 || res.Rows[i][1].I != want {
 			t.Errorf("row %d: got (%d,%d), want (%d,%d)", i, res.Rows[i][0].I, res.Rows[i][1].I, want-10, want)
 		}
+	}
+
+	for _, ddl := range []string{
+		`create table ki (k INT)`, `insert into ki values (10)`,
+		`create table kd (d DATE)`, `insert into kd values (DATE '1970-01-11')`, `create index ix_kd on kd (d)`,
+		`create table kf (f FLOAT)`, `insert into kf values (10.0)`,
+		`create table ks (s VARCHAR)`, `insert into ks values ('10')`,
+		`create table kt (s VARCHAR)`, `insert into kt values ('1970-01-11')`,
+	} {
+		en.MustExec(ddl)
+	}
+	for _, q := range []string{
+		`select a.k from ki a, kd b where a.k = b.d`,
+		`select a.k from ki a, kf b where a.k = b.f`,
+		`select a.s from kt a, kd b where a.s = b.d`,
+		`select a.k from ki a, ks b where a.k = b.s`,
+	} {
+		if got := queryStrings(t, en, q); len(got) != 1 {
+			t.Errorf("%s = %v, want one row", q, got)
+		}
+		checkPlans(t, en, q)
 	}
 }
 
@@ -296,11 +321,11 @@ func (b *batchTable) ScanBatches(_ []relstore.ZoneBound, needed []bool) ([]relst
 // TestJoinReadsBatchSources pins the routing of join inputs: with
 // columnar mode on, every input of a multi-source SELECT over a batch
 // source goes through the batch drain — Scan is never called — and
-// the answers equal the row path's at every worker count, planner on
-// and off, across hash joins (both build sides), the fused first
-// probe and nested-loop joins. Each read decodes the columns the
-// statement reads from its own alias: column u only where a star or
-// a.u names it.
+// the answers equal the row path's at every worker count. Every forced
+// plan — hash joins building either side, the fused first probe,
+// nested-loop joins, FROM order, a row read of any input — answers as
+// the planned one. Each read decodes the columns the statement reads
+// from its own alias: column u only where a star or a.u names it.
 func TestJoinReadsBatchSources(t *testing.T) {
 	bt := &batchTable{per: 7, sliceTable: sliceTable{schema: relstore.NewSchema("t",
 		relstore.Col("k", relstore.TypeInt), relstore.Col("v", relstore.TypeString),
@@ -327,39 +352,38 @@ func TestJoinReadsBatchSources(t *testing.T) {
 		{`select xmlelement(name "r", xmlattributes(a.k as "k"), b.v) from t a, t b where a.k = b.k and a.w < 2 order by b.v`, 0},
 		{`select a.u, c.v from t a, t b, t c where a.k = b.k and b.w = c.w and a.w = 1 and c.k > 4`, 1},
 	}
-	for _, planner := range []bool{true, false} {
-		for _, workers := range []int{1, 4} {
-			en.Planner, en.Workers = planner, workers
-			for _, tc := range queries {
-				q := tc.sql
-				en.Columnar = false
-				want := queryStrings(t, en, q)
-				if bt.scans.Load() == 0 {
-					t.Fatalf("row path never called Scan: %s", q)
-				}
-				bt.scans.Store(0)
-				bt.neededSeen = nil
-				en.Columnar = true
-				got := queryStrings(t, en, q)
-				if n := bt.scans.Load(); n != 0 {
-					t.Errorf("planner=%v workers=%d: %s: %d Scan calls with columnar on, want 0", planner, workers, q, n)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("planner=%v workers=%d: %s:\nbatch %v\nrows  %v", planner, workers, q, got, want)
-				}
-				if len(bt.neededSeen) == 0 {
-					t.Errorf("%s: no batch read with columnar on", q)
-				}
-				uRead := 0
-				for _, needed := range bt.neededSeen {
-					if needed == nil || needed[3] {
-						uRead++
-					}
-				}
-				if uRead != tc.uRead {
-					t.Errorf("%s: %d reads decoded column u, want %d: %v", q, uRead, tc.uRead, bt.neededSeen)
+	for _, workers := range []int{1, 4} {
+		en.Workers = workers
+		for _, tc := range queries {
+			q := tc.sql
+			en.Columnar = false
+			want := queryStrings(t, en, q)
+			if bt.scans.Load() == 0 {
+				t.Fatalf("row path never called Scan: %s", q)
+			}
+			bt.scans.Store(0)
+			bt.neededSeen = nil
+			en.Columnar = true
+			got := queryStrings(t, en, q)
+			if n := bt.scans.Load(); n != 0 {
+				t.Errorf("workers=%d: %s: %d Scan calls with columnar on, want 0", workers, q, n)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("workers=%d: %s:\nbatch %v\nrows  %v", workers, q, got, want)
+			}
+			if len(bt.neededSeen) == 0 {
+				t.Errorf("%s: no batch read with columnar on", q)
+			}
+			uRead := 0
+			for _, needed := range bt.neededSeen {
+				if needed == nil || needed[3] {
+					uRead++
 				}
 			}
+			if uRead != tc.uRead {
+				t.Errorf("%s: %d reads decoded column u, want %d: %v", q, uRead, tc.uRead, bt.neededSeen)
+			}
+			checkPlans(t, en, q)
 		}
 	}
 }

@@ -108,10 +108,9 @@ func fanOut[P any](ctx context.Context, n, workers int, sink func(*P) rowSink,
 // order, so results are identical to the serial drain. A row read
 // whose aggregate cannot merge partials is left to the serial plan.
 func (en *Engine) execSingleMorsels(ctx context.Context, stmt *SelectStmt, s *source, conjuncts []Expr, sources []*source, sp *obs.Span) (*Result, bool, error) {
-	workers := en.scanWorkers()
+	workers := s.workers
 	ms, rowMorsels := s.morselSource()
-	_, batchSource := s.virtual.(BatchSource)
-	if !(batchSource && en.Columnar) && (workers <= 1 || !rowMorsels) {
+	if en.batchOf(s) == nil && (workers <= 1 || !rowMorsels) {
 		return nil, false, nil
 	}
 	rd, err := en.compileRead(s, conjuncts, sources)
@@ -133,10 +132,7 @@ func (en *Engine) execSingleMorsels(ctx context.Context, stmt *SelectStmt, s *so
 	}
 
 	est := rd.plan.est
-	access := ""
-	if est.Planned {
-		access = est.Access
-	}
+	access := est.Access
 	var n int
 	var worker func() func(int, *cancelProbe, rowSink) error
 	if rd.batch != nil {
@@ -166,15 +162,11 @@ func (en *Engine) execSingleMorsels(ctx context.Context, stmt *SelectStmt, s *so
 	}
 	ds := sp.Child(name)
 	ds.SetAttr("table", s.alias)
-	if access != "" {
-		ds.SetAttr("access", access)
-	}
+	ds.SetAttr("access", access)
 	if fan {
 		ds.SetInt("morsels", int64(n))
 	}
-	if est.Planned {
-		ds.SetInt("est_rows", int64(est.OutRows))
-	}
+	ds.SetInt("est_rows", int64(est.OutRows))
 	if fan {
 		ds.SetInt("workers", int64(workers))
 	}

@@ -13,9 +13,9 @@ package sqlengine
 //
 // Every decision is deterministic: estimates derive only from table
 // state, ties break toward declaration/FROM order, and EXPLAIN renders
-// plans from the same code paths the executor runs. Engine.Planner
-// (default on) falls back to the legacy fixed heuristics when false,
-// which is what the planner-on/off differential tests compare against.
+// plans from the same code paths the executor runs. No decision may
+// change an answer: the forced-plan oracle (forcedplan.go) runs every
+// alternative the planner passed over and compares the results.
 
 import (
 	"strings"
@@ -56,11 +56,9 @@ const (
 )
 
 // planEstimate carries the planner's cardinality estimates for one
-// table access; zero-valued (Planned=false) when the planner is off.
+// table access.
 type planEstimate struct {
-	Planned    bool
 	Access     string // "scan" or "index"
-	TableRows  int    // live rows in the source
 	AccessRows int    // rows the chosen access path touches
 	OutRows    int    // rows surviving all conjuncts (>= 1)
 }
@@ -86,11 +84,7 @@ func indexMatches(totalRows int, ix *relstore.Index) int {
 	if n <= 0 || totalRows <= 0 {
 		return 1
 	}
-	m := (totalRows + n - 1) / n
-	if m < 1 {
-		m = 1
-	}
-	return m
+	return (totalRows + n - 1) / n
 }
 
 // indexDeclPos returns the declaration position of ix on t (used as
@@ -143,9 +137,10 @@ func (en *Engine) chooseAccess(s *source, p *scanPlan, cands []eqCandidate, conj
 
 	// Output cardinality: apply every conjunct's selectivity to the
 	// pruned scan estimate, clamped to what the access path touches.
+	// An indexed eq conjunct keeps one key of the index's distinct keys.
 	sel := 1.0
 	for _, c := range cands {
-		sel *= 1.0 / float64(indexMatchesInv(est.TotalRows, c.ix))
+		sel *= 1.0 / float64(max(c.ix.Len(), 1))
 	}
 	for i := 0; i < conj.eqUnindexed; i++ {
 		sel *= eqSelectivity
@@ -164,23 +159,10 @@ func (en *Engine) chooseAccess(s *source, p *scanPlan, cands []eqCandidate, conj
 		out = 1
 	}
 	p.est = planEstimate{
-		Planned:    true,
 		Access:     access,
-		TableRows:  est.TotalRows,
 		AccessRows: accessRows,
 		OutRows:    out,
 	}
-}
-
-// indexMatchesInv returns the denominator of an eq conjunct's
-// selectivity through ix: the number of distinct keys (so selectivity
-// is matches/total = 1/distinct), at least one.
-func indexMatchesInv(totalRows int, ix *relstore.Index) int {
-	n := ix.Len()
-	if n <= 0 {
-		return 1
-	}
-	return n
 }
 
 // conjunctStats counts the predicate shapes planScan recognized, for
@@ -196,12 +178,11 @@ type conjunctStats struct {
 type joinStrategy uint8
 
 const (
-	// stratLegacy defers to the executor's pre-planner runtime
-	// heuristics (planner off).
-	stratLegacy joinStrategy = iota
-	stratIndex
+	stratIndex joinStrategy = iota
 	stratHashBuildInner
 	stratHashBuildOuter
+	// stratNested takes no join keys: every equi-join conjunct stays a
+	// residual filter (foldConds).
 	stratNested
 )
 
@@ -209,7 +190,8 @@ const (
 // accumulated join result.
 type foldPlan struct {
 	strategy joinStrategy
-	index    *relstore.Index // stratIndex: the probe index
+	keys     int             // equi-join keys the fold can hash or probe on
+	index    *relstore.Index // the inner's index on the leading key, if any
 	estOuter int             // estimated rows entering the fold
 	estInner int             // estimated rows of the folded source
 	estOut   int             // estimated rows leaving the fold
@@ -218,9 +200,8 @@ type foldPlan struct {
 // joinPlan is the planned multi-source execution: the fold order
 // (indices into the FROM-order source list) and a strategy per fold.
 type joinPlan struct {
-	order    []int
-	folds    []foldPlan
-	estFirst int // estimated output rows of the driving scan
+	order []int
+	folds []foldPlan
 }
 
 func capEst(v int64) int {
@@ -236,8 +217,9 @@ func capEst(v int64) int {
 // planJoins orders the sources greedily by estimated cardinality —
 // smallest filtered source first, then the smallest equi-connected
 // source, Cartesian folds last — and picks a strategy per fold. All
-// ties break toward FROM order, so the plan is deterministic.
-func (en *Engine) planJoins(sources []*source, perAlias map[string][]Expr, multi []Expr) (*joinPlan, error) {
+// ties break toward FROM order, so the plan is deterministic. A forced
+// plan (f) may pin FROM order and any fold's strategy the fold can run.
+func (en *Engine) planJoins(sources []*source, perAlias map[string][]Expr, multi []Expr, f *planForce) (*joinPlan, error) {
 	n := len(sources)
 	ests := make([]planEstimate, n)
 	for i, s := range sources {
@@ -309,9 +291,15 @@ func (en *Engine) planJoins(sources []*source, perAlias map[string][]Expr, multi
 		used[best] = true
 		bound[strings.ToLower(sources[best].alias)] = true
 	}
+	if f.fromOrder {
+		for i := range order {
+			order[i] = i
+		}
+		start = 0
+	}
 
 	// Simulate the folds in the planned order to pick strategies.
-	plan := &joinPlan{order: order, estFirst: ests[start].OutRows}
+	plan := &joinPlan{order: order}
 	first := sources[start]
 	layout := layoutFor(first.alias, first.schema)
 	joinedAliases := map[string]bool{strings.ToLower(first.alias): true}
@@ -320,9 +308,8 @@ func (en *Engine) planJoins(sources []*source, perAlias map[string][]Expr, multi
 	for _, idx := range order[1:] {
 		s := sources[idx]
 		joins, rest := en.equiJoinConds(pending, layout, joinedAliases, s, sources)
-		pending = rest
 		estInner := ests[idx].OutRows
-		fp := foldPlan{estOuter: estOuter, estInner: estInner}
+		fp := foldPlan{keys: len(joins), estOuter: estOuter, estInner: estInner}
 		switch {
 		case len(joins) == 0:
 			fp.strategy = stratNested
@@ -332,12 +319,11 @@ func (en *Engine) planJoins(sources []*source, perAlias map[string][]Expr, multi
 			// distinct count (inner index when available, a fixed
 			// guess otherwise).
 			distinct := estInner / 10
-			var ix *relstore.Index
 			if s.base != nil {
-				ix = s.base.IndexOn(joins[0].newPos)
+				fp.index = s.base.IndexOn(joins[0].newPos)
 			}
-			if ix != nil && ix.Len() > 0 {
-				distinct = ix.Len()
+			if fp.index != nil && fp.index.Len() > 0 {
+				distinct = fp.index.Len()
 			}
 			if distinct < 1 {
 				distinct = 1
@@ -346,16 +332,21 @@ func (en *Engine) planJoins(sources []*source, perAlias map[string][]Expr, multi
 
 			innerScan := ests[idx].AccessRows
 			switch {
-			case ix != nil && int64(estOuter)*probeCost < int64(innerScan)+int64(estOuter):
+			case fp.index != nil && int64(estOuter)*probeCost < int64(innerScan)+int64(estOuter):
 				// Index nested-loop beats building a hash table over
 				// the inner side when the outer input is small.
 				fp.strategy = stratIndex
-				fp.index = ix
 			case estInner <= estOuter:
 				fp.strategy = stratHashBuildInner
 			default:
 				fp.strategy = stratHashBuildOuter
 			}
+		}
+		if st, ok := f.folds[len(plan.folds)]; ok && fp.can(st) {
+			fp.strategy = st
+		}
+		if fp.strategy != stratNested {
+			pending = rest
 		}
 		plan.folds = append(plan.folds, fp)
 		layout = layout.concat(layoutFor(s.alias, s.schema))
@@ -363,6 +354,19 @@ func (en *Engine) planJoins(sources []*source, perAlias map[string][]Expr, multi
 		estOuter = fp.estOut
 	}
 	return plan, nil
+}
+
+// can reports whether the fold can run strategy st: a nested loop
+// always can, a hash join needs a key, an index join an index on the
+// leading key.
+func (fp *foldPlan) can(st joinStrategy) bool {
+	switch st {
+	case stratNested:
+		return true
+	case stratIndex:
+		return fp.index != nil
+	}
+	return fp.keys > 0
 }
 
 // singleAlias resolves e to the one alias it references, or "".

@@ -3,7 +3,9 @@ package sqlengine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -21,6 +23,106 @@ func insertBatched(en *Engine, table string, rows []string) {
 		}
 		en.MustExec("insert into " + table + " values " + strings.Join(rows[i:j], ","))
 	}
+}
+
+// comparePlans is the forced-plan oracle: it runs every plan of sql
+// (ForEachPlan) and returns an error naming the first alternative
+// whose answer differs from the planned run's. Answers compare as
+// multisets of rows, or row for row when ORDER BY covers every output
+// column; a LIMIT without such an ORDER BY fixes only the row count.
+// Floats compare to 12 significant digits: plans may add them in
+// different orders.
+func comparePlans(en *Engine, sql string) error {
+	stmt, err := Parse(sql)
+	if err != nil {
+		return err
+	}
+	sel := stmt.(*SelectStmt)
+	ordered := len(sel.OrderBy) > 0
+	for _, it := range sel.Select {
+		ref, ok := it.Expr.(*ColRef)
+		ordered = ordered && ok && slices.ContainsFunc(sel.OrderBy, func(o OrderItem) bool {
+			key, ok := o.Expr.(*ColRef)
+			return ok && strings.EqualFold(key.Name, ref.Name) && strings.EqualFold(key.Qual, ref.Qual)
+		})
+	}
+	var want []string
+	return ForEachPlan(en, nil, sql, func(plan string, run func() (*Result, error)) error {
+		res, err := run()
+		if err != nil {
+			return fmt.Errorf("plan %s: %w", plan, err)
+		}
+		got := make([]string, len(res.Rows))
+		for i, row := range res.Rows {
+			got[i] = answerRow(row)
+		}
+		if !ordered {
+			sort.Strings(got)
+		}
+		if want == nil {
+			want = got
+			return nil
+		}
+		same := slices.Equal(got, want)
+		if sel.Limit >= 0 && !ordered {
+			same = len(got) == len(want)
+		}
+		if !same {
+			return fmt.Errorf("plan %s answers differently from the planned run\n  sql:     %s\n  planned: %q\n  forced:  %q", plan, sql, want, got)
+		}
+		return nil
+	})
+}
+
+// answerRow renders a result row for comparison.
+func answerRow(row relstore.Row) string {
+	parts := make([]string, len(row))
+	for i, v := range row {
+		if v.Kind == relstore.TypeFloat {
+			parts[i] = strconv.FormatFloat(v.F, 'g', 12, 64)
+		} else {
+			parts[i] = v.Text()
+		}
+	}
+	return strings.Join(parts, "|")
+}
+
+// checkPlans fails t when any forced plan answers sql differently from
+// the planned run (comparePlans).
+func checkPlans(t *testing.T, en *Engine, sql string) {
+	t.Helper()
+	if err := comparePlans(en, sql); err != nil {
+		t.Error(err)
+	}
+}
+
+// forcedRows runs sql under the forced plan whose name contains name
+// and renders its rows as queryStrings does.
+func forcedRows(t *testing.T, en *Engine, sql, name string) []string {
+	t.Helper()
+	var out []string
+	found := false
+	err := ForEachPlan(en, nil, sql, func(plan string, run func() (*Result, error)) error {
+		if found || !strings.Contains(plan, name) {
+			return nil
+		}
+		found = true
+		res, err := run()
+		if err != nil {
+			return err
+		}
+		for _, r := range res.Rows {
+			out = append(out, answerRow(r))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	if !found {
+		t.Fatalf("%s: no forced plan named %q", sql, name)
+	}
+	return out
 }
 
 func explainText(t *testing.T, en *Engine, sql string) string {
@@ -58,9 +160,9 @@ func newSelectivityDB(t *testing.T) *Engine {
 
 // TestPlannerPicksMostSelectiveIndex pins the multi-index regression:
 // with eq conjuncts on both a (2 distinct keys) and b (100 distinct
-// keys), the legacy planner took whichever indexed conjunct came
-// first in the WHERE clause; the cost-based planner must take the
-// most selective index regardless of conjunct order.
+// keys), taking whichever indexed conjunct comes first in the WHERE
+// clause probes ix_a; the cost-based planner must take the most
+// selective index regardless of conjunct order.
 func TestPlannerPicksMostSelectiveIndex(t *testing.T) {
 	en := newSelectivityDB(t)
 	const q = `select v from t where a = 1 and b = 7`
@@ -70,23 +172,13 @@ func TestPlannerPicksMostSelectiveIndex(t *testing.T) {
 		t.Errorf("planner did not pick the most selective index:\n%s", plan)
 	}
 
-	// Legacy behavior (first indexed conjunct wins) is preserved with
-	// the planner off — that misplan is exactly what the cost model
-	// fixes.
-	en.Planner = false
-	legacy := explainText(t, en, q)
-	if !strings.Contains(legacy, "(index ix_a)") {
-		t.Errorf("legacy plan drifted (want first-conjunct index ix_a):\n%s", legacy)
-	}
-
-	// Both plans must agree on the answer.
-	en.Planner = true
+	// The first-conjunct probe — the misplan the cost model fixes — is
+	// a forced alternative, and every plan must agree on the answer.
 	want := queryStrings(t, en, q+` order by v`)
-	en.Planner = false
-	got := queryStrings(t, en, q+` order by v`)
-	if strings.Join(want, ";") != strings.Join(got, ";") {
-		t.Errorf("planner on/off answers differ: %v vs %v", want, got)
+	if got := forcedRows(t, en, q+` order by v`, "index ix_a"); strings.Join(want, ";") != strings.Join(got, ";") {
+		t.Errorf("forced ix_a probe answers differ: %v vs %v", want, got)
 	}
+	checkPlans(t, en, q+` order by v`)
 	if len(want) != 4 {
 		t.Errorf("query returned %d rows, want 4", len(want))
 	}
@@ -104,8 +196,8 @@ func TestPlannerIndexTieBreak(t *testing.T) {
 }
 
 // TestPlannerPrefersScanOnPermissiveFilter: an eq predicate matching
-// ~50% of rows must run as a scan under the cost model; the legacy
-// planner always probed the index.
+// ~50% of rows must run as a scan under the cost model; the forced
+// ix_flag probe, which an always-index rule would take, must agree.
 func TestPlannerPrefersScanOnPermissiveFilter(t *testing.T) {
 	en := New(relstore.NewDatabase())
 	en.MustExec(`create table perm (flag INT, v INT)`)
@@ -121,19 +213,13 @@ func TestPlannerPrefersScanOnPermissiveFilter(t *testing.T) {
 	if strings.Contains(plan, "index scan") {
 		t.Errorf("planner chose an index probe for a 50%%-selective predicate:\n%s", plan)
 	}
-	en.Planner = false
-	legacy := explainText(t, en, q)
-	if !strings.Contains(legacy, "index scan") {
-		t.Errorf("legacy plan drifted (want forced index probe):\n%s", legacy)
-	}
-	en.Planner = true
 	if got := queryStrings(t, en, q); len(got) != 1 || got[0] != "500" {
 		t.Errorf("count = %v, want 500", got)
 	}
-	en.Planner = false
-	if got := queryStrings(t, en, q); len(got) != 1 || got[0] != "500" {
-		t.Errorf("legacy count = %v, want 500", got)
+	if got := forcedRows(t, en, q, "index ix_flag"); len(got) != 1 || got[0] != "500" {
+		t.Errorf("forced ix_flag probe count = %v, want 500", got)
 	}
+	checkPlans(t, en, q)
 }
 
 // TestIndexProbeBorrowsRows asserts the index-probe path reads rows
@@ -223,10 +309,7 @@ func TestPlannerBuildSide(t *testing.T) {
 	if got := queryStrings(t, en, qb); got[0] != want[0] {
 		t.Errorf("FROM order changed the answer: %v vs %v", want, got)
 	}
-	en.Planner = false
-	if got := queryStrings(t, en, qa); got[0] != want[0] {
-		t.Errorf("planner on/off answers differ: %v vs %v", want, got)
-	}
+	checkPlans(t, en, qa)
 }
 
 // TestPlannerIndexJoin: a tiny outer input probing a large indexed
@@ -238,11 +321,7 @@ func TestPlannerIndexJoin(t *testing.T) {
 	if !strings.Contains(plan, "index join b") || !strings.Contains(plan, "(index ix_jbig_k)") {
 		t.Errorf("want an index join through ix_jbig_k:\n%s", plan)
 	}
-	want := queryStrings(t, en, q)
-	en.Planner = false
-	if got := queryStrings(t, en, q); got[0] != want[0] {
-		t.Errorf("planner on/off answers differ: %v vs %v", want, got)
-	}
+	checkPlans(t, en, q)
 }
 
 // TestPlannerFusedBuildInner: equal-sized inputs tie toward FROM
@@ -265,13 +344,14 @@ func TestPlannerFusedBuildInner(t *testing.T) {
 }
 
 // TestPlannerDifferentialRandomized runs seeded random queries over
-// four tables with planner on and off and requires identical
-// answers. Queries carrying an ORDER BY over every projected column
-// must match byte for byte; the rest as multisets. A second phase
-// draws interval-shaped joins (equi key plus lo <= w.c <= hi over the
-// outer row, strict variants, NULLs in w.c, equality chains through a
-// constant), the shapes bound inference and the band probe rewrite;
-// planner off applies neither and is the oracle.
+// four tables under every forced plan (CheckPlans) and requires the
+// planned run's answer from each. Queries carrying an ORDER BY over
+// every projected column must match byte for byte; the rest as
+// multisets. A second phase draws interval-shaped joins (equi key plus
+// lo <= w.c <= hi over the outer row, strict variants, NULLs in w.c,
+// equality chains through a constant), the shapes bound inference and
+// the band probe rewrite; the no-band and no-derived-bounds
+// alternatives apply neither.
 func TestPlannerDifferentialRandomized(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	build := func() *Engine {
@@ -313,8 +393,6 @@ func TestPlannerDifferentialRandomized(t *testing.T) {
 		return en
 	}
 	on := build()
-	off := build()
-	off.Planner = false
 
 	type tbl struct {
 		name  string
@@ -377,15 +455,8 @@ func TestPlannerDifferentialRandomized(t *testing.T) {
 			q += " order by " + strings.Join(cols, ", ")
 		}
 
-		got := queryStrings(t, on, q)
-		want := queryStrings(t, off, q)
-		if !ordered {
-			sort.Strings(got)
-			sort.Strings(want)
-		}
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Errorf("query %d: planner on/off answers differ\n  sql: %s\n  on:  %v\n  off: %v",
-				qi, q, got, want)
+		if err := comparePlans(on, q); err != nil {
+			t.Errorf("query %d: %v", qi, err)
 		}
 	}
 
@@ -435,15 +506,8 @@ func TestPlannerDifferentialRandomized(t *testing.T) {
 		if strings.Contains(explainText(t, on, q), "band=") {
 			banded++
 		}
-		got := queryStrings(t, on, q)
-		want := queryStrings(t, off, q)
-		if !ordered {
-			sort.Strings(got)
-			sort.Strings(want)
-		}
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Errorf("interval query %d: planner on/off answers differ\n  sql: %s\n  on:  %v\n  off: %v",
-				qi, q, got, want)
+		if err := comparePlans(on, q); err != nil {
+			t.Errorf("interval query %d: %v", qi, err)
 		}
 	}
 	if banded < 40 {

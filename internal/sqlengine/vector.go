@@ -14,8 +14,8 @@ import (
 // `col op const` compile into batch kernels that narrow a selection
 // vector column-at-a-time, and only the surviving rows are filled
 // into scratch for aggregation, projection or a join. A read qualifies
-// when the engine's columnar mode is on, its source provides
-// ScanBatches and the planner found no equality-index probe;
+// when batchOf finds a batch source and the planner found no
+// equality-index probe;
 // parallel.go's execSingleMorsels runs single-table statements (whose
 // parallel drain also needs every aggregate to merge partials),
 // join.go's readParts every join input.
@@ -164,12 +164,9 @@ func (en *Engine) compileKernels(conjuncts []Expr, s *source, sources []*source)
 // nil (decode everything); alias.* leaves that alias's set nil.
 // Row-path sources are skipped: their reads never consult the set.
 func (en *Engine) markNeeded(stmt *SelectStmt, conjuncts []Expr, sources []*source) {
-	if !en.Columnar {
-		return
-	}
 	var batch []*source
 	for _, s := range sources {
-		if _, ok := s.virtual.(BatchSource); ok {
+		if en.batchOf(s) != nil {
 			batch = append(batch, s)
 		}
 	}
@@ -255,9 +252,9 @@ type batchWork struct {
 
 // sourceRead is the compiled read of one source, built once per source
 // per statement: its scan plan and, when the storage streams column
-// batches (columnar mode on, a BatchSource, no equality-index probe),
-// the kernels of its conjuncts. batch == nil means the row path
-// (runScanPlan). The columns a batch read decodes are s.needed.
+// batches (batchOf, no equality-index probe), the kernels of its
+// conjuncts. batch == nil means the row path (runScanPlan). The
+// columns a batch read decodes are s.needed.
 type sourceRead struct {
 	s     *source
 	plan  *scanPlan
@@ -271,10 +268,19 @@ func (en *Engine) compileRead(s *source, conjuncts []Expr, sources []*source) (*
 		return nil, err
 	}
 	rd := &sourceRead{s: s, plan: plan}
-	if bs, ok := s.virtual.(BatchSource); ok && en.Columnar && plan.eqIndex == nil {
+	if bs := en.batchOf(s); bs != nil && plan.eqIndex == nil {
 		rd.batch, rd.bp = bs, en.compileKernels(conjuncts, s, sources)
 	}
 	return rd, nil
+}
+
+// batchOf returns s's storage when its reads stream column batches:
+// columnar mode on, a BatchSource, and no forced row read.
+func (en *Engine) batchOf(s *source) BatchSource {
+	if bs, ok := s.virtual.(BatchSource); ok && en.Columnar && s.access != accessRowRead {
+		return bs
+	}
+	return nil
 }
 
 // rowSink is where a drain sends the rows that pass its filter: the

@@ -38,6 +38,9 @@ func (g *gen) resolveToVar(e xquery.Expr, ctx *varInfo) (*varInfo, error) {
 		if !ok {
 			return nil, fmt.Errorf("translator: unbound variable $%s", x.Name)
 		}
+		if g.constructing > 0 && v.isLet {
+			return nil, unsupported("let-bound $%s inside an element constructor", x.Name)
+		}
 		return v, nil
 	case *xquery.ContextItem:
 		if ctx == nil {
@@ -79,6 +82,12 @@ func (g *gen) resolveToVar(e xquery.Expr, ctx *varInfo) (*varInfo, error) {
 		}
 		if base.kind != kindEntity {
 			return nil, unsupported("attribute path from non-entity variable")
+		}
+		if g.constructing > 0 {
+			// The path binds every version of the attribute, and a
+			// constructor holds them all in one element, where the
+			// flat join would build one element per version.
+			return nil, unsupported("path to %s inside an element constructor", steps[0].Name)
 		}
 		return g.attrVar(base.ent, steps[0].Name)
 	}

@@ -107,7 +107,14 @@ func directChildren(x *xquery.DirectElement) []xquery.Expr {
 }
 
 // translateConstructor builds XMLElement(Name tag, attrs…, children…).
+// The element is built once per joined row, so every variable inside
+// must bind one version per binding of the FLWOR: a path from an
+// entity variable or a let-bound variable, which bind them all, makes
+// the constructor unsupported (resolveToVar) and the query falls back
+// to the XML path.
 func (g *gen) translateConstructor(tag string, attrs []xquery.DirectAttr, children []xquery.Expr) (string, *entityInfo, bool, error) {
+	g.constructing++
+	defer func() { g.constructing-- }()
 	var parts []string
 	var attrParts []string
 	for _, a := range attrs {

@@ -99,6 +99,9 @@ type gen struct {
 	conds   []string
 	orderBy []string
 	aliasN  int
+	// constructing counts the element constructors being translated;
+	// inside one, a variable must bind one version (resolveToVar).
+	constructing int
 }
 
 func (g *gen) nextAlias() string {

@@ -221,12 +221,18 @@ return tavg($s)`
 func TestQuery7SinceTranslation(t *testing.T) {
 	f := newFixture(t)
 	// The overlap variant of the paper's since query (Alice matches).
-	q := `
+	// The paper returns <employee>{$e/id, $e/name}</employee>: a
+	// constructor over paths that bind every version, which falls back
+	// to the XML path, so the translated form returns the names.
+	const clauses = `
 for $e in doc("employees.xml")/employees/employee
 let $m := $e/title[.="Sr Engineer" and tend(.)=current-date()]
 let $d := $e/deptno[.="d01" and toverlaps($m, .)]
-where not(empty($d)) and not(empty($m))
-return <employee>{$e/id, $e/name}</employee>`
+where not(empty($d)) and not(empty($m))`
+	if _, err := f.tr.Translate(clauses + ` return <employee>{$e/id, $e/name}</employee>`); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("constructor over entity paths: err = %v, want ErrUnsupported", err)
+	}
+	q := clauses + ` return $e/name`
 	sql, err := f.tr.Translate(q)
 	if err != nil {
 		t.Fatal(err)
