@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race parallel-stress bench-smoke crash-matrix fuzz-smoke verify lint bench figures bench-compare
+.PHONY: build vet test race parallel-stress bench-smoke crash-matrix fuzz-smoke verify lint loc bench figures bench-compare
 
 build:
 	$(GO) build ./...
@@ -19,11 +19,12 @@ race:
 	$(GO) test -race ./...
 
 # Focused stress of the morsel-parallel executor: the randomized
-# serial-vs-parallel differential tests and the forced-plan
-# differentials (every plan, Workers 1 and 2 among them, must answer
-# as the planned one), under the race detector.
+# serial-vs-parallel differential tests, the forced-plan differentials
+# (every plan, Workers 1 and 2 among them, must answer as the planned
+# one) and the EXPLAIN-vs-executed fan-out check, under the race
+# detector.
 parallel-stress:
-	$(GO) test -race -run 'Parallel|PlannerDifferential' ./...
+	$(GO) test -race -run 'Parallel|PlannerDifferential|TestExplainFanOutMatchesAnalyze' ./...
 
 # One-iteration benchmark smoke: the scan and drain benchmarks must
 # still compile and run (allocation regressions show up here first), and so
@@ -68,6 +69,15 @@ verify: build vet race parallel-stress bench-smoke
 lint:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "lint: staticcheck not installed, skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "lint: govulncheck not installed, skipping"; fi
+
+# Non-test, non-comment, non-blank Go lines per package: the size
+# figure simplification work is measured by.
+loc:
+	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		[ -n "$$files" ] || continue; \
+		printf '%6d %s\n' "$$(cat $$files | awk '{ sub(/^[ \t]+/, "") } $$0 == "" || /^\/\// { next } { n++ } END { print n + 0 }')" "$$pkg"; \
+	done
 
 # The benchmark (four workloads, end-to-end and per-layer metrics);
 # see benchmark/README.md.

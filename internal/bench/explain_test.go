@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -47,39 +48,32 @@ func explain(t *testing.T, e *Env, sql string) string {
 // never the chosen access path or operators.
 func TestExplainGolden(t *testing.T) {
 	e := buildExplainEnv(t, Options{Layout: core.LayoutClustered})
+	// Every read is one scan line. Q1 and Q3 pin one id: the store
+	// answers them with one index-probe morsel, so they stay serial;
+	// the other reads fan out over both workers.
 	golden := map[QueryID]string{
 		Q1: `select
-  morsel-fanout workers=2
-    scan S (virtual) bounds=4 filter=4 conjuncts est=1
+  scan S (virtual) bounds=4 filter=4 conjuncts est=1
   project cols=1
 `,
 		Q2: `select
-  morsel-fanout workers=2
-    scan S (virtual) bounds=3 filter=3 conjuncts est=3
-  agg-merge
+  scan S (virtual) bounds=3 filter=3 conjuncts est=3 workers=2
   project cols=1
 `,
 		Q3: `select
-  morsel-fanout workers=2
-    scan S (virtual) bounds=1 filter=1 conjuncts est=74
+  scan S (virtual) bounds=1 filter=1 conjuncts est=74
   project cols=3 order-by=1
 `,
 		Q4: `select
-  morsel-fanout workers=2
-    scan S (virtual) est=743
-  agg-merge
+  scan S (virtual) est=743 workers=2
   project cols=1
 `,
 		Q5: `select
-  morsel-fanout workers=2
-    scan S (virtual) bounds=3 filter=4 conjuncts est=7
-  agg-merge
+  scan S (virtual) bounds=3 filter=4 conjuncts est=7 workers=2
   project cols=1
 `,
 		Q6: `select
-  morsel-fanout workers=2
-    scan S (virtual) bounds=3 filter=3 conjuncts est=11
-  agg-merge
+  scan S (virtual) bounds=3 filter=3 conjuncts est=11 workers=2
   project cols=1
 `,
 	}
@@ -96,7 +90,7 @@ func TestExplainGolden(t *testing.T) {
 	joinGolden := `select
   hash join keys=1 band=tstart build=S2 est outer=131 inner=131 out=1320
     build: scan S2 (virtual) bounds=1 filter=1 conjuncts derived=1 est=131
-    probe: scan S1 (virtual) bounds=1 filter=1 conjuncts est=131 (streamed)
+    probe: scan S1 (virtual) bounds=1 filter=1 conjuncts est=131 workers=2 (streamed)
   project cols=1
 `
 	if got := explain(t, e, e.JoinSQL()); got != joinGolden {
@@ -155,7 +149,7 @@ func TestExplainAnalyzeJoinGolden(t *testing.T) {
 	want := `query  [T] rows=1 snapshot_lsn=0
   join:hash-build  [T] rows=0 rows_in=143 table=S2 side=inner est_outer=131 est_inner=131 est_out=1320 buckets=72
   join:hash-probe  [T] rows=261 rows_in=143 table=S1 band=tstart workers=2 morsels=3
-  aggregate  [T] rows=1 rows_in=261
+  aggregate  [T] rows=1 rows_in=261 partials=3
   project  [T] rows=1 rows_in=1 grouped=true
 `
 	if got != want {
@@ -279,8 +273,8 @@ func TestTraceDifferential(t *testing.T) {
 					lay.name, q, traced, plain)
 			}
 			qt := tr.Finish(e.SQL(q))
-			if qt.Find("scan") == nil && qt.Find("morsel-fanout") == nil {
-				t.Errorf("%s Q%d: trace has neither scan nor morsel-fanout span:\n%s",
+			if qt.Find("scan") == nil {
+				t.Errorf("%s Q%d: trace has no scan span:\n%s",
 					lay.name, q, qt.Tree())
 			}
 			// The JSON form must parse back, carry its query, and hold a
@@ -319,4 +313,70 @@ func resultOf(res *sqlengine.Result) Result {
 		out.Value = res.Rows[0][0].Text()
 	}
 	return out
+}
+
+// TestExplainFanOutMatchesAnalyze checks that plain EXPLAIN and the
+// executed plan agree on every read's fan-out: the workers=N EXPLAIN
+// prints for a read equals the workers attribute of the span that
+// executed it, and a read EXPLAIN leaves serial executes serially.
+// Both come from one rule (fanWorkers); this pins them together over
+// the Table 3 suite, the Q6 self-join and translated x1/x3, on every
+// layout at Workers 1 and 2.
+func TestExplainFanOutMatchesAnalyze(t *testing.T) {
+	// An EXPLAIN line names its read's alias after "scan" or "join";
+	// a span names it as table=.
+	planRE := regexp.MustCompile(`(?:scan|join) (\S+) .*?workers=(\d+)`)
+	spanRE := regexp.MustCompile(`table=(\S+).*?workers=(\d+)`)
+	fanned := func(text string, re *regexp.Regexp) map[string]string {
+		out := map[string]string{}
+		for _, line := range strings.Split(text, "\n") {
+			if m := re.FindStringSubmatch(line); m != nil {
+				out[m[1]] = m[2]
+			}
+		}
+		return out
+	}
+	wide := 0
+	for _, lay := range []struct {
+		name string
+		opts Options
+	}{
+		{"plain", Options{Layout: core.LayoutPlain}},
+		{"clustered", Options{Layout: core.LayoutClustered}},
+		{"compressed", Options{Layout: core.LayoutCompressed, Compress: true}},
+	} {
+		for _, workers := range []int{1, 2} {
+			opts := lay.opts
+			opts.Workers = workers
+			opts.MinSegmentRows = 160
+			e, err := Build(smallCfg(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stmts := []string{e.JoinSQL()}
+			for _, q := range AllQueries {
+				stmts = append(stmts, e.SQL(q))
+			}
+			translated, err := e.TranslatedSQL()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sql := range append(stmts, translated...) {
+				plan := explain(t, e, sql)
+				analyzed := explain(t, e, "ANALYZE "+sql)
+				want, got := fanned(plan, planRE), fanned(analyzed, spanRE)
+				if fmt.Sprint(want) != fmt.Sprint(got) {
+					t.Errorf("%s workers=%d: EXPLAIN fans out %v, the executed plan %v:\n%s\n%s",
+						lay.name, workers, want, got, plan, analyzed)
+				}
+				if workers == 1 && len(got) > 0 {
+					t.Errorf("%s workers=1: a read fanned out:\n%s", lay.name, analyzed)
+				}
+				wide += len(got)
+			}
+		}
+	}
+	if wide == 0 {
+		t.Error("no read fanned out at Workers=2")
+	}
 }

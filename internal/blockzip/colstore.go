@@ -4,7 +4,7 @@ import (
 	"sync/atomic"
 
 	"archis/internal/relstore"
-	"archis/internal/temporal"
+	"archis/internal/segment"
 )
 
 // Batch-granular scanning: the columnar sibling of ScanMorsels. The
@@ -12,7 +12,7 @@ import (
 // columns it needs; each batch morsel streams column batches with this
 // store's segno-range / staleness / id filter already applied through
 // the selection vector. Concatenating the selected rows of every batch
-// in morsel order reproduces exactly the serial Scan row sequence, the
+// in morsel order reproduces exactly the ScanMorsels row sequence, the
 // same determinism contract ScanMorsels gives the row executor.
 
 // batchRows is the target batch size for row-backed batches (the live
@@ -27,7 +27,10 @@ const batchRows = 1024
 // reads (nil = all); the store adds the columns its own filter needs,
 // and columnar blocks decode only that union.
 func (cs *CompressedStore) ScanBatches(bounds []relstore.ZoneBound, needed []bool) ([]relstore.BatchFunc, error) {
-	segLo, segHi, idEq := cs.scope(bounds)
+	sc, segMorsels, err := cs.Seg.ScopedMorsels(bounds)
+	if err != nil {
+		return nil, err
+	}
 	ncols := len(cs.Schema().Columns)
 
 	// The store filter reads segno (col 0) and tend (col 4), plus id
@@ -39,54 +42,25 @@ func (cs *CompressedStore) ScanBatches(bounds []relstore.ZoneBound, needed []boo
 		copy(storeNeeded, needed)
 		storeNeeded[0] = true
 		storeNeeded[4] = true
-		if idEq != nil {
+		if sc.HasID {
 			storeNeeded[1] = true
 		}
 	}
 
-	// Same filter rule as Scan/ScanMorsels, expressed over vectors.
-	// Like the row filter, it reads the raw I payloads (row[0].I etc.),
-	// so decoded NULLs behave identically on both paths.
-	forever := int64(temporal.Forever)
-	sel := func(b *relstore.ColBatch, dst []int32) []int32 {
-		segv, idv, tendv := &b.Cols[0], &b.Cols[1], &b.Cols[4]
-		dst = dst[:0]
-		for i := 0; i < b.N; i++ {
-			sg := vecI(segv, i)
-			if sg < segLo || sg > segHi {
-				continue
-			}
-			if sg < segHi && vecI(tendv, i) == forever {
-				continue
-			}
-			if idEq != nil && vecI(idv, i) != *idEq {
-				continue
-			}
-			dst = append(dst, int32(i))
-		}
-		return dst
-	}
-
-	segMorsels, err := cs.Seg.ScanMorsels(bounds)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]relstore.BatchFunc, 0, len(segMorsels)+8)
 	for _, m := range segMorsels {
-		m := m
 		out = append(out, func(fn func(*relstore.ColBatch) bool) (bool, error) {
-			return cs.rowMorselBatches(m, ncols, storeNeeded, segLo, segHi, idEq, fn)
+			return cs.rowMorselBatches(m, ncols, storeNeeded, fn)
 		})
 	}
 
-	ranges, err := cs.ranges(segLo, segHi)
+	ranges, err := cs.ranges(sc.Lo, sc.Hi)
 	if err != nil {
 		return nil, err
 	}
 	for _, rg := range ranges {
-		rg := rg
 		out = append(out, func(fn func(*relstore.ColBatch) bool) (bool, error) {
-			return cs.rangeBatches(rg, idEq, storeNeeded, ncols, sel, fn)
+			return cs.rangeBatches(rg, &sc, storeNeeded, ncols, fn)
 		})
 	}
 	return out, nil
@@ -107,13 +81,14 @@ func vecI(v *relstore.ColVec, i int) int64 {
 	}
 }
 
-// rowMorselBatches adapts one row morsel (the uncompressed side) into
-// batches: rows passing the store filter accumulate and flush as
-// row-backed batches of up to batchRows. Borrowed rows stay valid for
-// the whole read (storage is immutable during a query) and the batch
-// copies their Values out at flush.
+// rowMorselBatches adapts one row morsel of the segment store (the
+// uncompressed side, already filtered by the read's Scope) into
+// batches: its rows accumulate and flush as row-backed batches of up
+// to batchRows. Borrowed rows stay valid for the whole read (storage
+// is immutable during a query) and the batch copies their Values out
+// at flush.
 func (cs *CompressedStore) rowMorselBatches(m relstore.MorselFunc, ncols int, storeNeeded []bool,
-	segLo, segHi int64, idEq *int64, fn func(*relstore.ColBatch) bool) (bool, error) {
+	fn func(*relstore.ColBatch) bool) (bool, error) {
 	var batch relstore.ColBatch
 	buf := make([]relstore.Row, 0, batchRows)
 	stopped := false
@@ -128,9 +103,6 @@ func (cs *CompressedStore) rowMorselBatches(m relstore.MorselFunc, ncols int, st
 		return ok
 	}
 	_, err := m(true, func(row relstore.Row) bool {
-		if !keep(row, segLo, segHi, idEq) {
-			return true
-		}
 		buf = append(buf, row)
 		if len(buf) >= batchRows {
 			if !flush() {
@@ -150,42 +122,30 @@ func (cs *CompressedStore) rowMorselBatches(m relstore.MorselFunc, ncols int, st
 }
 
 // rangeBatches streams one compressed segment range block by block,
-// one batch per block. The store filter's selection always lands on a
-// header copy, so a shared cached batch is never written.
-func (cs *CompressedStore) rangeBatches(rg srange, idEq *int64, storeNeeded []bool, ncols int,
-	sel func(*relstore.ColBatch, []int32) []int32, fn func(*relstore.ColBatch) bool) (bool, error) {
-	blobBounds := []relstore.ZoneBound{
-		{Col: 0, Op: ">=", Bound: rg.startBlock},
-		{Col: 0, Op: "<=", Bound: rg.endBlock},
-	}
-	if idEq != nil {
-		target := sid(rg.segno, *idEq)
-		blobBounds = append(blobBounds,
-			relstore.ZoneBound{Col: 1, Op: "<=", Bound: target},
-			relstore.ZoneBound{Col: 2, Op: ">=", Bound: target})
-	}
+// one batch per block, selecting the rows the read's Scope admits. The
+// selection always lands on a header copy, so a shared cached batch is
+// never written. Like the row filter, the selection reads the raw I
+// payloads (vecI), so decoded NULLs behave identically on both paths.
+func (cs *CompressedStore) rangeBatches(rg srange, sc *segment.Scope, storeNeeded []bool, ncols int,
+	fn func(*relstore.ColBatch) bool) (bool, error) {
 	var batch, view relstore.ColBatch
 	var selBuf []int32
 	stopped := false
 	var blockErr error
-	err := cs.blob.ScanBorrow(blobBounds, func(_ relstore.RID, row relstore.Row) bool {
-		blockNo := row[0].I
-		if blockNo < rg.startBlock || blockNo > rg.endBlock {
-			return true
-		}
-		if idEq != nil {
-			target := sid(rg.segno, *idEq)
-			if row[1].I > target || row[2].I < target {
-				return true
-			}
-		}
-		b, err := cs.blockBatch(blockNo, row[3].B, storeNeeded, ncols, &batch)
+	err := cs.eachBlock(rg, sc, func(blockNo int64, blob []byte) bool {
+		b, err := cs.blockBatch(blockNo, blob, storeNeeded, ncols, &batch)
 		if err != nil {
 			blockErr = err
 			return false
 		}
 		view = *b
-		selBuf = sel(&view, selBuf)
+		segv, idv, tendv := &view.Cols[0], &view.Cols[1], &view.Cols[4]
+		selBuf = selBuf[:0]
+		for i := 0; i < view.N; i++ {
+			if sc.Admits(vecI(segv, i), vecI(idv, i), vecI(tendv, i)) {
+				selBuf = append(selBuf, int32(i))
+			}
+		}
 		if len(selBuf) == 0 {
 			return true
 		}

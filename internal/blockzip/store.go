@@ -331,8 +331,8 @@ func (cs *CompressedStore) Rewrite(id int64, value relstore.Value, valid tempora
 	return cs.Seg.Rewrite(id, value, valid)
 }
 
-// ScanHistory unions compressed and uncompressed versions; Scan's
-// newest-first dedup already yields each logical version once.
+// ScanHistory unions compressed and uncompressed versions; the read's
+// Scope already yields each logical version once.
 func (cs *CompressedStore) ScanHistory(fn func(id int64, value relstore.Value, start, end temporal.Date, valid temporal.Interval) bool) error {
 	return cs.Scan(nil, func(row relstore.Row) bool {
 		valid := htable.DefaultValid(row[3].Date())
@@ -359,7 +359,7 @@ const defaultRowsPerBlock = 32
 // rows-per-block average. No block is decompressed.
 func (cs *CompressedStore) EstimateScan(bounds []relstore.ZoneBound) relstore.ScanEstimate {
 	est := cs.Seg.EstimateScan(bounds)
-	segLo, segHi, _ := cs.scope(bounds)
+	sc := cs.Seg.Scope(bounds)
 	cs.mu.RLock()
 	compRows := cs.compRows
 	perBlock := int64(defaultRowsPerBlock)
@@ -367,7 +367,7 @@ func (cs *CompressedStore) EstimateScan(bounds []relstore.ZoneBound) relstore.Sc
 	if totalBlocks > 0 && compRows > 0 {
 		perBlock = (compRows + totalBlocks - 1) / totalBlocks
 	}
-	ranges, err := cs.ranges(segLo, segHi)
+	ranges, err := cs.ranges(sc.Lo, sc.Hi)
 	if err != nil {
 		cs.mu.RUnlock()
 		return est
@@ -394,51 +394,10 @@ func (cs *CompressedStore) EstimateScan(bounds []relstore.ZoneBound) relstore.Sc
 	return est
 }
 
-// Scan implements sqlengine.VirtualTable with the same logical-version
-// semantics as segment.Store.Scan: uncompressed rows (the live segment
-// and any not-yet-compressed frozen ones) are visited first, then
-// compressed segments newest-first, suppressing redundant copies of a
-// version so the newest copy's tend wins. Bounds on segno (col 0)
-// restrict the segment range; an id equality bound (col 1) prunes
-// blocks through the [startsid, endsid] ranges.
+// Scan drains ScanMorsels in order with borrowed rows: the serial read
+// for callers outside the engine.
 func (cs *CompressedStore) Scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error {
-	segLo, segHi, idEq := cs.scope(bounds)
-	stopped := false
-	emit := func(row relstore.Row) bool {
-		if !keep(row, segLo, segHi, idEq) {
-			return true
-		}
-		if !fn(row) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-
-	// Uncompressed rows first: the live segment holds the newest,
-	// authoritative copies.
-	err := cs.Seg.Scan(bounds, emit)
-	if err != nil || stopped {
-		return err
-	}
-
-	// Compressed segment ranges, newest first.
-	ranges, err := cs.ranges(segLo, segHi)
-	if err != nil {
-		return err
-	}
-
-	for _, rg := range ranges {
-		// VirtualTable.Scan's contract hands out borrowed rows.
-		rgStopped, err := cs.scanRange(rg, idEq, true, emit)
-		if err != nil {
-			return err
-		}
-		if rgStopped || stopped {
-			return nil
-		}
-	}
-	return nil
+	return relstore.DrainMorsels(cs, bounds, fn)
 }
 
 // ranges lists the compressed segment ranges intersecting
@@ -457,36 +416,6 @@ func (cs *CompressedStore) ranges(segLo, segHi int64) ([]srange, error) {
 	}
 	sort.Slice(ranges, func(i, j int) bool { return ranges[i].segno > ranges[j].segno })
 	return ranges, nil
-}
-
-// scope reads the pushed-down bounds the store honours itself: the
-// segno range (col 0) and an id equality (col 1).
-func (cs *CompressedStore) scope(bounds []relstore.ZoneBound) (segLo, segHi int64, idEq *int64) {
-	segLo, segHi = 1, cs.Seg.LiveSegment()
-	for _, zb := range bounds {
-		switch {
-		case zb.Col == 0 && zb.Op == "=":
-			segLo, segHi = zb.Bound, zb.Bound
-		case zb.Col == 0 && zb.Op == ">=" && zb.Bound > segLo:
-			segLo = zb.Bound
-		case zb.Col == 0 && zb.Op == "<=" && zb.Bound < segHi:
-			segHi = zb.Bound
-		case zb.Col == 1 && zb.Op == "=":
-			v := zb.Bound
-			idEq = &v
-		}
-	}
-	return segLo, segHi, idEq
-}
-
-// keep is the row filter every scan path applies, the same exact dedup
-// rule as segment.Store.Scan: the row's segment lies in [segLo, segHi],
-// it is not a stale carried copy (a forever-tend row below the top of
-// the range), and it matches idEq when set.
-func keep(row relstore.Row, segLo, segHi int64, idEq *int64) bool {
-	sg := row[0].I
-	return sg >= segLo && sg <= segHi && !(sg < segHi && row[4].Date().IsForever()) &&
-		(idEq == nil || row[1].I == *idEq)
 }
 
 // srange is one compressed segment's block range.
@@ -550,44 +479,49 @@ func (cs *CompressedStore) blockRows(blockNo int64, blob []byte) ([]relstore.Row
 	return blk.Rows, nil
 }
 
-// scanRange feeds one segment range's block rows to emit (decompressing
-// on block-cache misses), reporting whether emit stopped the scan. With
-// borrow=true emitted rows alias shared cache storage; with
-// borrow=false each row is a defensive copy.
-func (cs *CompressedStore) scanRange(rg srange, idEq *int64, borrow bool, emit func(relstore.Row) bool) (bool, error) {
+// eachBlock visits the blocks of one compressed segment range in
+// block order — under an id equality only those whose [startsid,
+// endsid] covers the id — until visit returns false.
+func (cs *CompressedStore) eachBlock(rg srange, sc *segment.Scope, visit func(blockNo int64, blob []byte) bool) error {
 	blobBounds := []relstore.ZoneBound{
 		{Col: 0, Op: ">=", Bound: rg.startBlock},
 		{Col: 0, Op: "<=", Bound: rg.endBlock},
 	}
-	if idEq != nil {
-		target := sid(rg.segno, *idEq)
+	target := sid(rg.segno, sc.ID)
+	if sc.HasID {
 		blobBounds = append(blobBounds,
 			relstore.ZoneBound{Col: 1, Op: "<=", Bound: target},
 			relstore.ZoneBound{Col: 2, Op: ">=", Bound: target})
 	}
-	stopped := false
-	var blockErr error
-	err := cs.blob.ScanBorrow(blobBounds, func(_ relstore.RID, row relstore.Row) bool {
-		blockNo := row[0].I
-		if blockNo < rg.startBlock || blockNo > rg.endBlock {
+	return cs.blob.ScanBorrow(blobBounds, func(_ relstore.RID, row relstore.Row) bool {
+		if row[0].I < rg.startBlock || row[0].I > rg.endBlock || sc.HasID && (row[1].I > target || row[2].I < target) {
 			return true
 		}
-		if idEq != nil {
-			target := sid(rg.segno, *idEq)
-			if row[1].I > target || row[2].I < target {
-				return true
-			}
-		}
-		rows, derr := cs.blockRows(blockNo, row[3].B)
-		if derr != nil {
-			blockErr = derr
+		return visit(row[0].I, row[3].B)
+	})
+}
+
+// scanRange feeds the rows of one segment range that sc keeps to fn
+// (decompressing on block-cache misses), reporting whether fn stopped
+// the scan. With borrow=true emitted rows alias shared cache storage;
+// with borrow=false each row is a defensive copy.
+func (cs *CompressedStore) scanRange(rg srange, sc *segment.Scope, borrow bool, fn func(relstore.Row) bool) (bool, error) {
+	stopped := false
+	var blockErr error
+	err := cs.eachBlock(rg, sc, func(blockNo int64, blob []byte) bool {
+		rows, err := cs.blockRows(blockNo, blob)
+		if err != nil {
+			blockErr = err
 			return false
 		}
 		for _, r := range rows {
+			if !sc.Keep(r) {
+				continue
+			}
 			if !borrow {
 				r = r.Clone()
 			}
-			if !emit(r) {
+			if !fn(r) {
 				stopped = true
 				return false
 			}
@@ -600,40 +534,24 @@ func (cs *CompressedStore) scanRange(rg srange, idEq *int64, borrow bool, emit f
 	return stopped, err
 }
 
-// ScanMorsels implements relstore.MorselSource: the uncompressed
-// side's morsels (live segment plus any not-yet-compressed frozen
-// rows) come first, wrapped with this store's range/stale/id filter,
+// ScanMorsels implements relstore.MorselSource, the store's one read:
+// the segment store's morsels (live segment plus any not-yet-compressed
+// frozen rows, already filtered by the read's Scope) come first,
 // followed by one morsel per compressed segment range (newest first)
-// that decompresses and decodes its blocks. Concatenated in order,
-// the morsels emit exactly Scan's row sequence, so segment
-// decompression parallelizes across workers.
+// that decompresses and decodes its blocks under the same Scope, so
+// segment decompression parallelizes across workers.
 func (cs *CompressedStore) ScanMorsels(bounds []relstore.ZoneBound) ([]relstore.MorselFunc, error) {
-	segLo, segHi, idEq := cs.scope(bounds)
-	// Per-morsel stateless version of Scan's dedup/filter rule.
-	filter := func(row relstore.Row, fn func(relstore.Row) bool) bool {
-		return !keep(row, segLo, segHi, idEq) || fn(row)
-	}
-
-	segMorsels, err := cs.Seg.ScanMorsels(bounds)
+	sc, out, err := cs.Seg.ScopedMorsels(bounds)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]relstore.MorselFunc, 0, len(segMorsels)+8)
-	for _, m := range segMorsels {
-		m := m
-		out = append(out, func(borrow bool, fn func(relstore.Row) bool) (bool, error) {
-			return m(borrow, func(row relstore.Row) bool { return filter(row, fn) })
-		})
-	}
-
-	ranges, err := cs.ranges(segLo, segHi)
+	ranges, err := cs.ranges(sc.Lo, sc.Hi)
 	if err != nil {
 		return nil, err
 	}
 	for _, rg := range ranges {
-		rg := rg
 		out = append(out, func(borrow bool, fn func(relstore.Row) bool) (bool, error) {
-			return cs.scanRange(rg, idEq, borrow, func(row relstore.Row) bool { return filter(row, fn) })
+			return cs.scanRange(rg, &sc, borrow, fn)
 		})
 	}
 	return out, nil

@@ -242,6 +242,6 @@ func growStr(s []string, n int) []string {
 // batches with the store's own row filter already applied through the
 // selection vector. fn returning false stops the morsel (stopped=true).
 // Concatenating the selected rows of every batch of every BatchFunc,
-// in order, yields exactly the row sequence of the store's serial
-// Scan — the same determinism contract as ScanMorsels.
+// in order, yields exactly the row sequence of the store's
+// ScanMorsels — the same determinism contract.
 type BatchFunc func(fn func(*ColBatch) bool) (stopped bool, err error)

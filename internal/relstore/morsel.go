@@ -118,3 +118,21 @@ func (db *Database) countScanRows(borrow bool, n int64) {
 		db.stats.rowsCopied.Add(n)
 	}
 }
+
+// DrainMorsels is the serial read of a MorselSource: it runs the
+// morsels of bounds in order with borrowed rows, until they are
+// exhausted or fn returns false. Concatenated in order the morsels
+// are the source's row sequence, so this is the scan a caller outside
+// the engine's executor drains.
+func DrainMorsels(ms MorselSource, bounds []ZoneBound, fn func(Row) bool) error {
+	morsels, err := ms.ScanMorsels(bounds)
+	if err != nil {
+		return err
+	}
+	for _, m := range morsels {
+		if stopped, err := m(true, fn); err != nil || stopped {
+			return err
+		}
+	}
+	return nil
+}

@@ -188,8 +188,10 @@ func (v Value) Text() string {
 
 // Compare orders two values. NULL sorts first; values of different
 // numeric kinds compare numerically — two Int/Date payloads exactly as
-// int64, anything with a Float through float64; otherwise mismatched
-// kinds compare by kind tag (stable, if arbitrary). Returns -1, 0 or 1.
+// int64, anything with a Float through float64 in cmp.Compare's
+// total order (NaN equals NaN and sorts below every other float);
+// otherwise mismatched kinds compare by kind tag (stable, if
+// arbitrary). Returns -1, 0 or 1.
 func Compare(a, b Value) int {
 	if a.IsNull() || b.IsNull() {
 		switch {
@@ -209,14 +211,7 @@ func Compare(a, b Value) int {
 	if numeric(a) && numeric(b) {
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(af, bf)
 	}
 	if a.Kind != b.Kind {
 		// Try numeric-vs-string coercion: SQL comparisons like
@@ -224,14 +219,7 @@ func Compare(a, b Value) int {
 		if numeric(a) && b.Kind == TypeString {
 			if bf, ok := b.AsFloat(); ok {
 				af, _ := a.AsFloat()
-				switch {
-				case af < bf:
-					return -1
-				case af > bf:
-					return 1
-				default:
-					return 0
-				}
+				return cmp.Compare(af, bf)
 			}
 		}
 		if a.Kind == TypeString && numeric(b) {

@@ -41,9 +41,9 @@ type Config struct {
 // Store is a usefulness-clustered attribute store. It satisfies
 // htable.AttrStore.
 //
-// Reads (Scan, ScanHistory, Segments, SegmentsFor, Usefulness, …) may
-// run concurrently; mu makes their view of the segment metadata
-// consistent. Writes (Append, Close, Rewrite, ArchiveNow,
+// Reads (ScanMorsels, ScanHistory, Segments, SegmentsFor,
+// Usefulness, …) may run concurrently; mu makes their view of the
+// segment metadata consistent. Writes (Append, Close, Rewrite, ArchiveNow,
 // RebuildLiveMap) take the write lock and additionally require that no
 // other goroutine touches the underlying tables, per the relstore
 // writer-exclusivity rule.
@@ -445,7 +445,7 @@ func (s *Store) segments() ([]SegmentInterval, error) {
 // the archive day: versions written on day A after the archive land
 // in the next segment, so segment k answers for [End(k−1), End(k)]
 // and the live segment for [End(last), ∞). The result stays a
-// contiguous range, which Scan's dedup rule relies on.
+// contiguous range, which Scope's stale-copy rule relies on.
 func (s *Store) SegmentsFor(lo, hi temporal.Date) ([]int64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -472,120 +472,88 @@ func (s *Store) SegmentsFor(lo, hi temporal.Date) ([]int64, error) {
 // Schema implements sqlengine.VirtualTable.
 func (s *Store) Schema() relstore.Schema { return s.table.Schema() }
 
+// Scope is the paper's §6.3 logical-version rule for one read of a
+// clustered attribute table, resolved from the read's pushed-down
+// bounds: the segment range [Lo, Hi] (segno bounds on column 0) and an
+// id equality (column 1) when HasID. A version live when its segment
+// was archived is copied into the next segment and keeps tend =
+// forever in the frozen one, so within a contiguous range a
+// forever-tend row below Hi is a stale copy whose authoritative
+// version lies in a later segment of the range: Keep drops it, and
+// the newest copy, whose tend is authoritative, wins. No hashing is
+// needed; the rule is exact for the contiguous ranges SegmentsFor
+// produces. Every read of the segment and BlockZIP stores applies it.
+type Scope struct {
+	Lo, Hi int64
+	ID     int64
+	HasID  bool
+}
+
+// Admits reports whether a row with these raw segno, id and tend
+// payloads belongs to the read: its segment lies in [Lo, Hi], it is
+// not a stale carried copy, and it matches the id when one is set.
+// Column-batch filters call it with vector payloads.
+func (sc *Scope) Admits(segno, id, tend int64) bool {
+	return segno >= sc.Lo && segno <= sc.Hi && !(segno < sc.Hi && tend == int64(temporal.Forever)) &&
+		(!sc.HasID || id == sc.ID)
+}
+
+// Keep is Admits over a row of the attribute table.
+func (sc *Scope) Keep(row relstore.Row) bool { return sc.Admits(row[0].I, row[1].I, row[4].I) }
+
+// Scope resolves bounds against the live segment number under the
+// read lock.
+func (s *Store) Scope(bounds []relstore.ZoneBound) Scope {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.scope(bounds)
+}
+
+// scope is Scope with s.mu already held.
+func (s *Store) scope(bounds []relstore.ZoneBound) Scope {
+	sc := Scope{Lo: 1, Hi: s.liveSeg}
+	for _, zb := range bounds {
+		switch {
+		case zb.Col == 0 && zb.Op == "=":
+			sc.Lo, sc.Hi = zb.Bound, zb.Bound
+		case zb.Col == 0 && zb.Op == ">=" && zb.Bound > sc.Lo:
+			sc.Lo = zb.Bound
+		case zb.Col == 0 && zb.Op == "<=" && zb.Bound < sc.Hi:
+			sc.Hi = zb.Bound
+		case zb.Col == 1 && zb.Op == "=":
+			sc.ID, sc.HasID = zb.Bound, true
+		}
+	}
+	return sc
+}
+
+// segBounds prepends sc's segment range to bounds as zone bounds when
+// it is narrower than [1, live], so the base table prunes pages by
+// segno.
+func (s *Store) segBounds(sc Scope, bounds []relstore.ZoneBound) []relstore.ZoneBound {
+	if sc.Lo > 1 || sc.Hi < s.liveSeg {
+		return append([]relstore.ZoneBound{
+			{Col: 0, Op: ">=", Bound: sc.Lo},
+			{Col: 0, Op: "<=", Bound: sc.Hi},
+		}, bounds...)
+	}
+	return bounds
+}
+
 // EstimateScan implements the sqlengine planner's ScanEstimator: the
 // pushed-down segment range is rewritten into zone bounds exactly as
-// Scan does, then the base table's zone-map estimate answers. Costs
-// O(pages), no page decode.
+// ScanMorsels does, then the base table's zone-map estimate answers.
+// Costs O(pages), no page decode.
 func (s *Store) EstimateScan(bounds []relstore.ZoneBound) relstore.ScanEstimate {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	lo, hi := int64(1), s.liveSeg
-	for _, zb := range bounds {
-		switch {
-		case zb.Col == 0 && zb.Op == "=":
-			lo, hi = zb.Bound, zb.Bound
-		case zb.Col == 0 && zb.Op == ">=" && zb.Bound > lo:
-			lo = zb.Bound
-		case zb.Col == 0 && zb.Op == "<=" && zb.Bound < hi:
-			hi = zb.Bound
-		}
-	}
-	segBounds := bounds
-	if lo > 1 || hi < s.liveSeg {
-		segBounds = append([]relstore.ZoneBound{
-			{Col: 0, Op: ">=", Bound: lo},
-			{Col: 0, Op: "<=", Bound: hi},
-		}, bounds...)
-	}
-	return s.table.EstimateScan(segBounds)
+	return s.table.EstimateScan(s.segBounds(s.scope(bounds), bounds))
 }
 
-// Scan implements sqlengine.VirtualTable with logical-version
-// semantics: segments are scanned newest-first and redundant copies of
-// a version (same id and tstart, carried across archive operations)
-// are suppressed, so the newest copy — whose tend is authoritative —
-// wins. Pushed-down bounds on segno (col 0) restrict the segment range
-// (Section 6.3 query mapping); an id equality bound (col 1) uses the
-// base table's id index when one exists.
+// Scan drains ScanMorsels in order with borrowed rows: the serial read
+// for callers outside the engine.
 func (s *Store) Scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	lo, hi := int64(1), s.liveSeg
-	var idEq *int64
-	for _, zb := range bounds {
-		switch {
-		case zb.Col == 0 && zb.Op == "=":
-			lo, hi = zb.Bound, zb.Bound
-		case zb.Col == 0 && (zb.Op == ">=") && zb.Bound > lo:
-			lo = zb.Bound
-		case zb.Col == 0 && (zb.Op == "<=") && zb.Bound < hi:
-			hi = zb.Bound
-		case zb.Col == 1 && zb.Op == "=":
-			v := zb.Bound
-			idEq = &v
-		}
-	}
-	// Deduplication rule (exact for the contiguous segment ranges this
-	// store produces): a tuple that was live at archive time is copied
-	// into the next segment, keeping tend = forever in the frozen one.
-	// So within a scanned range [lo, hi], a forever-tend row in any
-	// segment below hi is a stale copy whose authoritative version is
-	// in a later scanned segment — skip it. No hashing needed.
-	isStale := func(row relstore.Row) bool {
-		return row[0].I < hi && row[4].Date().IsForever()
-	}
-
-	// Index fast path for single-object queries (the Q1/Q3 shape).
-	// Rows are borrowed (VirtualTable contract), so the probe loop
-	// allocates nothing per row.
-	if idEq != nil {
-		if ix := s.table.IndexOn(1); ix != nil {
-			var rows []relstore.Row
-			for _, rid := range ix.Lookup([]relstore.Value{relstore.Int(*idEq)}) {
-				row, live, err := s.table.GetBorrow(rid)
-				if err != nil {
-					return err
-				}
-				if !live || row[0].I < lo || row[0].I > hi || isStale(row) {
-					continue
-				}
-				rows = append(rows, row)
-			}
-			for _, row := range newestFirst(rows) {
-				if !fn(row) {
-					return nil
-				}
-			}
-			return nil
-		}
-	}
-
-	segBounds := bounds
-	if lo > 1 || hi < s.liveSeg {
-		segBounds = append([]relstore.ZoneBound{
-			{Col: 0, Op: ">=", Bound: lo},
-			{Col: 0, Op: "<=", Bound: hi},
-		}, bounds...)
-	}
-	stopped := false
-	err := s.table.ScanBorrow(segBounds, func(_ relstore.RID, row relstore.Row) bool {
-		if row[0].I < lo || row[0].I > hi || isStale(row) {
-			return true
-		}
-		if idEq != nil && row[1].I != *idEq {
-			return true
-		}
-		if !fn(row) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	_ = stopped
-	return nil
+	return relstore.DrainMorsels(s, bounds, fn)
 }
 
 // newestFirst orders index-probed rows by segno (column 0), newest
@@ -612,91 +580,66 @@ func newestFirst(rows []relstore.Row) []relstore.Row {
 	return rows
 }
 
-// ScanMorsels implements relstore.MorselSource with the same
-// logical-version semantics as Scan: the segment range, id equality
-// and staleness rule are captured under the read lock, then the base
-// table's page morsels are wrapped with that filter, so a clustered
-// table parallelizes across its archived segments. The morsels run
-// after this call returns, which is safe under the
+// ScanMorsels implements relstore.MorselSource, the store's one read:
+// the base table's page morsels filtered by the read's Scope, so a
+// clustered table parallelizes across its archived segments.
+func (s *Store) ScanMorsels(bounds []relstore.ZoneBound) ([]relstore.MorselFunc, error) {
+	_, out, err := s.ScopedMorsels(bounds)
+	return out, err
+}
+
+// ScopedMorsels is ScanMorsels that also returns the Scope its morsels
+// apply, resolved under the same read lock. With an id equality and an
+// index on id the read is one morsel running the index probe, newest
+// segment first — no point fanning out a handful of versions. The
+// morsels run after this call returns, which is safe under the
 // readers-concurrent / writers-exclusive model: no writer may change
 // the segment metadata while a query executes.
-func (s *Store) ScanMorsels(bounds []relstore.ZoneBound) ([]relstore.MorselFunc, error) {
+func (s *Store) ScopedMorsels(bounds []relstore.ZoneBound) (Scope, []relstore.MorselFunc, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	lo, hi := int64(1), s.liveSeg
-	var idEq *int64
-	for _, zb := range bounds {
-		switch {
-		case zb.Col == 0 && zb.Op == "=":
-			lo, hi = zb.Bound, zb.Bound
-		case zb.Col == 0 && (zb.Op == ">=") && zb.Bound > lo:
-			lo = zb.Bound
-		case zb.Col == 0 && (zb.Op == "<=") && zb.Bound < hi:
-			hi = zb.Bound
-		case zb.Col == 1 && zb.Op == "=":
-			v := zb.Bound
-			idEq = &v
-		}
+	sc := s.scope(bounds)
+	var ix *relstore.Index
+	if sc.HasID {
+		ix = s.table.IndexOn(1)
 	}
-	isStale := func(row relstore.Row) bool {
-		return row[0].I < hi && row[4].Date().IsForever()
-	}
-
-	// Single-object shape: one morsel running the index probe — no
-	// point fanning out a handful of versions.
-	if idEq != nil {
-		if ix := s.table.IndexOn(1); ix != nil {
-			table := s.table
-			id := *idEq
-			return []relstore.MorselFunc{func(borrow bool, fn func(relstore.Row) bool) (bool, error) {
-				var rows []relstore.Row
-				for _, rid := range ix.Lookup([]relstore.Value{relstore.Int(id)}) {
-					row, live, err := table.Get(rid)
-					if err != nil {
-						return false, err
-					}
-					if !live || row[0].I < lo || row[0].I > hi || isStale(row) {
-						continue
-					}
+	if ix != nil {
+		table := s.table
+		return sc, []relstore.MorselFunc{func(borrow bool, fn func(relstore.Row) bool) (bool, error) {
+			// Borrowed probes alias immutable page-cache storage, so
+			// the loop allocates nothing per row.
+			get := table.Get
+			if borrow {
+				get = table.GetBorrow
+			}
+			var rows []relstore.Row
+			for _, rid := range ix.Lookup([]relstore.Value{relstore.Int(sc.ID)}) {
+				row, live, err := get(rid)
+				if err != nil {
+					return false, err
+				}
+				if live && sc.Keep(row) {
 					rows = append(rows, row)
 				}
-				for _, row := range newestFirst(rows) {
-					if !fn(row) {
-						return true, nil
-					}
+			}
+			for _, row := range newestFirst(rows) {
+				if !fn(row) {
+					return true, nil
 				}
-				return false, nil
-			}}, nil
-		}
+			}
+			return false, nil
+		}}, nil
 	}
-
-	segBounds := bounds
-	if lo > 1 || hi < s.liveSeg {
-		segBounds = append([]relstore.ZoneBound{
-			{Col: 0, Op: ">=", Bound: lo},
-			{Col: 0, Op: "<=", Bound: hi},
-		}, bounds...)
-	}
-	base, err := s.table.ScanMorsels(segBounds)
+	base, err := s.table.ScanMorsels(s.segBounds(sc, bounds))
 	if err != nil {
-		return nil, err
+		return sc, nil, err
 	}
-	out := make([]relstore.MorselFunc, len(base))
 	for i, m := range base {
-		m := m
-		out[i] = func(borrow bool, fn func(relstore.Row) bool) (bool, error) {
-			return m(borrow, func(row relstore.Row) bool {
-				if row[0].I < lo || row[0].I > hi || isStale(row) {
-					return true
-				}
-				if idEq != nil && row[1].I != *idEq {
-					return true
-				}
-				return fn(row)
-			})
+		base[i] = func(borrow bool, fn func(relstore.Row) bool) (bool, error) {
+			return m(borrow, func(row relstore.Row) bool { return !sc.Keep(row) || fn(row) })
 		}
 	}
-	return out, nil
+	return sc, base, nil
 }
 
 // BindSnapshot implements sqlengine.SnapshotBinder: it returns a

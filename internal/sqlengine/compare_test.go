@@ -23,8 +23,8 @@ import (
 //     against a string that parses as a date, which only compareValues
 //     reads as a date.
 //
-// NaN is left out: it compares equal to every float, which no key
-// encoding can follow.
+// NaN takes cmp.Compare's place in the order: it equals NaN and sorts
+// below every other float, so its key is one canonical NaN.
 func TestOneComparisonRule(t *testing.T) {
 	big := int64(1)<<53 + 1
 	vals := []relstore.Value{
@@ -34,6 +34,7 @@ func TestOneComparisonRule(t *testing.T) {
 		relstore.DateV(0), relstore.DateV(10), relstore.DateV(temporal.MustParseDate("1995-06-01")),
 		relstore.Float(0), relstore.Float(math.Copysign(0, -1)), relstore.Float(10), relstore.Float(0.5),
 		relstore.Float(float64(big - 1)), relstore.Float(-1.5), relstore.Float(1e300),
+		relstore.Float(math.NaN()), relstore.Float(math.Float64frombits(0x7ff8000000000abc)),
 		relstore.String_(""), relstore.String_("10"), relstore.String_(" 10 "), relstore.String_("abc"),
 		relstore.String_("1970-01-11"), relstore.String_("1995-06-01"),
 		relstore.Bool(false), relstore.Bool(true),

@@ -18,16 +18,16 @@ import (
 // BlockZIP-compressed attribute tables as virtual tables so translated
 // queries run unchanged against compressed storage.
 //
-// Rows passed to fn are borrowed: they may alias the implementation's
-// internal (immutable) storage, so callers must not mutate them or
-// their cells. Implementations that additionally satisfy
-// relstore.MorselSource participate in morsel-parallel scans.
+// Its rows are read through relstore.MorselSource, the engine's one
+// row-read interface: bounds are page/block pruning hints in the form
+// of relstore zone bounds (the implementation may ignore them), and
+// the executor runs the morsels with borrow=true, so rows may alias
+// the implementation's internal (immutable) storage and callers must
+// not mutate them or their cells. A serial read is the morsels drained
+// in order by one worker.
 type VirtualTable interface {
 	Schema() relstore.Schema
-	// Scan iterates rows; bounds are page/block pruning hints in the
-	// same form as relstore zone bounds (the implementation may ignore
-	// them). fn returns false to stop.
-	Scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error
+	relstore.MorselSource
 }
 
 // ChangeType labels a DML trigger event.
@@ -72,9 +72,9 @@ type Engine struct {
 	// while a writer (log replay, ingest) moves the clock.
 	now atomic.Int64
 
-	// Workers caps intra-query morsel parallelism for single-table
-	// scan+filter / scan+aggregate SELECTs. 0 means GOMAXPROCS; 1
-	// forces the serial path (pre-parallelism behavior); values < 0
+	// Workers caps intra-query morsel parallelism: the reads that
+	// fanWorkers lets fan out use up to this many workers. 0 means
+	// GOMAXPROCS; 1 drains every read with one worker; values < 0
 	// are treated as 1. Writers stay exclusive regardless — only read
 	// paths fan out.
 	Workers int

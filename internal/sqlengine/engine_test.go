@@ -408,13 +408,15 @@ type sliceTable struct {
 }
 
 func (s *sliceTable) Schema() relstore.Schema { return s.schema }
-func (s *sliceTable) Scan(_ []relstore.ZoneBound, fn func(relstore.Row) bool) error {
-	for _, r := range s.rows {
-		if !fn(r) {
-			return nil
+func (s *sliceTable) ScanMorsels([]relstore.ZoneBound) ([]relstore.MorselFunc, error) {
+	return []relstore.MorselFunc{func(_ bool, fn func(relstore.Row) bool) (bool, error) {
+		for _, r := range s.rows {
+			if !fn(r) {
+				return true, nil
+			}
 		}
-	}
-	return nil
+		return false, nil
+	}}, nil
 }
 
 func TestExecErrors(t *testing.T) {

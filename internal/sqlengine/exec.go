@@ -29,26 +29,6 @@ type source struct {
 	access  accessForce
 }
 
-// scanBorrow scans s on the zero-copy path: rows may alias shared
-// immutable storage and must be treated as read-only (virtual tables
-// already hand out borrowed rows; see VirtualTable).
-func (s *source) scanBorrow(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error {
-	if s.base != nil {
-		return s.base.ScanBorrow(bounds, func(_ relstore.RID, row relstore.Row) bool { return fn(row) })
-	}
-	return s.virtual.Scan(bounds, fn)
-}
-
-// morselSource returns the storage behind s as a morsel provider, if
-// it supports one (base tables always do; virtual tables opt in).
-func (s *source) morselSource() (relstore.MorselSource, bool) {
-	if s.base != nil {
-		return s.base, true
-	}
-	ms, ok := s.virtual.(relstore.MorselSource)
-	return ms, ok
-}
-
 // SnapshotBinder is implemented by virtual tables that can rebind
 // themselves onto a pinned relstore snapshot (segment and BlockZIP
 // stores). resolveSource uses it so a SELECT sees one consistent
@@ -262,15 +242,23 @@ func andAll(conjuncts []Expr) Expr {
 	return pred
 }
 
-// runScanPlan drives a compiled plan (index probe or bounded borrow
-// scan) and streams each row surviving the residual filter into out.
-// Rows are borrowed. The context is polled at row granularity so a
-// cancelled query stops mid-scan.
-func (en *Engine) runScanPlan(ctx context.Context, s *source, p *scanPlan, out rowSink) error {
-	cc := newCancelProbe(ctx)
-	pass := func(row relstore.Row) error {
+// probeIndex runs the read's equality-index probe and streams each
+// row surviving the residual filter into out. Probed rows ride the
+// zero-copy path like morsels do: GetBorrow hands out rows aliasing
+// immutable page-cache storage, so the probe loop allocates nothing per
+// row. cc is the calling worker's cancellation probe.
+func (rd *sourceRead) probeIndex(cc *cancelProbe, out rowSink) error {
+	p := rd.plan
+	for _, rid := range p.eqIndex.Lookup([]relstore.Value{p.eqVal}) {
 		if cc.tick() {
 			return cc.err()
+		}
+		row, live, err := rd.s.base.GetBorrow(rid)
+		if err != nil {
+			return err
+		}
+		if !live {
+			continue
 		}
 		if p.filter != nil {
 			v, err := p.filter(row)
@@ -278,43 +266,14 @@ func (en *Engine) runScanPlan(ctx context.Context, s *source, p *scanPlan, out r
 				return err
 			}
 			if !v.AsBool() {
-				return nil
-			}
-		}
-		return out.put(row)
-	}
-
-	if p.eqIndex != nil {
-		// Probed rows ride the zero-copy path like scans do: GetBorrow
-		// hands out rows aliasing immutable page-cache storage, so the
-		// probe loop allocates nothing per row.
-		for _, rid := range p.eqIndex.Lookup([]relstore.Value{p.eqVal}) {
-			row, live, err := s.base.GetBorrow(rid)
-			if err != nil {
-				return err
-			}
-			if !live {
 				continue
 			}
-			if err := pass(row); err != nil {
-				return err
-			}
 		}
-		return nil
-	}
-
-	var scanErr error
-	err := s.scanBorrow(p.bounds, func(row relstore.Row) bool {
-		if err := pass(row); err != nil {
-			scanErr = err
-			return false
+		if err := out.put(row); err != nil {
+			return err
 		}
-		return true
-	})
-	if err == nil {
-		err = scanErr
 	}
-	return err
+	return nil
 }
 
 // equiJoin is one `a.x = b.y` join key between the joined aliases and
@@ -411,8 +370,11 @@ func appendKey(dst []byte, vals []relstore.Value) []byte {
 			dst = append(dst, tmp[:n]...)
 		case relstore.TypeFloat:
 			f := v.F
-			if f == 0 {
+			switch {
+			case f == 0:
 				f = 0 // -0 compares equal to 0, so it keys as 0
+			case math.IsNaN(f):
+				f = math.NaN() // every NaN compares equal: one canonical key
 			}
 			binary.LittleEndian.PutUint64(tmp[:8], math.Float64bits(f))
 			dst = append(dst, tmp[:8]...)
@@ -458,16 +420,6 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 	// Batch reads decode only the columns the statement touches.
 	en.markNeeded(stmt, conjuncts, sources)
 
-	// Single-table statements with no usable point index take the
-	// vectorized path when the storage streams column batches, else
-	// fan out over row morsels when the engine is configured for
-	// parallel scans.
-	if len(sources) == 1 {
-		if res, handled, err := en.execSingleMorsels(ctx, stmt, sources[0], conjuncts, sources, sp); handled {
-			return res, err
-		}
-	}
-
 	// Plan the fold order: sources are reordered greedily by estimated
 	// cardinality and each fold gets a static, estimate-driven strategy.
 	ordered := sources
@@ -497,7 +449,8 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 	var rows []relstore.Row
 
 	// scanFirst reads the leading source under a "scan" span: into rows
-	// for the first fold, or into c when it is the only source.
+	// for the first fold, or into c when it is the only source, fanning
+	// out as readParts decides.
 	scanFirst := func(c *consumer) ([]outPart, error) {
 		ss := sp.Child("scan")
 		defer ss.End()
@@ -517,7 +470,7 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 			ss.AddRows(0, int64(len(rows)))
 			return nil, err
 		}
-		parts, err := readParts(ctx, en, rd, 1, false, ss, c.sink)
+		parts, err := readParts(ctx, rd, true, !c.serial, ss, c.sink)
 		ss.AddRows(0, offered(parts))
 		return parts, err
 	}
@@ -530,7 +483,7 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		if err != nil {
 			return nil, err
 		}
-		return en.finish(c, parts, "aggregate", sp)
+		return en.finish(c, parts, sp)
 	}
 
 	var c *consumer
@@ -599,7 +552,7 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 		layout = newLayout
 		joinedAliases[strings.ToLower(s.alias)] = true
 	}
-	return en.finish(c, parts, "aggregate", sp)
+	return en.finish(c, parts, sp)
 }
 
 // foldOut is one part of a join fold's output: it receives every
@@ -970,11 +923,10 @@ func evalOut(r relstore.Row, evals, orderFns []evalFunc) (outRow, error) {
 
 // finish combines the parts in morsel order and renders the result.
 // Under a residual filter a "filter" span counts the rows it kept. A
-// grouped statement's accumulators merge under the span agg names —
-// "aggregate" (rows aggregated), "agg-merge" (a parallel drain's
-// partials) or none — and the groups go through HAVING; projected rows
-// concatenate.
-func (en *Engine) finish(c *consumer, parts []outPart, agg string, sp *obs.Span) (*Result, error) {
+// grouped statement's accumulators merge under an "aggregate" span,
+// which notes partials=N when a fanned-out drain filled N > 1 parts,
+// and the groups go through HAVING; projected rows concatenate.
+func (en *Engine) finish(c *consumer, parts []outPart, sp *obs.Span) (*Result, error) {
 	var in, kept int64
 	for i := range parts {
 		in += parts[i].in
@@ -996,17 +948,12 @@ func (en *Engine) finish(c *consumer, parts []outPart, agg string, sp *obs.Span)
 				}
 			}
 		}
-		switch agg {
-		case "aggregate":
-			as := sp.Child(agg)
-			as.AddRows(kept, int64(len(acc.order)))
-			as.End()
-		case "agg-merge":
-			mg := sp.Child(agg)
-			mg.SetInt("partials", int64(len(parts)))
-			mg.AddRows(0, int64(len(acc.order)))
-			mg.End()
+		as := sp.Child("aggregate")
+		if len(parts) > 1 {
+			as.SetInt("partials", int64(len(parts)))
 		}
+		as.AddRows(kept, int64(len(acc.order)))
+		as.End()
 		return en.finalizeGroups(c.gplan, acc, sp)
 	}
 	ps := sp.Child("project")

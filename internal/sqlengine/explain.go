@@ -11,8 +11,8 @@ import (
 
 // EXPLAIN [ANALYZE] rendering. Plain EXPLAIN walks the same planner
 // decisions execSelect makes — index selection, zone-bound pushdown,
-// morsel eligibility, join strategy — without executing, so it is
-// deterministic and cheap. EXPLAIN ANALYZE executes the statement
+// each read's fan-out (fanWorkers over its listed morsels), join
+// strategy — without executing, so it is deterministic and cheap. EXPLAIN ANALYZE executes the statement
 // under a fresh tracer and renders the finished span tree, so every
 // node carries measured timings and cardinalities.
 
@@ -57,25 +57,8 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 	conjuncts, multi := split.all, split.multi
 	validAt, hasValidAt := ValidAsOf(ctx)
 
-	// batchRead mirrors compileRead's rule: a batch read, no index
-	// probe.
-	batchRead := func(s *source, p *scanPlan) bool {
-		return en.batchOf(s) != nil && p.eqIndex == nil
-	}
 	// An aggregate that cannot merge partials drains serially.
-	workers := en.scanWorkers()
 	serialAgg := en.isGrouped(stmt) && !en.mergeableAggs(stmt)
-	// readNote labels a read through the batch drain, with the worker
-	// count when a multi-source input read fans out (w > 1).
-	readNote := func(s *source, p *scanPlan, w int) string {
-		if !batchRead(s, p) {
-			return ""
-		}
-		if w > 1 {
-			return fmt.Sprintf(" access=colscan workers=%d", w)
-		}
-		return " access=colscan"
-	}
 
 	var lines []string
 	add := func(depth int, format string, args ...any) {
@@ -89,13 +72,30 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		}
 		return ""
 	}
-	// describeScan renders one read; w is the worker count of a batch
-	// read (readNote).
-	describeScan := func(s *source, cs []Expr, w int) (string, *scanPlan, error) {
-		p, err := en.planScan(s, cs, sources)
+	// readNote labels a read through the batch drain and, when
+	// fanWorkers fans it out (rows and merge as its executor passes
+	// them), its worker count.
+	readNote := func(rd *sourceRead, rows, merge bool) (string, error) {
+		n, _, err := rd.morsels()
 		if err != nil {
-			return "", nil, err
+			return "", err
 		}
+		note := ""
+		if rd.batch != nil {
+			note = " access=colscan"
+		}
+		if w := rd.fanWorkers(n, rows, merge); w > 1 {
+			note += fmt.Sprintf(" workers=%d", w)
+		}
+		return note, nil
+	}
+	// describeScan renders one read.
+	describeScan := func(s *source, cs []Expr, rows, merge bool) (string, error) {
+		rd, err := en.compileRead(s, cs, sources)
+		if err != nil {
+			return "", err
+		}
+		p := rd.plan
 		kind := "table"
 		if s.base == nil {
 			kind = "virtual"
@@ -112,7 +112,8 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		}
 		d += derivedNote(s)
 		d += fmt.Sprintf(" est=%d", p.est.OutRows)
-		return d + readNote(s, p, w), p, nil
+		note, err := readNote(rd, rows, merge)
+		return d + note, err
 	}
 
 	add(0, "select")
@@ -124,23 +125,11 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 	}
 
 	if len(sources) == 1 {
-		s := sources[0]
-		d, p, err := describeScan(s, conjuncts, 1)
+		d, err := describeScan(sources[0], conjuncts, true, !serialAgg)
 		if err != nil {
 			return nil, err
 		}
-		// A batch read, or a row read of morsels without an index
-		// probe, fans out, as execSingleMorsels does.
-		_, rowMorsels := s.morselSource()
-		if workers > 1 && !serialAgg && (batchRead(s, p) || rowMorsels && p.eqIndex == nil) {
-			add(1, "morsel-fanout workers=%d", workers)
-			add(2, "%s", d)
-			if en.isGrouped(stmt) {
-				add(1, "agg-merge")
-			}
-		} else {
-			add(1, "%s", d)
-		}
+		add(1, "%s", d)
 		explainProject(stmt, add)
 		return lines, nil
 	}
@@ -177,11 +166,8 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		if fi == 0 {
 			// A fused probe that is the last fold streams into the
 			// consumer, so it fans out only when the consumer can merge.
-			fw := workers
-			if fuse && serialAgg && fi == len(ordered)-2 {
-				fw = 1
-			}
-			if probe, _, err = describeScan(first, perAlias[strings.ToLower(first.alias)], fw); err != nil {
+			merge := !(fuse && serialAgg && fi == len(ordered)-2)
+			if probe, err = describeScan(first, perAlias[strings.ToLower(first.alias)], fuse, merge); err != nil {
 				return nil, err
 			}
 			if !fuse {
@@ -190,18 +176,22 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		}
 		// The fold reads s through compileRead unless it probes an index.
 		note := derivedNote(s)
-		if en.batchOf(s) != nil {
-			p, err := en.planScan(s, singles, sources)
+		if fp.strategy != stratIndex && !fuse {
+			rd, err := en.compileRead(s, singles, sources)
 			if err != nil {
 				return nil, err
 			}
-			note += readNote(s, p, workers)
+			rn, err := readNote(rd, false, true)
+			if err != nil {
+				return nil, err
+			}
+			note += rn
 		}
 		switch {
 		case fuse:
 			// Fused first fold: scan streams into the probe
 			// (hashJoinFirst), exactly like execSelect's.
-			build, _, err := describeScan(s, singles, workers)
+			build, err := describeScan(s, singles, false, true)
 			if err != nil {
 				return nil, err
 			}

@@ -23,57 +23,13 @@ import (
 	"archis/internal/relstore"
 )
 
-// readParts drains rd into parts and returns them in morsel order:
-// concatenated, they reproduce the serial scan at any worker count.
-// sink opens a part and returns where its rows go (fanOut). A batch
-// read fans its morsels out over up to workers goroutines; a row read
-// does so only when fanRows is set and the storage provides row
-// morsels, and is otherwise one serial part through runScanPlan. A
-// fan-out is noted on sp as workers/morsels. On the batch path an
-// emitted row is scratch, valid only during the call: the sink copies
-// what it keeps.
-func readParts[P any](ctx context.Context, en *Engine, rd *sourceRead, workers int, fanRows bool, sp *obs.Span, sink func(*P) rowSink) ([]P, error) {
-	noteFanOut := func(n int) {
-		if w := min(workers, n); w > 1 {
-			sp.SetInt("workers", int64(w))
-			sp.SetInt("morsels", int64(n))
-		}
-	}
-	if rd.batch != nil {
-		morsels, err := rd.batch.ScanBatches(rd.plan.bounds, rd.s.needed)
-		if err != nil {
-			return nil, err
-		}
-		noteFanOut(len(morsels))
-		return fanOut(ctx, len(morsels), workers, sink, rd.batchWorker(morsels))
-	}
-	if fanRows && workers > 1 && rd.plan.eqIndex == nil {
-		if ms, ok := rd.s.morselSource(); ok {
-			morsels, err := ms.ScanMorsels(rd.plan.bounds)
-			if err != nil {
-				return nil, err
-			}
-			if len(morsels) > 1 {
-				noteFanOut(len(morsels))
-				return fanOut(ctx, len(morsels), workers, sink, func() func(int, *cancelProbe, rowSink) error {
-					return func(i int, cc *cancelProbe, out rowSink) error {
-						return runMorsel(morsels[i], rd.plan, cc, out)
-					}
-				})
-			}
-		}
-	}
-	parts := make([]P, 1)
-	return parts, en.runScanPlan(ctx, rd.s, rd.plan, sink(&parts[0]))
-}
-
 // readRows drains a read into rows the caller keeps: the leading scan
 // of a join, a hash join's build side, nested-loop inners. Row-path
 // rows are borrowed and kept as they are; rows cloned out of a batch
 // count as copied join rows.
 func (en *Engine) readRows(ctx context.Context, rd *sourceRead, sp *obs.Span) ([]relstore.Row, error) {
 	clone := rd.batch != nil
-	parts, err := readParts(ctx, en, rd, rd.s.workers, false, sp, func(p *[]relstore.Row) rowSink {
+	parts, err := readParts(ctx, rd, false, true, sp, func(p *[]relstore.Row) rowSink {
 		return rowSink{emit: func(row relstore.Row) error {
 			if clone {
 				row = row.Clone()
@@ -376,11 +332,7 @@ func (en *Engine) hashJoinFirst(ctx context.Context, outer *source, conjuncts []
 	ps.SetAttr("table", outer.alias)
 	rd.label(ps)
 	band.label(ps)
-	workers := outer.workers
-	if c != nil && c.serial {
-		workers = 1
-	}
-	out, err := readParts(ctx, en, rd, workers, true, ps, func(fo *foldOut) rowSink {
+	out, err := readParts(ctx, rd, true, c == nil || !c.serial, ps, func(fo *foldOut) rowSink {
 		*fo = foldOut{outPart: c.open()}
 		sc := newProbeScratch(joins)
 		return rowSink{emit: func(row relstore.Row) error {
@@ -460,7 +412,7 @@ func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, 
 	rd.label(ps)
 	// A matching inner row is kept (cloned once when it comes from a
 	// batch) until the matches are emitted.
-	parts, err := readParts(ctx, en, rd, rd.s.workers, false, ps, func(p *buildOuterPart) rowSink {
+	parts, err := readParts(ctx, rd, false, true, ps, func(p *buildOuterPart) rowSink {
 		sc := newProbeScratch(joins)
 		return rowSink{emit: func(row relstore.Row) error {
 			for k, j := range joins {

@@ -98,9 +98,17 @@ func TestHashJoinAdversarialKeys(t *testing.T) {
 		`create table kf (f FLOAT)`, `insert into kf values (10.0)`,
 		`create table ks (s VARCHAR)`, `insert into ks values ('10')`,
 		`create table kt (s VARCHAR)`, `insert into kt values ('1970-01-11')`,
+		`create table kn (f FLOAT)`, `insert into kn values (1.0)`, `insert into kn values ('NaN')`,
 	} {
 		en.MustExec(ddl)
 	}
+	// NaN equals NaN and no other float (DESIGN.md §12), under the
+	// hash join's keys and the nested loop's filter alike.
+	nan := `select a.f, b.f from kn a, kn b where a.f = b.f`
+	if got := queryStrings(t, en, nan); len(got) != 2 {
+		t.Errorf("%s = %v, want two rows", nan, got)
+	}
+	checkPlans(t, en, nan)
 	for _, q := range []string{
 		`select a.k from ki a, kd b where a.k = b.d`,
 		`select a.k from ki a, kf b where a.k = b.f`,
@@ -284,8 +292,8 @@ func BenchmarkHashJoinProbeMixed(b *testing.B) {
 }
 
 // batchTable is a virtual table that also streams column batches, like
-// the compressed store: Scan is the row path, ScanBatches the batch
-// drain. It counts Scan calls and records every needed-column set, and
+// the compressed store: ScanMorsels is the row path, ScanBatches the
+// batch drain. It counts row reads and records every needed-column set, and
 // fills only the needed columns of a batch, so a reader that skips a
 // column it uses sees stale values and a wrong answer.
 type batchTable struct {
@@ -296,9 +304,9 @@ type batchTable struct {
 	neededSeen [][]bool
 }
 
-func (b *batchTable) Scan(bounds []relstore.ZoneBound, fn func(relstore.Row) bool) error {
+func (b *batchTable) ScanMorsels(bounds []relstore.ZoneBound) ([]relstore.MorselFunc, error) {
 	b.scans.Add(1)
-	return b.sliceTable.Scan(bounds, fn)
+	return b.sliceTable.ScanMorsels(bounds)
 }
 
 func (b *batchTable) ScanBatches(_ []relstore.ZoneBound, needed []bool) ([]relstore.BatchFunc, error) {
@@ -320,7 +328,7 @@ func (b *batchTable) ScanBatches(_ []relstore.ZoneBound, needed []bool) ([]relst
 
 // TestJoinReadsBatchSources pins the routing of join inputs: with
 // columnar mode on, every input of a multi-source SELECT over a batch
-// source goes through the batch drain — Scan is never called — and
+// source goes through the batch drain — no row read happens — and
 // the answers equal the row path's at every worker count. Every forced
 // plan — hash joins building either side, the fused first probe,
 // nested-loop joins, FROM order, a row read of any input — answers as
@@ -359,14 +367,14 @@ func TestJoinReadsBatchSources(t *testing.T) {
 			en.Columnar = false
 			want := queryStrings(t, en, q)
 			if bt.scans.Load() == 0 {
-				t.Fatalf("row path never called Scan: %s", q)
+				t.Fatalf("row path never read row morsels: %s", q)
 			}
 			bt.scans.Store(0)
 			bt.neededSeen = nil
 			en.Columnar = true
 			got := queryStrings(t, en, q)
 			if n := bt.scans.Load(); n != 0 {
-				t.Errorf("workers=%d: %s: %d Scan calls with columnar on, want 0", workers, q, n)
+				t.Errorf("workers=%d: %s: %d row reads with columnar on, want 0", workers, q, n)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("workers=%d: %s:\nbatch %v\nrows  %v", workers, q, got, want)

@@ -9,15 +9,14 @@ import (
 	"archis/internal/relstore"
 )
 
-// Morsel-parallel single-table execution (execSingleMorsels; a batch
-// read also drains here when it stays serial). A statement fans out
-// when:
-//
-//   - it reads exactly one source whose storage provides morsels,
-//   - the planner found no equality-index probe (point lookups beat
-//     parallel scans), and
-//   - it is a pure scan+filter, or a scan+aggregate whose aggregates
-//     all support partial-result merging (MergeableAggState).
+// Morsel-driven reads (Leis et al., "Morsel-Driven Parallelism"):
+// every read of a source — a single-source SELECT's scan, a join's
+// leading scan, build side, probe or nested-loop inner — is one
+// compiled read (sourceRead) drained by readParts over its storage's
+// morsels: column batches for a batch read, row morsels otherwise, or
+// one unit running an equality-index probe. fanWorkers decides, in one
+// place that EXPLAIN shares, how many workers drain them; one worker
+// is the serial read.
 //
 // Workers pull morsels from a shared counter; per-morsel results are
 // combined in morsel order, which reproduces the serial row order and
@@ -98,88 +97,64 @@ func fanOut[P any](ctx context.Context, n, workers int, sink func(*P) rowSink,
 	return parts, nil
 }
 
-// execSingleMorsels runs a single-source SELECT over its storage's
-// morsels: column batches when the read is a batch read (any worker
-// count), else row morsels when Workers > 1 and the storage provides
-// them. handled=false means the caller should run the serial plan. A
-// batch read that stays serial drains under a "scan" span into one
-// consumer part (any aggregate works); a fan-out runs under a
-// "morsel-fanout" span with one part per morsel, merged in morsel
-// order, so results are identical to the serial drain. A row read
-// whose aggregate cannot merge partials is left to the serial plan.
-func (en *Engine) execSingleMorsels(ctx context.Context, stmt *SelectStmt, s *source, conjuncts []Expr, sources []*source, sp *obs.Span) (*Result, bool, error) {
-	workers := s.workers
-	ms, rowMorsels := s.morselSource()
-	if en.batchOf(s) == nil && (workers <= 1 || !rowMorsels) {
-		return nil, false, nil
+// morsels lists the read's work units and the fanOut worker that
+// drains them: one unit running the equality-index probe, the batch
+// morsels of a batch read, or the storage's row morsels. Row morsels
+// run borrowed (zero-copy): the sink copies what it keeps. Listing
+// them decodes nothing.
+func (rd *sourceRead) morsels() (int, func() func(int, *cancelProbe, rowSink) error, error) {
+	if rd.plan.eqIndex != nil {
+		return 1, func() func(int, *cancelProbe, rowSink) error {
+			return func(_ int, cc *cancelProbe, out rowSink) error { return rd.probeIndex(cc, out) }
+		}, nil
 	}
-	rd, err := en.compileRead(s, conjuncts, sources)
-	if err != nil {
-		return nil, true, err
-	}
-	if rd.batch == nil && (workers <= 1 || !rowMorsels || rd.plan.eqIndex != nil) {
-		return nil, false, nil
-	}
-	c, err := en.compileConsumer(stmt, nil, layoutFor(s.alias, s.schema), sources)
-	if err != nil {
-		return nil, true, err
-	}
-	if c.serial {
-		if rd.batch == nil {
-			return nil, false, nil
-		}
-		workers = 1
-	}
-
-	est := rd.plan.est
-	access := est.Access
-	var n int
-	var worker func() func(int, *cancelProbe, rowSink) error
 	if rd.batch != nil {
-		morsels, err := rd.batch.ScanBatches(rd.plan.bounds, s.needed)
-		if err != nil {
-			return nil, true, err
+		morsels, err := rd.batch.ScanBatches(rd.plan.bounds, rd.s.needed)
+		return len(morsels), rd.batchWorker(morsels), err
+	}
+	var storage relstore.MorselSource = rd.s.virtual
+	if rd.s.base != nil {
+		storage = rd.s.base
+	}
+	morsels, err := storage.ScanMorsels(rd.plan.bounds)
+	return len(morsels), func() func(int, *cancelProbe, rowSink) error {
+		return func(i int, cc *cancelProbe, out rowSink) error {
+			return runMorsel(morsels[i], rd.plan, cc, out)
 		}
-		n, worker, access = len(morsels), rd.batchWorker(morsels), "colscan"
-	} else {
-		morsels, err := ms.ScanMorsels(rd.plan.bounds)
-		if err != nil {
-			return nil, true, err
-		}
-		// Rows are borrowed (zero-copy): the consumer copies what it
-		// keeps.
-		n, worker = len(morsels), func() func(int, *cancelProbe, rowSink) error {
-			return func(i int, cc *cancelProbe, out rowSink) error {
-				return runMorsel(morsels[i], rd.plan, cc, out)
-			}
-		}
+	}, err
+}
+
+// fanWorkers is the one fan-out rule, shared by readParts and
+// EXPLAIN: how many workers drain the read's n morsels. A batch read
+// fans out at any worker count. A row read fans out only when rows is
+// set (a streaming sink: the statement's consumer or a fused probe),
+// it runs no index probe and it has at least two morsels. merge=false
+// — the consumer's aggregate cannot merge partial results — keeps one
+// worker.
+func (rd *sourceRead) fanWorkers(n int, rows, merge bool) int {
+	if !merge || rd.batch == nil && (!rows || rd.plan.eqIndex != nil || n < 2) {
+		return 1
 	}
-	workers = min(workers, n)
-	fan := rd.batch == nil || workers > 1
-	name, agg := "morsel-fanout", "agg-merge"
-	if !fan {
-		name, agg = "scan", ""
-	}
-	ds := sp.Child(name)
-	ds.SetAttr("table", s.alias)
-	ds.SetAttr("access", access)
-	if fan {
-		ds.SetInt("morsels", int64(n))
-	}
-	ds.SetInt("est_rows", int64(est.OutRows))
-	if fan {
-		ds.SetInt("workers", int64(workers))
-	}
-	parts, err := fanOut(ctx, n, workers, c.sink, worker)
-	ds.End()
+	return max(1, min(rd.s.workers, n))
+}
+
+// readParts drains rd into parts and returns them in morsel order:
+// concatenated, they reproduce the serial read at any worker count.
+// rows and merge feed fanWorkers; sink opens a part and returns where
+// its rows go (fanOut). A fan-out is noted on sp as workers/morsels.
+// On the batch path an emitted row is scratch, valid only during the
+// call: the sink copies what it keeps.
+func readParts[P any](ctx context.Context, rd *sourceRead, rows, merge bool, sp *obs.Span, sink func(*P) rowSink) ([]P, error) {
+	n, worker, err := rd.morsels()
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
-	if c.gplan == nil {
-		ds.AddRows(0, offered(parts))
+	w := rd.fanWorkers(n, rows, merge)
+	if w > 1 {
+		sp.SetInt("workers", int64(w))
+		sp.SetInt("morsels", int64(n))
 	}
-	res, err := en.finish(c, parts, agg, sp)
-	return res, true, err
+	return fanOut(ctx, n, w, sink, worker)
 }
 
 // runMorsel drains one row morsel through the plan's residual filter

@@ -15,10 +15,8 @@ import (
 // vector column-at-a-time, and only the surviving rows are filled
 // into scratch for aggregation, projection or a join. A read qualifies
 // when batchOf finds a batch source and the planner found no
-// equality-index probe;
-// parallel.go's execSingleMorsels runs single-table statements (whose
-// parallel drain also needs every aggregate to merge partials),
-// join.go's readParts every join input.
+// equality-index probe; parallel.go's readParts drains it like every
+// other read.
 //
 // Results are identical to the row path: batch morsels are consumed in
 // morsel order (or merged in morsel order after a parallel fan-out),
@@ -29,7 +27,7 @@ import (
 
 // BatchSource is the storage interface behind the vectorized path.
 // Implementations stream batches whose selected rows, concatenated in
-// order, reproduce the serial Scan row sequence (see
+// order, reproduce the row sequence of its ScanMorsels (see
 // relstore.BatchFunc). needed marks the columns the consumer will
 // read; nil means all.
 type BatchSource interface {
@@ -69,17 +67,6 @@ func (k *colKernel) outcome(c int) bool {
 	}
 }
 
-// cmpFloat orders floats as relstore.Compare does: NaN compares equal.
-func cmpFloat(x, y float64) int {
-	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
-	}
-	return 0
-}
-
 // pass reports whether row i of vec survives this kernel, mirroring
 // the row filter: NULL on either side drops the row, otherwise the
 // comparison outcome decides.
@@ -88,13 +75,13 @@ func (k *colKernel) pass(vec *relstore.ColVec, i int) bool {
 	case kind == relstore.TypeNull:
 		return false
 	case kind == relstore.TypeFloat && (k.intConst || k.floatConst):
-		return k.outcome(cmpFloat(vec.F[i], k.cf))
+		return k.outcome(cmp.Compare(vec.F[i], k.cf))
 	case kind == relstore.TypeInt || kind == relstore.TypeDate:
 		if k.intConst || (k.dateConst && kind == relstore.TypeDate) {
 			return k.outcome(cmp.Compare(vec.I[i], k.ci))
 		}
 		if k.floatConst {
-			return k.outcome(cmpFloat(float64(vec.I[i]), k.cf))
+			return k.outcome(cmp.Compare(float64(vec.I[i]), k.cf))
 		}
 	}
 	v := vec.ValueAt(i)
@@ -253,8 +240,9 @@ type batchWork struct {
 // sourceRead is the compiled read of one source, built once per source
 // per statement: its scan plan and, when the storage streams column
 // batches (batchOf, no equality-index probe), the kernels of its
-// conjuncts. batch == nil means the row path (runScanPlan). The
-// columns a batch read decodes are s.needed.
+// conjuncts. batch == nil means the row path: row morsels, or the
+// index probe (morsels). The columns a batch read decodes are
+// s.needed.
 type sourceRead struct {
 	s     *source
 	plan  *scanPlan

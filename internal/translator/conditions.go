@@ -245,17 +245,19 @@ func (g *gen) translateCondFunc(x *xquery.FuncCall, ctx *varInfo) (string, error
 			return "", err
 		}
 		// Constant second interval restricts the first variable (and
-		// vice versa) for overlap-style predicates.
-		if x.Name == "toverlaps" || x.Name == "tcontains" || x.Name == "tequals" {
-			if d1, ok1 := constDateSQL(ts2); ok1 {
-				if d2, ok2 := constDateSQL(te2); ok2 {
-					restrict(v1, d1, d2)
-				}
-			}
-			if d1, ok1 := constDateSQL(ts1); ok1 {
-				if d2, ok2 := constDateSQL(te1); ok2 {
-					restrict(v2, d1, d2)
-				}
+		// vice versa) for overlap-style predicates; compared with
+		// anything else, a variable's tend is read (markTend).
+		bounded := x.Name == "toverlaps" || x.Name == "tcontains" || x.Name == "tequals"
+		for _, side := range []struct {
+			v      *varInfo
+			ts, te string
+		}{{v1, ts2, te2}, {v2, ts1, te1}} {
+			d1, ok1 := constDateSQL(side.ts)
+			d2, ok2 := constDateSQL(side.te)
+			if bounded && ok1 && ok2 {
+				restrict(side.v, d1, d2)
+			} else {
+				markTend(side.v)
 			}
 		}
 		return fmt.Sprintf("%s(%s, %s, %s, %s)", udf, ts1, te1, ts2, te2), nil
@@ -269,14 +271,16 @@ func (g *gen) translateCondFunc(x *xquery.FuncCall, ctx *varInfo) (string, error
 		// variable; TOVERLAPS when X is overlapinterval(a, b).
 		if inner, ok := x.Args[0].(*xquery.FuncCall); ok && inner.Name == "empty" && len(inner.Args) == 1 {
 			if oi, ok := inner.Args[0].(*xquery.FuncCall); ok && oi.Name == "overlapinterval" && len(oi.Args) == 2 {
-				ts1, te1, _, err := g.intervalOf(oi.Args[0], ctx)
+				ts1, te1, v1, err := g.intervalOf(oi.Args[0], ctx)
 				if err != nil {
 					return "", err
 				}
-				ts2, te2, _, err := g.intervalOf(oi.Args[1], ctx)
+				ts2, te2, v2, err := g.intervalOf(oi.Args[1], ctx)
 				if err != nil {
 					return "", err
 				}
+				markTend(v1)
+				markTend(v2)
 				return fmt.Sprintf("TOVERLAPS(%s, %s, %s, %s)", ts1, te1, ts2, te2), nil
 			}
 			if _, err := g.resolveToVar(inner.Args[0], ctx); err == nil {
@@ -371,6 +375,14 @@ func (g *gen) translateCmp(l xquery.Expr, op string, r xquery.Expr, ctx *varInfo
 		// current", which translates to the prunable form
 		// tend = 9999-12-31; range comparisons are safe on the raw
 		// column because 9999-12-31 exceeds every query date.
+		d, isConst := constDate(r)
+		if isConst && (op == ">=" || op == ">") && v != nil {
+			if v.tendGE == nil || d < *v.tendGE {
+				v.tendGE = &d
+			}
+		} else {
+			markTend(v)
+		}
 		if op == "=" && isCurrentDate(r) {
 			return fmt.Sprintf("%s = DATE '%s'", te, temporal.Forever), nil
 		}
@@ -379,11 +391,6 @@ func (g *gen) translateCmp(l xquery.Expr, op string, r xquery.Expr, ctx *varInfo
 			return "", err
 		}
 		if op == "<=" || op == "<" || op == ">=" || op == ">" {
-			if d, ok := constDate(r); ok && (op == ">=" || op == ">") && v != nil {
-				if v.tendGE == nil || d < *v.tendGE {
-					v.tendGE = &d
-				}
-			}
 			return fmt.Sprintf("%s %s %s", te, op, rhs), nil
 		}
 		return fmt.Sprintf("RTEND(%s) %s %s", te, op, rhs), nil
@@ -440,10 +447,11 @@ func (g *gen) translateScalar(e xquery.Expr, ctx *varInfo) (string, error) {
 			ts, _, _, err := g.intervalOf(x.Args[0], ctx)
 			return ts, err
 		case "tend":
-			_, te, _, err := g.intervalOf(x.Args[0], ctx)
+			_, te, v, err := g.intervalOf(x.Args[0], ctx)
 			if err != nil {
 				return "", err
 			}
+			markTend(v)
 			return fmt.Sprintf("RTEND(%s)", te), nil
 		case "vstart":
 			vs, _, _, err := g.validIntervalOf(x.Args[0], ctx)
@@ -455,10 +463,11 @@ func (g *gen) translateScalar(e xquery.Expr, ctx *varInfo) (string, error) {
 			}
 			return fmt.Sprintf("RTEND(%s)", ve), nil
 		case "timespan":
-			ts, te, _, err := g.intervalOf(x.Args[0], ctx)
+			ts, te, v, err := g.intervalOf(x.Args[0], ctx)
 			if err != nil {
 				return "", err
 			}
+			markTend(v)
 			return fmt.Sprintf("TSPAN(%s, %s)", ts, te), nil
 		case "string", "number", "data":
 			if len(x.Args) != 1 {

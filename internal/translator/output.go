@@ -43,6 +43,7 @@ func (g *gen) translateReturn(e xquery.Expr) (sel string, groupEnt *entityInfo, 
 			if v.kind != kindAttr {
 				return "", nil, false, unsupported("%s over non-attribute", x.Name)
 			}
+			markTend(v)
 			return fmt.Sprintf("%s(%s.%s, %s.tstart, %s.tend)",
 				agg, v.alias, v.attr, v.alias, v.alias), v.ent, true, nil
 		}
@@ -52,14 +53,16 @@ func (g *gen) translateReturn(e xquery.Expr) (sel string, groupEnt *entityInfo, 
 			}
 		}
 		if x.Name == "overlapinterval" && len(x.Args) == 2 {
-			ts1, te1, _, err := g.intervalOf(x.Args[0], nil)
+			ts1, te1, v1, err := g.intervalOf(x.Args[0], nil)
 			if err != nil {
 				return "", nil, false, err
 			}
-			ts2, te2, _, err := g.intervalOf(x.Args[1], nil)
+			ts2, te2, v2, err := g.intervalOf(x.Args[1], nil)
 			if err != nil {
 				return "", nil, false, err
 			}
+			markTend(v1)
+			markTend(v2)
 			return fmt.Sprintf("OVERLAPINTERVAL(%s, %s, %s, %s)", ts1, te1, ts2, te2), nil, false, nil
 		}
 		s, err := g.translateScalar(x, nil)
@@ -165,6 +168,7 @@ func prefixComma(parts []string) string {
 // xmlForAttr renders one attribute tuple variable as its H-view
 // element (or as plain columns in table mode).
 func (g *gen) xmlForAttr(v *varInfo) (string, error) {
+	markTend(v)
 	col := v.alias + "." + v.attr
 	if g.tr.TableMode {
 		return fmt.Sprintf("%s, %s.tstart, %s.tend", col, v.alias, v.alias), nil

@@ -79,6 +79,21 @@ type varInfo struct {
 	// time restriction detected for segment optimization (Section 6.3)
 	tstartLE *temporal.Date
 	tendGE   *temporal.Date
+	// readsTend: the SQL reads the variable's tend other than through
+	// its tendGE bound (markTend), so a segment restriction would
+	// expose a stale frozen copy's tend.
+	readsTend bool
+}
+
+// markTend records that the SQL reads v's tend value: the element's
+// tend attribute, a temporal aggregate, tend() or any comparison other
+// than the `tend >= date` bound the segment restriction rests on. A
+// version live when its segment was archived keeps tend = 9999-12-31
+// in the frozen copy; read alone, that segment reports the stale end.
+func markTend(v *varInfo) {
+	if v != nil {
+		v.readsTend = true
+	}
 }
 
 type pendingPred struct {
@@ -378,11 +393,12 @@ func stepName(steps []xquery.Step, i int) string {
 }
 
 // applySegmentRestrictions injects segno conditions for variables with
-// detected time restrictions over clustered tables.
+// detected time restrictions over clustered tables, unless the SQL
+// reads the variable's tend value (markTend).
 func (g *gen) applySegmentRestrictions() {
 	for _, v := range g.attrs {
 		view := v.ent.view
-		if view.SegmentsFor == nil || v.tstartLE == nil || v.tendGE == nil {
+		if view.SegmentsFor == nil || v.tstartLE == nil || v.tendGE == nil || v.readsTend {
 			continue
 		}
 		lo, hi := *v.tendGE, *v.tstartLE

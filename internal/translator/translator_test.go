@@ -319,10 +319,11 @@ func TestSegmentRestrictionInjection(t *testing.T) {
 	}
 	cat["employees.xml"] = &v
 
-	sql, err := f.tr.Translate(`
+	const snapshot = `
 for $s in doc("employees.xml")/employees/employee/salary
     [tstart(.)<=xs:date("1995-07-01") and tend(.)>=xs:date("1995-07-01")]
-return $s`)
+return `
+	sql, err := f.tr.Translate(snapshot + `string($s)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ return $s`)
 	sql, err = f.tr.Translate(`
 for $s in doc("employees.xml")/employees/employee/salary
     [toverlaps(., telement(xs:date("1995-01-01"), xs:date("1995-12-31")))]
-return $s`)
+return string($s)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,6 +347,20 @@ return $s`)
 	}
 	if askedLo.String() != "1995-01-01" || askedHi.String() != "1995-12-31" {
 		t.Errorf("slicing range asked = [%s, %s]", askedLo, askedHi)
+	}
+
+	// A frozen copy of a version live at archive time keeps tend =
+	// 9999-12-31, so SQL that reads tend — the element's tend
+	// attribute, tend(), a temporal aggregate — must not be held to
+	// one segment.
+	for _, ret := range []string{`$s`, `<e at="{tend($s)}"/>`, `<e>{timespan($s)}</e>`} {
+		sql, err := f.tr.Translate(snapshot + ret)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(sql, "segno") {
+			t.Errorf("return %s reads tend yet is restricted:\n%s", ret, sql)
+		}
 	}
 }
 
