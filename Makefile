@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race parallel-stress bench-smoke crash-matrix fuzz-smoke verify lint loc bench figures bench-compare
+.PHONY: build vet test race parallel-stress bench-smoke crash-matrix fuzz-smoke served-soak verify lint loc bench figures bench-compare
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,20 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompressRoundTrip$$' -fuzztime 5s ./internal/blockzip/
 	$(GO) test -run '^$$' -fuzz '^FuzzColumnarRoundTrip$$' -fuzztime 10s ./internal/blockzip/
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockCacheRoundTrip$$' -fuzztime 10s ./internal/blockzip/
+
+# Served-replica soak: N runs of the benchmark's served-replica
+# workload (seed 1, 10 s, untraced), each printed with its exit code and
+# first error; fails if any run failed. A retention or replication
+# regression that fails one run in several shows here.
+N ?= 10
+served-soak:
+	@failed=0; for i in $$(seq 1 $(N)); do \
+		out="$$(bash benchmark/run.sh --workload served-replica --seed 1 --seconds 10 --trace 0 2>&1)"; code=$$?; \
+		err="$$(printf '%s\n' "$$out" | sed -n 's/^.* first_error //p' | head -n 1)"; \
+		echo "served-soak run $$i/$(N): exit $$code first_error $${err:-none}"; \
+		[ "$$code" -eq 0 ] || failed=$$((failed + 1)); \
+	done; \
+	echo "served-soak: $$failed of $(N) runs failed"; [ "$$failed" -eq 0 ]
 
 # Tier-1 verification: everything must compile, pass vet, and pass the
 # full test suite under the race detector (the concurrency layer is

@@ -297,6 +297,21 @@ func TestCrashUnderConcurrentReaders(t *testing.T) {
 					t.Errorf("ReadAsOf(%d) = %s rows, live read = %s", lsn, b, a)
 				}
 				early, err := rec.ReadAsOf(0, `select count(*) from employee_salary S`)
+				base, serr := rec.DB.SnapshotAt(0)
+				if serr != nil {
+					t.Fatalf("SnapshotAt(0): %v", serr)
+				}
+				_, had := base.Table("employee_salary")
+				base.Release()
+				if !had {
+					// The base state predates the archive: a read pinned
+					// there fails as that version says, never answering
+					// from the live tables.
+					if err == nil || !strings.Contains(err.Error(), "no such table") {
+						t.Fatalf("ReadAsOf(0) before employee_salary existed: %v, want no such table", err)
+					}
+					return
+				}
 				if err != nil {
 					t.Fatalf("ReadAsOf(0): %v", err)
 				}

@@ -320,8 +320,9 @@ func resultOf(res *sqlengine.Result) Result {
 // prints for a read equals the workers attribute of the span that
 // executed it, and a read EXPLAIN leaves serial executes serially.
 // Both come from one rule (fanWorkers); this pins them together over
-// the Table 3 suite, the Q6 self-join and translated x1/x3, on every
-// layout at Workers 1 and 2.
+// the Table 3 suite, the Q6 self-join, the key join, a three-source
+// chain (a build-outer fold, then a hash stage) and translated x1/x3,
+// on every layout at Workers 1 and 2.
 func TestExplainFanOutMatchesAnalyze(t *testing.T) {
 	// An EXPLAIN line names its read's alias after "scan" or "join";
 	// a span names it as table=.
@@ -353,7 +354,8 @@ func TestExplainFanOutMatchesAnalyze(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stmts := []string{e.JoinSQL()}
+			stmts := []string{e.JoinSQL(), e.KeyJoinSQL(),
+				`select count(*) from employee_salary a, employee_id b, employee_salary c where a.id = b.id and c.id = b.id`}
 			for _, q := range AllQueries {
 				stmts = append(stmts, e.SQL(q))
 			}

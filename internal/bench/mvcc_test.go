@@ -11,6 +11,8 @@ import (
 
 	"archis/internal/core"
 	"archis/internal/dataset"
+	"archis/internal/htable"
+	"archis/internal/relstore"
 	"archis/internal/sqlengine"
 	"archis/internal/wal"
 )
@@ -249,6 +251,42 @@ func TestSnapshotConsistencyDifferential(t *testing.T) {
 			}
 			if asofChecks.Load() == 0 {
 				t.Error("no ReadAsOf answer was ever checked against the ledger")
+			}
+
+			// A read pinned before a CREATE TABLE or a Register fails with
+			// the snapshot's "no such table" — base table, segment store
+			// and compressed store alike — and never reads the live table,
+			// not even while CreateIndex grows its index list.
+			pinned := e.Sys.DB.Snapshot()
+			defer pinned.Release()
+			if _, err := e.Sys.Exec(`create table late (k INT, v INT)`); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Sys.Register(htable.TableSpec{Name: "latecomer", Key: []string{"id"}, Columns: []relstore.Column{
+				relstore.Col("id", relstore.TypeInt), relstore.Col("grade", relstore.TypeInt)}}); err != nil {
+				t.Fatal(err)
+			}
+			indexed := make(chan error, 1)
+			go func() {
+				for i := 0; i < 16; i++ {
+					for _, ix := range [][2]string{{"late", "k"}, {"latecomer_grade", "id"}} {
+						if _, err := e.Sys.DB.CreateIndex(fmt.Sprintf("ix_%s_%d", ix[0], i), ix[0], ix[1]); err != nil {
+							indexed <- err
+							return
+						}
+					}
+				}
+				indexed <- nil
+			}()
+			for i := 0; i < 16; i++ {
+				for _, q := range []string{`select count(*) from late where k = 1`, `select count(*) from latecomer_grade G where G.id = 1`} {
+					if _, err := e.Sys.Engine.ExecTracedAt(q, nil, pinned); err == nil || !strings.Contains(err.Error(), "no such table") {
+						t.Errorf("%s pinned before its table: %v, want no such table", q, err)
+					}
+				}
+			}
+			if err := <-indexed; err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -85,13 +85,18 @@ func (cs *CompressedStore) decompCounter() *int64 {
 // compression writer mutates. The decoded-block cache keys by table
 // identity and block number — both stable across versions — so views
 // share it with the live store.
-func (cs *CompressedStore) BindSnapshot(sn *relstore.Snapshot) sqlengine.VirtualTable {
-	seg, okS := cs.Seg.BindSnapshot(sn).(*segment.Store)
-	blob, okB := sn.Table(cs.blob.Name())
-	segrange, okR := sn.Table(cs.segrange.Name())
-	if !okS || !okB || !okR {
-		// Tables created after the pinned version; serve the live view.
-		return cs
+func (cs *CompressedStore) BindSnapshot(sn *relstore.Snapshot) (sqlengine.VirtualTable, error) {
+	seg, err := cs.Seg.BindSnapshot(sn)
+	if err != nil {
+		return nil, err
+	}
+	blob, err := sn.MustTable(cs.blob.Name())
+	if err != nil {
+		return nil, err
+	}
+	segrange, err := sn.MustTable(cs.segrange.Name())
+	if err != nil {
+		return nil, err
 	}
 	cs.mu.RLock()
 	colSegs := make(map[int64]bool, len(cs.colSegs))
@@ -101,7 +106,7 @@ func (cs *CompressedStore) BindSnapshot(sn *relstore.Snapshot) sqlengine.Virtual
 	compRows := cs.compRows
 	cs.mu.RUnlock()
 	return &CompressedStore{
-		Seg:       seg,
+		Seg:       seg.(*segment.Store),
 		db:        cs.db,
 		blob:      blob,
 		segrange:  segrange,
@@ -111,7 +116,7 @@ func (cs *CompressedStore) BindSnapshot(sn *relstore.Snapshot) sqlengine.Virtual
 		whole:     cs.whole,
 		columnar:  cs.columnar,
 		parent:    cs,
-	}
+	}, nil
 }
 
 // BlobTableName and SegRangeTableName name the side tables.

@@ -93,6 +93,7 @@ type Database struct {
 	publishMu  sync.Mutex
 	current    atomic.Pointer[dbSnapshot]
 	retained   []*dbSnapshot // guarded by publishMu; recent versions for SnapshotAt
+	floor      func() uint64 // guarded by publishMu; the retention floor (SetVersionFloor), nil = the head
 	cowGen     atomic.Uint64
 	anyDirty   atomic.Bool
 	autoPub    atomic.Bool

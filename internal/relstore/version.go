@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -16,14 +17,27 @@ import (
 // torn write or blocking on the writer.
 //
 // Reclamation is epoch-based and cooperative with the garbage
-// collector: the database retains the most recent retainedVersions
-// versions (the ReadAsOf horizon); older ones are dropped from the
-// ring — counted in Stats.ReclaimedVersions — and free as soon as the
-// last pinned reader releases its handle.
+// collector: the database retains the retainedVersions newest versions
+// at or below a floor, plus every version above it, up to
+// maxRetainedVersions in all (the ReadAsOf horizon); older ones are
+// dropped from the ring — counted in Stats.ReclaimedVersions — and
+// free as soon as the last pinned reader releases its handle. The
+// floor is the head unless SetVersionFloor installs one (DESIGN.md
+// §14.3): a replication primary's slowest follower ack, a follower's
+// applied LSN of a moment ago — the LSNs a reader may still ask for
+// however many versions a burst of writes publishes meanwhile.
 
-// retainedVersions bounds the SnapshotAt horizon: how many published
-// versions stay reachable for point-in-time reads.
-const retainedVersions = 64
+// retainedVersions is how many versions at or below the floor stay
+// reachable for point-in-time reads; maxRetainedVersions caps the ring
+// whatever the floor.
+const (
+	retainedVersions    = 64
+	maxRetainedVersions = 1024
+)
+
+// ErrHorizonPassed marks a point-in-time read below the retention
+// horizon: no retained version is at or before its LSN.
+var ErrHorizonPassed = errors.New("retention horizon passed")
 
 // dbSnapshot is one immutable published version of the database.
 type dbSnapshot struct {
@@ -130,11 +144,30 @@ func (db *Database) publishLocked(lsn uint64) *dbSnapshot {
 	db.cowGen.Add(1)
 	db.current.Store(v)
 	db.retained = append(db.retained, v)
-	if n := len(db.retained) - retainedVersions; n > 0 {
+	floor := lsn
+	if db.floor != nil {
+		floor = min(floor, db.floor())
+	}
+	keep := retainedVersions
+	for i := len(db.retained) - 1; i >= 0 && db.retained[i].lsn > floor; i-- {
+		keep++
+	}
+	if n := len(db.retained) - min(keep, maxRetainedVersions); n > 0 {
 		db.retained = append([]*dbSnapshot(nil), db.retained[n:]...)
 		db.reclaimed.Add(int64(n))
 	}
 	return v
+}
+
+// SetVersionFloor installs the retention floor: fn returns the lowest
+// LSN a reader may still ask SnapshotAt for, and every version above it
+// stays retained (up to maxRetainedVersions). nil restores the default
+// floor, the head. fn runs under the publish lock, so it must not
+// publish.
+func (db *Database) SetVersionFloor(fn func() uint64) {
+	db.publishMu.Lock()
+	db.floor = fn
+	db.publishMu.Unlock()
 }
 
 // Snapshot pins the current published version. In auto-publish mode a
@@ -173,7 +206,7 @@ func (db *Database) SnapshotAt(lsn uint64) (*Snapshot, error) {
 	}
 	db.publishMu.Unlock()
 	if found == nil {
-		return nil, fmt.Errorf("relstore: no retained version at or before lsn %d (retention horizon passed)", lsn)
+		return nil, fmt.Errorf("relstore: no retained version at or before lsn %d (%w)", lsn, ErrHorizonPassed)
 	}
 	return db.pin(found), nil
 }

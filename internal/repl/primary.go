@@ -48,19 +48,21 @@ type Primary struct {
 }
 
 // NewPrimary wires a shipper onto a durable system and installs the
-// follower-aware retention floor on its log.
+// follower-aware retention floor on its log and its MVCC versions: a
+// reader asking the primary for a follower's applied LSN finds it
+// however far the follower lags.
 func NewPrimary(sys *core.System) (*Primary, error) {
 	if !sys.Durable() {
 		return nil, fmt.Errorf("repl: primary requires a durable system (WALDir)")
 	}
 	p := &Primary{sys: sys, followers: map[string]uint64{}}
-	sys.SetWALRetention(p.minAcked)
+	sys.SetRetention(p.minAcked)
 	return p, nil
 }
 
 // minAcked is the retention floor: the lowest acked LSN across
 // registered followers. With none registered, truncation is
-// unconstrained.
+// unconstrained and the version floor is the head.
 func (p *Primary) minAcked() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

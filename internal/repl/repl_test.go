@@ -222,3 +222,74 @@ func TestAppliedLSNIsVisible(t *testing.T) {
 		t.Errorf("lag = %d lsns after catch-up, want 0", lsns)
 	}
 }
+
+// laggingFollower bootstraps a follower, catches it up, and has the
+// primary run 200 more statements: it returns both and the follower's
+// applied LSN, which the primary also holds as its ack.
+func laggingFollower(t *testing.T) (*core.System, *Follower, uint64) {
+	t.Helper()
+	prim, _, srv := newFaultPrimary(t, 10, core.Options{})
+	f, err := Bootstrap(srv.URL, t.TempDir(), FollowerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Sys.Close() })
+	ctx := context.Background()
+	// Catch up, then pull once more so the primary holds the follower's
+	// ack at its applied LSN.
+	for f.Sys.AppliedLSN() < prim.AppliedLSN() {
+		if _, err := f.PullOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.PullOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	lsn := f.Sys.AppliedLSN()
+	runPrimaryStatements(t, prim, 10, 210)
+	if lag := prim.AppliedLSN() - lsn; lag < 200 {
+		t.Fatalf("follower lags %d records, want 200", lag)
+	}
+	return prim, f, lsn
+}
+
+// TestPrimaryRetainsFollowerLSN: the primary keeps every version above
+// its slowest follower's ack, so asking it for the follower's applied
+// LSN answers while the follower lags 200 records.
+func TestPrimaryRetainsFollowerLSN(t *testing.T) {
+	prim, _, lsn := laggingFollower(t)
+	for _, at := range []uint64{lsn, lsn - 1} {
+		if _, err := prim.ReadAsOf(at, "select count(*) from employee"); err != nil {
+			t.Errorf("primary ReadAsOf(%d) with the follower at %d: %v", at, lsn, err)
+		}
+	}
+}
+
+// TestFollowerRetainsReaderLSN: a follower keeps the versions it had
+// applied a moment ago, so a reader's LSN survives a pull that applies
+// 200 records at once, and answers as the primary does.
+func TestFollowerRetainsReaderLSN(t *testing.T) {
+	prim, f, lsn := laggingFollower(t)
+	n, err := f.PullOnce(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n < 200 {
+		t.Fatalf("one pull applied %d records, want 200", n)
+	}
+	const q = "select count(*) from employee"
+	for _, at := range []uint64{lsn, lsn - 1} {
+		res, err := f.Sys.ReadAsOf(at, q)
+		if err != nil {
+			t.Errorf("follower ReadAsOf(%d) after a 200-record pull: %v", at, err)
+			continue
+		}
+		want, err := prim.ReadAsOf(at, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := res.Rows[0][0].Text(), want.Rows[0][0].Text(); g != w {
+			t.Errorf("follower ReadAsOf(%d) = %s, primary %s", at, g, w)
+		}
+	}
+}

@@ -650,13 +650,16 @@ func (s *Store) ScopedMorsels(bounds []relstore.ZoneBound) (Scope, []relstore.Mo
 // lockstep inside one critical section, so the derivation is exact for
 // any published version). Reader methods never consult the live map,
 // which stays nil in the view.
-func (s *Store) BindSnapshot(sn *relstore.Snapshot) sqlengine.VirtualTable {
-	t, okT := sn.Table(s.table.Name())
-	dir, okD := sn.Table(s.dir.Name())
-	if !okT || !okD {
-		// Tables created after the pinned version; the caller's query
-		// would fail either way, so serve the live view.
-		return s
+func (s *Store) BindSnapshot(sn *relstore.Snapshot) (sqlengine.VirtualTable, error) {
+	// Tables created after the pinned version are not in it: the read
+	// fails as the version says, never falling back to the live store.
+	t, err := sn.MustTable(s.table.Name())
+	if err != nil {
+		return nil, err
+	}
+	dir, err := sn.MustTable(s.dir.Name())
+	if err != nil {
+		return nil, err
 	}
 	b := &Store{table: t, dir: dir, cfg: s.cfg, hasValid: s.hasValid, liveSeg: 1}
 	if segs, err := b.segments(); err == nil && len(segs) > 0 {
@@ -664,7 +667,7 @@ func (s *Store) BindSnapshot(sn *relstore.Snapshot) sqlengine.VirtualTable {
 		b.liveSeg = last.SegNo + 1
 		b.liveStart = last.End.AddDays(1)
 	}
-	return b
+	return b, nil
 }
 
 // SegmentCount returns frozen segments + the live one.

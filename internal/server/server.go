@@ -393,6 +393,8 @@ func writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, core.ErrReadOnly):
 		code = http.StatusForbidden
+	case errors.Is(err, relstore.ErrHorizonPassed):
+		code = http.StatusGone
 	case errors.Is(err, errQueueFull) || errors.Is(err, errQueueWait):
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):

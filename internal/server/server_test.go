@@ -205,6 +205,7 @@ func TestServeErrorPathsDrainPinnedReaders(t *testing.T) {
 		{"parse error", "/query", request{SQL: "select from from employee"}, http.StatusBadRequest},
 		{"unknown table", "/query", request{SQL: "select * from nope"}, http.StatusBadRequest},
 		{"unknown table as-of", "/query", request{SQL: "select * from nope", AsOfLSN: lsn}, http.StatusBadRequest},
+		{"as_of_lsn past the retention horizon", "/query", request{SQL: "select count(*) from employee", AsOfLSN: 1}, http.StatusGone},
 		{"bad valid_as_of", "/query", request{SQL: "select * from employee", ValidAsOf: "not-a-date"}, http.StatusBadRequest},
 		{"as_of_lsn on DML", "/query", request{SQL: "update employee set salary = 1", AsOfLSN: lsn}, http.StatusBadRequest},
 		{"DML on /query", "/query", request{SQL: "delete from employee"}, http.StatusBadRequest},

@@ -32,31 +32,35 @@ type source struct {
 // SnapshotBinder is implemented by virtual tables that can rebind
 // themselves onto a pinned relstore snapshot (segment and BlockZIP
 // stores). resolveSource uses it so a SELECT sees one consistent
-// version of the backing tables AND the store's own metadata.
+// version of the backing tables AND the store's own metadata; a store
+// whose tables the version predates fails to bind.
 type SnapshotBinder interface {
-	BindSnapshot(sn *relstore.Snapshot) VirtualTable
+	BindSnapshot(sn *relstore.Snapshot) (VirtualTable, error)
 }
 
 // resolveSource binds a FROM reference to storage. With a snapshot the
-// read runs against the pinned version: base tables come from the
-// snapshot (frozen copies), and virtual tables that implement
-// SnapshotBinder are rebound onto it. A nil snapshot (DML target
-// resolution, legacy callers) reads the live tables.
+// read runs against the pinned version only: base tables come from the
+// snapshot (frozen copies), virtual tables that implement
+// SnapshotBinder are rebound onto it, and a base table the version
+// predates is "no such table". A nil snapshot (DML target resolution)
+// reads the live tables.
 func (en *Engine) resolveSource(ref TableRef, sn *relstore.Snapshot) (*source, error) {
 	if vt, ok := en.lookupVirtual(ref.Table); ok {
-		if sn != nil {
-			if sb, ok := vt.(SnapshotBinder); ok {
-				vt = sb.BindSnapshot(sn)
+		if sb, isBinder := vt.(SnapshotBinder); isBinder && sn != nil {
+			var err error
+			if vt, err = sb.BindSnapshot(sn); err != nil {
+				return nil, err
 			}
 		}
 		return &source{alias: ref.Alias, schema: vt.Schema(), virtual: vt}, nil
 	}
+	var tbl *relstore.Table
+	var err error
 	if sn != nil {
-		if tbl, ok := sn.Table(ref.Table); ok {
-			return &source{alias: ref.Alias, schema: tbl.Schema(), base: tbl}, nil
-		}
+		tbl, err = sn.MustTable(ref.Table)
+	} else {
+		tbl, err = en.DB.MustTable(ref.Table)
 	}
-	tbl, err := en.DB.MustTable(ref.Table)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +251,7 @@ func andAll(conjuncts []Expr) Expr {
 // zero-copy path like morsels do: GetBorrow hands out rows aliasing
 // immutable page-cache storage, so the probe loop allocates nothing per
 // row. cc is the calling worker's cancellation probe.
-func (rd *sourceRead) probeIndex(cc *cancelProbe, out rowSink) error {
+func (rd *sourceRead) probeIndex(cc *cancelProbe, out *pipePart) error {
 	p := rd.plan
 	for _, rid := range p.eqIndex.Lookup([]relstore.Value{p.eqVal}) {
 		if cc.tick() {
@@ -415,268 +419,26 @@ func (en *Engine) execSelect(ctx context.Context, stmt *SelectStmt, sp *obs.Span
 	if err != nil {
 		return nil, err
 	}
-	conjuncts, multi := split.all, split.multi
-
 	// Batch reads decode only the columns the statement touches.
-	en.markNeeded(stmt, conjuncts, sources)
+	en.markNeeded(stmt, split.all, sources)
 
-	// Plan the fold order: sources are reordered greedily by estimated
-	// cardinality and each fold gets a static, estimate-driven strategy.
-	ordered := sources
-	var jplan *joinPlan
-	if len(sources) > 1 {
-		if jplan, err = en.planJoins(sources, perAlias, multi, f); err != nil {
-			return nil, err
-		}
-		ordered = make([]*source, len(sources))
-		for i, idx := range jplan.order {
-			ordered[i] = sources[idx]
-		}
+	// Plan the folds (sources reordered greedily by estimated
+	// cardinality, an estimate-driven strategy per fold) and compile the
+	// consumer the last pipeline streams into: what the folds leave is
+	// its residual filter.
+	first, folds, residual, layout, err := en.planFolds(sources, perAlias, split.multi, f)
+	if err != nil {
+		return nil, err
 	}
-
-	// Scan the first source, then fold in the rest. When the first fold
-	// is a build-on-inner hash join, the initial scan is fused into the
-	// probe (hashJoinFirst), which streams the outer side and can fan
-	// it out over morsels. Every source is read once, through its
-	// compiled read (compileRead / readParts). The statement's consumer
-	// is compiled before the last read or fold, which streams its rows
-	// straight into it; only the inputs of later folds materialize.
-	first := ordered[0]
-	firstConjuncts := perAlias[strings.ToLower(first.alias)]
-	layout := layoutFor(first.alias, first.schema)
-	joinedAliases := map[string]bool{strings.ToLower(first.alias): true}
-	pendingMulti := multi
-	var rows []relstore.Row
-
-	// scanFirst reads the leading source under a "scan" span: into rows
-	// for the first fold, or into c when it is the only source, fanning
-	// out as readParts decides.
-	scanFirst := func(c *consumer) ([]outPart, error) {
-		ss := sp.Child("scan")
-		defer ss.End()
-		ss.SetAttr("table", first.alias)
-		rd, err := en.compileRead(first, firstConjuncts, sources)
-		if err != nil {
-			return nil, err
-		}
-		if rd.batch != nil {
-			rd.label(ss)
-		} else {
-			ss.SetAttr("access", rd.plan.est.Access)
-		}
-		ss.SetInt("est_rows", int64(rd.plan.est.OutRows))
-		if c == nil {
-			rows, err = en.readRows(ctx, rd, ss)
-			ss.AddRows(0, int64(len(rows)))
-			return nil, err
-		}
-		parts, err := readParts(ctx, rd, true, !c.serial, ss, c.sink)
-		ss.AddRows(0, offered(parts))
-		return parts, err
+	c, err := en.compileConsumer(stmt, residual, layout, sources)
+	if err != nil {
+		return nil, err
 	}
-	if len(ordered) == 1 {
-		c, err := en.compileConsumer(stmt, pendingMulti, layout, sources)
-		if err != nil {
-			return nil, err
-		}
-		parts, err := scanFirst(c)
-		if err != nil {
-			return nil, err
-		}
-		return en.finish(c, parts, sp)
-	}
-
-	var c *consumer
-	var parts []outPart
-	foldProbe := newCancelProbe(ctx)
-	for fi, s := range ordered[1:] {
-		if foldProbe.check() {
-			return nil, foldProbe.err()
-		}
-		fp := &jplan.folds[fi]
-		joins, band, rest, err := en.foldConds(pendingMulti, layout, joinedAliases, s, sources, fp, f)
-		if err != nil {
-			return nil, err
-		}
-		pendingMulti = rest
-		newLayout := layout.concat(layoutFor(s.alias, s.schema))
-		if fi == len(ordered)-2 {
-			// The last fold: what the joins leave is the residual filter.
-			if c, err = en.compileConsumer(stmt, pendingMulti, newLayout, sources); err != nil {
-				return nil, err
-			}
-		}
-
-		singles := perAlias[strings.ToLower(s.alias)]
-		fuse := fi == 0 && fp.strategy == stratHashBuildInner
-		if fi == 0 && !fuse {
-			if _, err := scanFirst(nil); err != nil {
-				return nil, err
-			}
-		}
-		in := int64(len(rows))
-		var out []foldOut
-		var js *obs.Span // the span of a join that counts its rows here
-		switch {
-		case fuse:
-			out, err = en.hashJoinFirst(ctx, first, firstConjuncts, s, joins, band, singles, sources, fp, c, sp)
-		case fp.strategy == stratIndex:
-			// Index nested-loop join on the first equi key; remaining
-			// keys and single-table predicates filter after the probe.
-			js = sp.Child("join:index")
-			js.SetAttr("table", s.alias)
-			out, err = en.indexJoin(ctx, rows, s, joins, singles, c)
-		case fp.strategy == stratHashBuildInner:
-			out, err = en.hashJoin(ctx, rows, s, joins, band, singles, sources, fp, c, sp)
-		case fp.strategy == stratHashBuildOuter:
-			out, err = en.hashJoinBuildOuter(ctx, rows, s, joins, singles, sources, fp, c, sp)
-		default:
-			js = sp.Child("join:nested-loop")
-			js.SetAttr("table", s.alias)
-			out, err = en.nestedLoopJoin(ctx, rows, s, singles, sources, c, js)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if c != nil {
-			parts = make([]outPart, len(out))
-			for i := range out {
-				parts[i] = out[i].outPart
-			}
-			js.AddRows(in, offered(parts))
-		} else {
-			rows = foldRows(out)
-			js.AddRows(in, int64(len(rows)))
-		}
-		js.End()
-		layout = newLayout
-		joinedAliases[strings.ToLower(s.alias)] = true
+	parts, err := en.runFolds(ctx, first, perAlias[strings.ToLower(first.alias)], folds, sources, c, sp)
+	if err != nil {
+		return nil, err
 	}
 	return en.finish(c, parts, sp)
-}
-
-// foldOut is one part of a join fold's output: it receives every
-// combined row, outer row then inner row. The statement's last fold
-// builds each in one reused buffer and streams it into the consumer
-// part it embeds, so nothing is materialized; an intermediate fold,
-// whose output the next fold reads, keeps a copy of each in rows. in
-// counts the combined rows either way; probed counts the probe rows
-// with a full join key.
-type foldOut struct {
-	outPart
-	rows   []relstore.Row
-	buf    relstore.Row
-	probed int64
-}
-
-func (f *foldOut) emit(o, m relstore.Row) error {
-	if f.c != nil {
-		f.buf = append(append(f.buf[:0], o...), m...)
-		return f.put(f.buf)
-	}
-	f.in++
-	row := make(relstore.Row, 0, len(o)+len(m))
-	f.rows = append(f.rows, append(append(row, o...), m...))
-	return nil
-}
-
-// copied is the number of combined rows this part materialized.
-func (f *foldOut) copied() int64 { return int64(len(f.rows)) }
-
-// foldRows concatenates an intermediate fold's parts in morsel order.
-func foldRows(out []foldOut) []relstore.Row {
-	if len(out) == 1 {
-		return out[0].rows
-	}
-	var rows []relstore.Row
-	for i := range out {
-		rows = append(rows, out[i].rows...)
-	}
-	return rows
-}
-
-func (en *Engine) indexJoin(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, singles []Expr, c *consumer) ([]foldOut, error) {
-	cc := newCancelProbe(ctx)
-	ix := s.base.IndexOn(joins[0].newPos)
-	// Compile the inner-side residual (single-table predicates).
-	var filter evalFunc
-	if len(singles) > 0 {
-		var err error
-		if filter, err = en.compileExpr(andAll(singles), layoutFor(s.alias, s.schema)); err != nil {
-			return nil, err
-		}
-	}
-	out := []foldOut{{outPart: c.open()}}
-	fo := &out[0]
-	for _, o := range outer {
-		if cc.tick() {
-			return nil, cc.err()
-		}
-		// Join keys share a key class, so the probe value needs no
-		// conversion: the index compares INT and DATE payloads exactly.
-		probe := o[joins[0].boundPos]
-		if probe.IsNull() {
-			continue
-		}
-		for _, rid := range ix.Lookup([]relstore.Value{probe}) {
-			row, live, err := s.base.GetBorrow(rid)
-			if err != nil {
-				return nil, err
-			}
-			if !live {
-				continue
-			}
-			match := true
-			for _, j := range joins[1:] {
-				if compareValues(o[j.boundPos], row[j.newPos]) != 0 || row[j.newPos].IsNull() {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-			if filter != nil {
-				v, err := filter(row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.AsBool() {
-					continue
-				}
-			}
-			if err := fo.emit(o, row); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-func (en *Engine) nestedLoopJoin(ctx context.Context, outer []relstore.Row, s *source, singles []Expr, sources []*source, c *consumer, sp *obs.Span) ([]foldOut, error) {
-	rd, err := en.compileRead(s, singles, sources)
-	if err != nil {
-		return nil, err
-	}
-	rd.label(sp)
-	inner, err := en.readRows(ctx, rd, sp)
-	if err != nil {
-		return nil, err
-	}
-	cc := newCancelProbe(ctx)
-	out := []foldOut{{outPart: c.open()}}
-	fo := &out[0]
-	for _, o := range outer {
-		for _, m := range inner {
-			if cc.tick() {
-				return nil, cc.err()
-			}
-			if err := fo.emit(o, m); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }
 
 // ---- projection, grouping, ordering ----
@@ -845,23 +607,13 @@ func (en *Engine) compileConsumer(stmt *SelectStmt, residual []Expr, layout *row
 	return c, nil
 }
 
-// open starts a part; on a nil consumer (an intermediate join fold) it
-// is the zero part.
+// open starts a part.
 func (c *consumer) open() outPart {
-	if c == nil {
-		return outPart{}
-	}
 	p := outPart{c: c}
 	if c.gplan != nil {
 		p.acc = c.gplan.newAcc()
 	}
 	return p
-}
-
-// sink opens part p and returns the drain sink that feeds it.
-func (c *consumer) sink(p *outPart) rowSink {
-	*p = c.open()
-	return rowSink{part: p}
 }
 
 // put takes one row: the residual filter, then the accumulator or the
@@ -888,15 +640,6 @@ func (p *outPart) put(row relstore.Row) error {
 	}
 	p.outs = append(p.outs, o)
 	return nil
-}
-
-// offered sums the rows handed to the parts.
-func offered(parts []outPart) int64 {
-	var n int64
-	for i := range parts {
-		n += parts[i].in
-	}
-	return n
 }
 
 // evalOut evaluates one output row and its ORDER BY keys into a single
@@ -926,11 +669,11 @@ func evalOut(r relstore.Row, evals, orderFns []evalFunc) (outRow, error) {
 // grouped statement's accumulators merge under an "aggregate" span,
 // which notes partials=N when a fanned-out drain filled N > 1 parts,
 // and the groups go through HAVING; projected rows concatenate.
-func (en *Engine) finish(c *consumer, parts []outPart, sp *obs.Span) (*Result, error) {
+func (en *Engine) finish(c *consumer, parts []pipePart, sp *obs.Span) (*Result, error) {
 	var in, kept int64
 	for i := range parts {
-		in += parts[i].in
-		kept += parts[i].kept
+		in += parts[i].out.in
+		kept += parts[i].out.kept
 	}
 	if c.filter != nil {
 		fs := sp.Child("filter")
@@ -940,10 +683,10 @@ func (en *Engine) finish(c *consumer, parts []outPart, sp *obs.Span) (*Result, e
 	if c.gplan != nil {
 		acc := c.gplan.newAcc()
 		if len(parts) == 1 {
-			acc = parts[0].acc
+			acc = parts[0].out.acc
 		} else {
 			for i := range parts {
-				if err := acc.merge(parts[i].acc); err != nil {
+				if err := acc.merge(parts[i].out.acc); err != nil {
 					return nil, err
 				}
 			}
@@ -959,11 +702,11 @@ func (en *Engine) finish(c *consumer, parts []outPart, sp *obs.Span) (*Result, e
 	ps := sp.Child("project")
 	var outs []outRow
 	if len(parts) == 1 {
-		outs = parts[0].outs
+		outs = parts[0].out.outs
 	} else {
 		outs = make([]outRow, 0, kept)
 		for i := range parts {
-			outs = append(outs, parts[i].outs...)
+			outs = append(outs, parts[i].out.outs...)
 		}
 	}
 	res := render(c.stmt, c.cols, outs)

@@ -54,7 +54,6 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 	if err != nil {
 		return nil, err
 	}
-	conjuncts, multi := split.all, split.multi
 	validAt, hasValidAt := ValidAsOf(ctx)
 
 	// An aggregate that cannot merge partials drains serially.
@@ -124,60 +123,44 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 		add(1, "valid_pred=vstart<=%s<=vend", validAt)
 	}
 
-	if len(sources) == 1 {
-		d, err := describeScan(sources[0], conjuncts, true, !serialAgg)
-		if err != nil {
-			return nil, err
-		}
-		add(1, "%s", d)
-		explainProject(stmt, add)
-		return lines, nil
-	}
-
-	// Multi-source: describe the fold order of execSelect, which
-	// follows planJoins (greedy reordering plus static
-	// build-side/strategy choices).
-	jplan, err := en.planJoins(sources, perAlias, multi, planned)
+	first, folds, residual, _, err := en.planFolds(sources, perAlias, split.multi, planned)
 	if err != nil {
 		return nil, err
 	}
-	ordered := make([]*source, len(sources))
-	for i, idx := range jplan.order {
-		ordered[i] = sources[idx]
+	rows, merge := leadFan(folds, serialAgg)
+	lead, err := describeScan(first, perAlias[strings.ToLower(first.alias)], rows, merge)
+	if err != nil {
+		return nil, err
 	}
-	first := ordered[0]
-	layout := layoutFor(first.alias, first.schema)
-	joinedAliases := map[string]bool{strings.ToLower(first.alias): true}
-	pendingMulti := multi
-	var probe string // the leading read, streamed into a fused first fold
-	for fi, s := range ordered[1:] {
-		fp := &jplan.folds[fi]
-		joins, band, rest, err := en.foldConds(pendingMulti, layout, joinedAliases, s, sources, fp, planned)
-		if err != nil {
-			return nil, err
+	fused := len(folds) > 0 && folds[0].fp.strategy == stratHashBuildInner
+	if !fused {
+		add(1, "%s", lead)
+	}
+	// The folds of runFolds: each a stage of the pipeline the leading
+	// read streams into, or a build-outer breaker.
+	for fi := range folds {
+		fd := &folds[fi]
+		s, fp := fd.s, fd.fp
+		keys := fmt.Sprintf("keys=%d", len(fd.joins))
+		if fd.band != nil {
+			keys += " band=" + fd.band.name
 		}
-		pendingMulti = rest
-		keys := fmt.Sprintf("keys=%d", len(joins))
-		if band != nil {
-			keys += " band=" + band.name
-		}
-		singles := perAlias[strings.ToLower(s.alias)]
-		fuse := fi == 0 && fp.strategy == stratHashBuildInner
-		if fi == 0 {
-			// A fused probe that is the last fold streams into the
-			// consumer, so it fans out only when the consumer can merge.
-			merge := !(fuse && serialAgg && fi == len(ordered)-2)
-			if probe, err = describeScan(first, perAlias[strings.ToLower(first.alias)], fuse, merge); err != nil {
+		if fi == 0 && fused {
+			// The leading read streams into the first stage's probe.
+			build, err := describeScan(s, fd.singles, false, true)
+			if err != nil {
 				return nil, err
 			}
-			if !fuse {
-				add(1, "%s", probe)
-			}
+			add(1, "hash join %s build=%s est outer=%d inner=%d out=%d",
+				keys, s.alias, fp.estOuter, fp.estInner, fp.estOut)
+			add(2, "build: %s", build)
+			add(2, "probe: %s (streamed)", lead)
+			continue
 		}
 		// The fold reads s through compileRead unless it probes an index.
 		note := derivedNote(s)
-		if fp.strategy != stratIndex && !fuse {
-			rd, err := en.compileRead(s, singles, sources)
+		if fp.strategy != stratIndex {
+			rd, err := en.compileRead(s, fd.singles, sources)
 			if err != nil {
 				return nil, err
 			}
@@ -187,35 +170,22 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 			}
 			note += rn
 		}
-		switch {
-		case fuse:
-			// Fused first fold: scan streams into the probe
-			// (hashJoinFirst), exactly like execSelect's.
-			build, err := describeScan(s, singles, false, true)
-			if err != nil {
-				return nil, err
-			}
-			add(1, "hash join %s build=%s est outer=%d inner=%d out=%d",
-				keys, s.alias, fp.estOuter, fp.estInner, fp.estOut)
-			add(2, "build: %s", build)
-			add(2, "probe: %s (streamed)", probe)
-		case fp.strategy == stratIndex:
+		switch fp.strategy {
+		case stratIndex:
 			add(1, "index join %s keys=%d (index %s) est outer=%d out=%d%s",
-				s.alias, len(joins), fp.index.Name, fp.estOuter, fp.estOut, derivedNote(s))
-		case fp.strategy == stratHashBuildInner:
+				s.alias, len(fd.joins), fp.index.Name, fp.estOuter, fp.estOut, note)
+		case stratHashBuildInner:
 			add(1, "hash join %s %s build=%s est outer=%d inner=%d out=%d%s",
 				s.alias, keys, s.alias, fp.estOuter, fp.estInner, fp.estOut, note)
-		case fp.strategy == stratHashBuildOuter:
+		case stratHashBuildOuter:
 			add(1, "hash join %s keys=%d build=outer est outer=%d inner=%d out=%d%s",
-				s.alias, len(joins), fp.estOuter, fp.estInner, fp.estOut, note)
+				s.alias, len(fd.joins), fp.estOuter, fp.estInner, fp.estOut, note)
 		default:
 			add(1, "nested-loop join %s est out=%d%s", s.alias, fp.estOut, note)
 		}
-		layout = layout.concat(layoutFor(s.alias, s.schema))
-		joinedAliases[strings.ToLower(s.alias)] = true
 	}
-	if len(pendingMulti) > 0 {
-		add(1, "filter residual=%d conjuncts", len(pendingMulti))
+	if len(residual) > 0 {
+		add(1, "filter residual=%d conjuncts", len(residual))
 	}
 	explainProject(stmt, add)
 	return lines, nil

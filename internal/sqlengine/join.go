@@ -1,17 +1,22 @@
 package sqlengine
 
-// Hash-join executors on the zero-copy path (DESIGN.md §8.2). The
-// build side indexes borrowed inner rows by their appendKey encoding;
-// probes encode outer keys into a reusable scratch buffer, so a probe
-// allocates nothing for non-matching rows (map lookups keyed on
-// string(scratch) do not copy the bytes); a match goes to the fold's
-// foldOut, which streams it into the consumer on the statement's last
-// fold and materializes it only on an intermediate one. Every join
-// input is read through its source's compiled read (readParts): a
-// BatchSource streams kernel-filtered column batches decoding only the
-// columns the statement reads from that alias, and with Workers > 1
-// the read fans its morsels out over the worker pool (a row source
-// fans out only as hashJoinFirst's probe).
+// Join pipelines on the zero-copy path (DESIGN.md §8.1, §8.2). A
+// multi-source SELECT is one fold list (planFolds): every fold but a
+// build-outer hash join compiles into a probe stage — a hash probe of
+// the inner side's table (within its band), an index probe, or a
+// nested loop over the read inner — and the leading read drains
+// through readParts into the first stage, each stage pushing its
+// combined rows, built in one reused buffer per stage and part, into
+// the next and the last into the consumer. A pipeline breaks only
+// where one side must be complete first: a hash build, a nested-loop
+// inner, and the build-outer fold, whose outer input the stages before
+// it collect — the only intermediate rows ever materialized. Hash
+// keys encode into a reusable scratch buffer, so a probe allocates
+// nothing for non-matching rows (map lookups keyed on string(scratch)
+// do not copy the bytes). Every input is read through its source's
+// compiled read: a BatchSource streams kernel-filtered column batches
+// decoding only the columns the statement reads from that alias, and
+// fanWorkers decides how many workers drain it.
 
 import (
 	"context"
@@ -23,34 +28,20 @@ import (
 	"archis/internal/relstore"
 )
 
-// readRows drains a read into rows the caller keeps: the leading scan
-// of a join, a hash join's build side, nested-loop inners. Row-path
-// rows are borrowed and kept as they are; rows cloned out of a batch
-// count as copied join rows.
-func (en *Engine) readRows(ctx context.Context, rd *sourceRead, sp *obs.Span) ([]relstore.Row, error) {
-	clone := rd.batch != nil
-	parts, err := readParts(ctx, rd, false, true, sp, func(p *[]relstore.Row) rowSink {
-		return rowSink{emit: func(row relstore.Row) error {
-			if clone {
-				row = row.Clone()
-			}
-			*p = append(*p, row)
-			return nil
-		}}
-	})
-	if err != nil {
-		return nil, err
+// collected concatenates a collecting pipeline's parts in morsel
+// order and counts the rows they copied.
+func (en *Engine) collected(parts []pipePart) []relstore.Row {
+	var copied int64
+	rows := make([][]relstore.Row, len(parts))
+	for i := range parts {
+		rows[i] = parts[i].rows
+		copied += parts[i].copied
 	}
-	var rows []relstore.Row
-	if len(parts) == 1 {
-		rows = parts[0]
-	} else {
-		rows = slices.Concat(parts...)
+	en.DB.AddJoinRows(0, copied)
+	if len(rows) == 1 {
+		return rows[0]
 	}
-	if clone {
-		en.DB.AddJoinRows(0, int64(len(rows)))
-	}
-	return rows, nil
+	return slices.Concat(rows...)
 }
 
 // label marks a span whose input is read through the batch drain.
@@ -177,17 +168,15 @@ func (b *joinBand) narrow(rows []relstore.Row, o relstore.Row) ([]relstore.Row, 
 
 func buildJoinTable(inner []relstore.Row, joins []equiJoin, band *joinBand) *joinTable {
 	jt := &joinTable{idx: make(map[string]int, len(inner)), band: band}
-	var enc []byte
-	key := make([]relstore.Value, len(joins))
+	var sc probeScratch
 	for _, r := range inner {
-		for i, j := range joins {
-			key[i] = r[j.newPos]
+		if !sc.encode(r, joins, false) {
+			continue // a NULL key component never matches
 		}
-		enc = appendKey(enc[:0], key)
-		if b, ok := jt.idx[string(enc)]; ok {
+		if b, ok := jt.idx[string(sc.enc)]; ok {
 			jt.buckets[b] = append(jt.buckets[b], r)
 		} else {
-			jt.idx[string(enc)] = len(jt.buckets)
+			jt.idx[string(sc.enc)] = len(jt.buckets)
 			jt.buckets = append(jt.buckets, []relstore.Row{r})
 		}
 	}
@@ -197,45 +186,50 @@ func buildJoinTable(inner []relstore.Row, joins []equiJoin, band *joinBand) *joi
 	return jt
 }
 
-// probeScratch holds one prober's reusable buffers; concurrent
+// probeScratch holds one prober's reusable key buffers; concurrent
 // workers must each own their own.
 type probeScratch struct {
 	enc []byte
 	key []relstore.Value
 }
 
-func newProbeScratch(joins []equiJoin) *probeScratch {
-	return &probeScratch{key: make([]relstore.Value, len(joins))}
-}
-
-// probe sends the combined rows for one outer row to out. Rows with a
-// NULL key component never match (SQL equality semantics); probed
-// reports whether the row had a fully non-NULL key. With a band, only
-// the bucket's rows inside the band are combined, in band-column order.
-func (jt *joinTable) probe(o relstore.Row, joins []equiJoin, sc *probeScratch, out *foldOut) (probed bool, err error) {
+// encode encodes row's join key — its columns on the joined side when
+// bound, on the new source's side otherwise — into sc.enc. It reports
+// false when a key component is NULL: SQL equality never holds then.
+func (sc *probeScratch) encode(row relstore.Row, joins []equiJoin, bound bool) bool {
+	if len(sc.key) != len(joins) {
+		sc.key = make([]relstore.Value, len(joins))
+	}
 	for i, j := range joins {
-		sc.key[i] = o[j.boundPos]
+		pos := j.newPos
+		if bound {
+			pos = j.boundPos
+		}
+		sc.key[i] = row[pos]
 		if sc.key[i].IsNull() {
-			return false, nil
+			return false
 		}
 	}
 	sc.enc = appendKey(sc.enc[:0], sc.key)
+	return true
+}
+
+// lookup returns the build rows joining probe row o: its key's
+// bucket, narrowed to the band when there is one (in band-column
+// order). probed is false when the key has a NULL component.
+func (jt *joinTable) lookup(o relstore.Row, joins []equiJoin, sc *probeScratch) (matches []relstore.Row, probed bool, err error) {
+	if !sc.encode(o, joins, true) {
+		return nil, false, nil
+	}
 	b, ok := jt.idx[string(sc.enc)]
 	if !ok {
-		return true, nil
+		return nil, true, nil
 	}
-	matches := jt.buckets[b]
+	matches = jt.buckets[b]
 	if jt.band != nil {
-		if matches, err = jt.band.narrow(matches, o); err != nil {
-			return true, err
-		}
+		matches, err = jt.band.narrow(matches, o)
 	}
-	for _, m := range matches {
-		if err := out.emit(o, m); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
+	return matches, true, err
 }
 
 // label names a span's band column.
@@ -252,221 +246,497 @@ func setFoldEst(sp *obs.Span, fp *foldPlan) {
 	sp.SetInt("est_out", int64(fp.estOut))
 }
 
-// buildInner reads source s under a "join:hash-build" span and hashes
-// it on the join keys (the build-on-inner side of hashJoin and
-// hashJoinFirst), sorting the buckets for a band probe when band is
-// set.
-func (en *Engine) buildInner(ctx context.Context, s *source, joins []equiJoin, band *joinBand, singles []Expr, sources []*source, fp *foldPlan, sp *obs.Span) (*joinTable, error) {
-	bs := sp.Child("join:hash-build")
-	bs.SetAttr("table", s.alias)
-	bs.SetAttr("side", "inner")
-	rd, err := en.compileRead(s, singles, sources)
-	if err != nil {
-		return nil, err
-	}
-	rd.label(bs)
-	setFoldEst(bs, fp)
-	inner, err := en.readRows(ctx, rd, bs)
-	if err != nil {
-		return nil, err
-	}
-	jt := buildJoinTable(inner, joins, band)
-	bs.AddRows(int64(len(inner)), 0)
-	bs.SetInt("buckets", int64(len(jt.buckets)))
-	bs.End()
-	return jt, nil
+// fold is one planned join fold: source s joined to the sources folded
+// before it by fp's strategy on the equi-join keys joins (and, for a
+// build-inner hash join, band), reading s under its single-table
+// conjuncts singles.
+type fold struct {
+	s       *source
+	fp      *foldPlan
+	joins   []equiJoin
+	band    *joinBand
+	singles []Expr
 }
 
-// hashJoin folds source s into already-materialized outer rows,
-// building on the inner side (the planner picks this variant when the
-// inner input is the smaller estimate; hashJoinBuildOuter is its
-// mirror). Its output goes to c, or is materialized when c is nil
-// (foldOut).
-func (en *Engine) hashJoin(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, band *joinBand, singles []Expr, sources []*source, fp *foldPlan, c *consumer, sp *obs.Span) ([]foldOut, error) {
-	jt, err := en.buildInner(ctx, s, joins, band, singles, sources, fp, sp)
+// planFolds plans a SELECT's folds — planJoins' order and strategies,
+// the multi-source conjuncts split over them — as the one fold list
+// execSelect runs and EXPLAIN renders. It returns the leading source,
+// the folds (none for one source), the conjuncts no fold consumes (the
+// consumer's residual filter) and the layout of the combined row.
+func (en *Engine) planFolds(sources []*source, perAlias map[string][]Expr, multi []Expr, f *planForce) (*source, []fold, []Expr, *rowLayout, error) {
+	first := sources[0]
+	if len(sources) == 1 {
+		return first, nil, multi, layoutFor(first.alias, first.schema), nil
+	}
+	jplan, err := en.planJoins(sources, perAlias, multi, f)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	first = sources[jplan.order[0]]
+	layout := layoutFor(first.alias, first.schema)
+	joinedAliases := map[string]bool{strings.ToLower(first.alias): true}
+	folds := make([]fold, len(jplan.folds))
+	pending := multi
+	for i, idx := range jplan.order[1:] {
+		s := sources[idx]
+		fd := &folds[i]
+		fd.s, fd.fp, fd.singles = s, &jplan.folds[i], perAlias[strings.ToLower(s.alias)]
+		if fd.joins, fd.band, pending, err = en.foldConds(pending, layout, joinedAliases, s, sources, fd.fp, f); err != nil {
+			return nil, nil, nil, nil, err
+		}
+		layout = layout.concat(layoutFor(s.alias, s.schema))
+		joinedAliases[strings.ToLower(s.alias)] = true
+	}
+	return first, folds, pending, layout, nil
+}
+
+// breakAt returns the position of the first build-outer fold at or
+// after i, or len(folds): where the pipeline segment starting at i
+// ends.
+func breakAt(folds []fold, i int) int {
+	for i < len(folds) && folds[i].fp.strategy != stratHashBuildOuter {
+		i++
+	}
+	return i
+}
+
+// leadFan is what fanWorkers is told of the leading read: it streams
+// (rows) unless it only collects the outer input of a build-outer
+// first fold, and a consumer that cannot merge partial aggregates
+// keeps it serial (merge) unless a build-outer fold, which emits
+// serially, stands between them.
+func leadFan(folds []fold, serial bool) (rows, merge bool) {
+	end := breakAt(folds, 0)
+	last := end == len(folds)
+	return end > 0 || last, !(last && serial)
+}
+
+// runFolds runs the folds as pipeline segments split at the
+// build-outer folds and returns the consumer's parts. The first
+// segment's source is the leading read (first under conjuncts); each
+// later one's is a build-outer fold, which hashes the rows the segment
+// before it collected. The leading read runs under the first stage's
+// "join:hash-probe" span when that stage probes a hash table, and
+// under a "scan" span otherwise.
+func (en *Engine) runFolds(ctx context.Context, first *source, conjuncts []Expr, folds []fold, sources []*source, c *consumer, sp *obs.Span) ([]pipePart, error) {
+	rd, err := en.compileRead(first, conjuncts, sources)
 	if err != nil {
 		return nil, err
 	}
-	ps := sp.Child("join:hash-probe")
-	band.label(ps)
-	cc := newCancelProbe(ctx)
-	sc := newProbeScratch(joins)
-	out := []foldOut{{outPart: c.open()}}
-	fo := &out[0]
-	for _, o := range outer {
-		if cc.tick() {
-			return nil, cc.err()
+	fused := len(folds) > 0 && folds[0].fp.strategy == stratHashBuildInner
+	var ss *obs.Span
+	if !fused {
+		ss = sp.Child("scan")
+		ss.SetAttr("table", first.alias)
+		access := rd.plan.est.Access
+		if rd.batch != nil {
+			access = "colscan"
 		}
-		ok, err := jt.probe(o, joins, sc, fo)
+		ss.SetAttr("access", access)
+		ss.SetInt("est_rows", int64(rd.plan.est.OutRows))
+	}
+	cc := newCancelProbe(ctx)
+	var outer []relstore.Row
+	for start := 0; ; {
+		end := breakAt(folds, start)
+		pl := &pipeline{ctx: ctx, c: c, stages: make([]*stage, end-start)}
+		if end < len(folds) {
+			// Collect the build-outer fold's input. Only the leading row
+			// read's own rows are stable enough to keep uncopied; a
+			// stage's or a build-outer fold's are reused buffers.
+			pl.tail, pl.clone = tailCollect, end > 0 || rd.batch != nil
+		}
+		for i := range pl.stages {
+			if cc.check() {
+				return nil, cc.err()
+			}
+			var lead *sourceRead
+			if start+i == 0 {
+				lead = rd
+			}
+			if pl.stages[i], err = en.compileStage(ctx, &folds[start+i], lead, sources, sp); err != nil {
+				return nil, err
+			}
+		}
+		var parts []pipePart
+		if start == 0 {
+			if fused {
+				ss = pl.stages[0].sp
+			}
+			rows, merge := leadFan(folds, c.serial)
+			if parts, err = readParts(ctx, rd, rows, merge, ss, pl); err != nil {
+				return nil, err
+			}
+			if !fused {
+				var read int64
+				for i := range parts {
+					read += parts[i].read
+				}
+				ss.AddRows(0, read)
+				ss.End()
+			}
+		} else if parts, err = en.hashJoinBuildOuter(ctx, outer, &folds[start-1], sources, pl, sp); err != nil {
+			return nil, err
+		}
+		for i, g := range pl.stages {
+			var in, out int64
+			for p := range parts {
+				in += parts[p].st[i].in
+				out += parts[p].st[i].out
+			}
+			if g.kind == stageHash {
+				en.DB.AddJoinRows(in, 0)
+			}
+			g.sp.AddRows(in, out)
+			g.sp.End()
+		}
+		if end == len(folds) {
+			return parts, nil
+		}
+		outer = en.collected(parts)
+		start = end + 1
+	}
+}
+
+// stageKind selects a stage's probe in pipePart.push: a switch, so the
+// per-row work stays direct calls, never a closure per row.
+type stageKind uint8
+
+const (
+	stageHash   stageKind = iota // probe a hash table built on the inner side, within its band
+	stageIndex                   // probe the inner table's index on the leading join key
+	stageNested                  // pair with every row of the read inner
+)
+
+// stage is one compiled probe stage. It is read-only once built, so
+// every part of a fanned-out pipeline shares it.
+type stage struct {
+	kind   stageKind
+	joins  []equiJoin
+	jt     *joinTable      // stageHash
+	ix     *relstore.Index // stageIndex: the inner table's index on the leading key
+	filter evalFunc        // and its single-table conjuncts, nil when none
+	inner  []relstore.Row  // stageNested
+	sp     *obs.Span       // join:hash-probe, join:index or join:nested-loop
+}
+
+// compileStage builds fold fd's stage: a hash stage reads and hashes
+// its build side, a nested-loop stage reads its inner, an index stage
+// compiles the inner's single-table conjuncts. lead is the leading
+// read when fd is the first fold; a hash stage then traces it on its
+// own probe span.
+func (en *Engine) compileStage(ctx context.Context, fd *fold, lead *sourceRead, sources []*source, sp *obs.Span) (*stage, error) {
+	s := fd.s
+	g := &stage{joins: fd.joins}
+	var err error
+	switch fd.fp.strategy {
+	case stratHashBuildInner:
+		// Read and hash the build side under its own span.
+		g.kind = stageHash
+		bs := sp.Child("join:hash-build")
+		bs.SetAttr("table", s.alias)
+		bs.SetAttr("side", "inner")
+		setFoldEst(bs, fd.fp)
+		inner, err := en.readInner(ctx, fd, sources, bs)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			fo.probed++
+		g.jt = buildJoinTable(inner, fd.joins, fd.band)
+		bs.AddRows(int64(len(inner)), 0)
+		bs.SetInt("buckets", int64(len(g.jt.buckets)))
+		bs.End()
+		g.sp = sp.Child("join:hash-probe")
+		if lead != nil {
+			g.sp.SetAttr("table", lead.s.alias)
+			lead.label(g.sp)
+		}
+		fd.band.label(g.sp)
+	case stratIndex:
+		g.kind, g.ix = stageIndex, s.base.IndexOn(fd.joins[0].newPos)
+		g.sp = sp.Child("join:index")
+		g.sp.SetAttr("table", s.alias)
+		if len(fd.singles) > 0 {
+			g.filter, err = en.compileExpr(andAll(fd.singles), layoutFor(s.alias, s.schema))
+		}
+	default:
+		g.kind = stageNested
+		g.sp = sp.Child("join:nested-loop")
+		g.sp.SetAttr("table", s.alias)
+		g.inner, err = en.readInner(ctx, fd, sources, g.sp)
+	}
+	return g, err
+}
+
+// readInner reads fold fd's source under its single-table conjuncts
+// into rows kept for the probes (a hash build side, a nested-loop
+// inner), traced on sp. Row-path rows are borrowed and kept as they
+// are; rows cloned out of a batch count as copied join rows.
+func (en *Engine) readInner(ctx context.Context, fd *fold, sources []*source, sp *obs.Span) ([]relstore.Row, error) {
+	rd, err := en.compileRead(fd.s, fd.singles, sources)
+	if err != nil {
+		return nil, err
+	}
+	rd.label(sp)
+	parts, err := readParts(ctx, rd, false, true, sp, &pipeline{ctx: ctx, tail: tailCollect, clone: rd.batch != nil})
+	if err != nil {
+		return nil, err
+	}
+	return en.collected(parts), nil
+}
+
+// tailKind is where a pipeline's last stage sends its rows.
+type tailKind uint8
+
+const (
+	tailConsume tailKind = iota // the statement's consumer
+	tailCollect                 // kept rows: a build side, a nested-loop inner, a build-outer fold's outer input
+	tailMatch                   // a build-outer fold's probe: each row's outer matches
+)
+
+// pipeline is one segment's run of probe stages from its source — a
+// read drained by readParts, or a build-outer fold's output — to its
+// tail.
+type pipeline struct {
+	ctx    context.Context
+	stages []*stage
+	tail   tailKind
+	c      *consumer   // tailConsume
+	clone  bool        // tailCollect, tailMatch: arriving rows are scratch, so copy what is kept
+	outer  *outerTable // tailMatch
+}
+
+// pipePart is one part of a pipeline's run: a fanned-out read fills
+// one per morsel, a serial one a single part, and the parts
+// concatenated in order reproduce the serial run. Each part owns its
+// stage buffers, its cancellation probe and its tail.
+type pipePart struct {
+	pl   *pipeline
+	st   []stagePart
+	cc   *cancelProbe
+	read int64 // rows put into the pipeline
+
+	out     outPart          // tailConsume
+	rows    []relstore.Row   // tailCollect
+	matches [][]relstore.Row // tailMatch: per outer row, the inner rows joining it, in read order
+	sc      probeScratch     // tailMatch
+	probed  int64            // tailMatch: rows with a full join key
+	copied  int64            // rows cloned to be kept
+}
+
+// stagePart is one part's state of a stage: the buffer it builds its
+// combined rows in, its key scratch, and its row counts (a hash stage
+// counts in only rows with a full join key).
+type stagePart struct {
+	buf     relstore.Row
+	sc      probeScratch
+	in, out int64
+}
+
+// open starts part p.
+func (pl *pipeline) open(p *pipePart) {
+	*p = pipePart{pl: pl, st: make([]stagePart, len(pl.stages)), cc: newCancelProbe(pl.ctx)}
+	if pl.tail == tailConsume {
+		p.out = pl.c.open()
+	}
+}
+
+// put takes one row into the pipeline. The row is valid only during
+// the call: whatever keeps it copies it.
+func (p *pipePart) put(row relstore.Row) error {
+	p.read++
+	return p.push(0, row)
+}
+
+// push runs stage i on row and sends each combined row on to stage
+// i+1; past the last stage, row reaches the tail.
+func (p *pipePart) push(i int, row relstore.Row) error {
+	if i == len(p.st) {
+		return p.end(row)
+	}
+	g, ps := p.pl.stages[i], &p.st[i]
+	switch g.kind {
+	case stageHash:
+		matches, probed, err := g.jt.lookup(row, g.joins, &ps.sc)
+		if !probed || err != nil {
+			return err
+		}
+		ps.in++
+		for _, m := range matches {
+			if err := p.emit(i, row, m); err != nil {
+				return err
+			}
+		}
+	case stageIndex:
+		ps.in++
+		// Join keys share a key class, so the probe value needs no
+		// conversion: the index compares INT and DATE payloads exactly.
+		key := row[g.joins[0].boundPos]
+		if key.IsNull() {
+			return nil
+		}
+	lookup:
+		for _, rid := range g.ix.Lookup([]relstore.Value{key}) {
+			m, live, err := g.ix.Table.GetBorrow(rid)
+			if err != nil {
+				return err
+			}
+			if !live {
+				continue
+			}
+			for _, j := range g.joins[1:] {
+				if m[j.newPos].IsNull() || compareValues(row[j.boundPos], m[j.newPos]) != 0 {
+					continue lookup
+				}
+			}
+			if g.filter != nil {
+				v, err := g.filter(m)
+				if err != nil {
+					return err
+				}
+				if !v.AsBool() {
+					continue
+				}
+			}
+			if err := p.emit(i, row, m); err != nil {
+				return err
+			}
+		}
+	case stageNested:
+		ps.in++
+		for _, m := range g.inner {
+			if p.cc.tick() {
+				return p.cc.err()
+			}
+			if err := p.emit(i, row, m); err != nil {
+				return err
+			}
 		}
 	}
-	en.DB.AddJoinRows(fo.probed, fo.copied())
-	ps.AddRows(fo.probed, fo.in)
-	ps.End()
-	return out, nil
+	return nil
 }
 
-// hashJoinFirst fuses the statement's initial table scan into the
-// probe side of its first hash join: outer rows stream from the
-// source's read straight into the probe with no intermediate []Row,
-// and the probe fans out with the read (readParts), one foldOut per
-// part — unless c aggregates with a function that cannot merge
-// partials, which drains serially. Probe rows need no clone: the fold
-// copies them into the combined row. Called when the first fold is a
-// build-on-inner hash join.
-func (en *Engine) hashJoinFirst(ctx context.Context, outer *source, conjuncts []Expr, s *source, joins []equiJoin, band *joinBand, singles []Expr, sources []*source, fp *foldPlan, c *consumer, sp *obs.Span) ([]foldOut, error) {
-	jt, err := en.buildInner(ctx, s, joins, band, singles, sources, fp, sp)
-	if err != nil {
-		return nil, err
-	}
-	rd, err := en.compileRead(outer, conjuncts, sources)
-	if err != nil {
-		return nil, err
-	}
-	ps := sp.Child("join:hash-probe")
-	ps.SetAttr("table", outer.alias)
-	rd.label(ps)
-	band.label(ps)
-	out, err := readParts(ctx, rd, true, c == nil || !c.serial, ps, func(fo *foldOut) rowSink {
-		*fo = foldOut{outPart: c.open()}
-		sc := newProbeScratch(joins)
-		return rowSink{emit: func(row relstore.Row) error {
-			ok, err := jt.probe(row, joins, sc, fo)
-			if ok {
-				fo.probed++
-			}
-			return err
-		}}
-	})
-	if err != nil {
-		return nil, err
-	}
-	var probed, emitted, copied int64
-	for i := range out {
-		probed += out[i].probed
-		emitted += out[i].in
-		copied += out[i].copied()
-	}
-	en.DB.AddJoinRows(probed, copied)
-	ps.AddRows(probed, emitted)
-	ps.End()
-	return out, nil
+// emit sends outer row o joined with inner row m from stage i on,
+// combined in the stage's reused buffer.
+func (p *pipePart) emit(i int, o, m relstore.Row) error {
+	ps := &p.st[i]
+	ps.buf = append(append(ps.buf[:0], o...), m...)
+	ps.out++
+	return p.push(i+1, ps.buf)
 }
 
-// buildOuterPart is one part of hashJoinBuildOuter's probe: per outer
-// row, the inner rows of this part that join it, in read order.
-type buildOuterPart struct {
-	matches [][]relstore.Row
-	probed  int64
-	copied  int64 // inner rows cloned out of a batch
+// end hands a row that passed every stage to the tail.
+func (p *pipePart) end(row relstore.Row) error {
+	switch p.pl.tail {
+	case tailConsume:
+		return p.out.put(row)
+	case tailCollect:
+		if p.pl.clone {
+			row = row.Clone()
+			p.copied++
+		}
+		p.rows = append(p.rows, row)
+		return nil
+	}
+	ot := p.pl.outer
+	if !p.sc.encode(row, ot.joins, false) {
+		return nil
+	}
+	p.probed++
+	ois := ot.idx[string(p.sc.enc)]
+	if len(ois) == 0 {
+		return nil
+	}
+	// A matching inner row is kept (cloned once when it is scratch)
+	// until the fold emits its matches.
+	if p.pl.clone {
+		row = row.Clone()
+		p.copied++
+	}
+	if p.matches == nil {
+		p.matches = make([][]relstore.Row, ot.n)
+	}
+	for _, oi := range ois {
+		p.matches[oi] = append(p.matches[oi], row)
+	}
+	return nil
 }
 
-// hashJoinBuildOuter is hashJoin with the build side flipped: the
-// planner picks it when the already-materialized outer input is the
-// smaller estimate, so the hash table is built over the outer rows
-// and the inner read streams through it — fixing the old executor's
-// fixed-build-side misplan (a 17-row outer no longer pays for hashing
-// a million-row inner). Matches are emitted outer-major afterwards,
-// inner rows in read order within each outer row, so the output order
-// is byte-identical to the build-inner executor's.
-func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, s *source, joins []equiJoin, singles []Expr, sources []*source, fp *foldPlan, c *consumer, sp *obs.Span) ([]foldOut, error) {
+// outerTable is a build-outer fold's hash table: the positions of the
+// outer rows keyed by encoded join key.
+type outerTable struct {
+	idx   map[string][]int
+	n     int // outer rows
+	joins []equiJoin
+}
+
+// hashJoinBuildOuter runs build-outer fold fd, the pipeline's one
+// breaker: the planner picks it when the outer input, collected by the
+// segment before it, is the smaller estimate, so the hash table is
+// built over the outer rows and the inner read streams through it — a
+// 17-row outer never pays for hashing a million-row inner. Matches are
+// emitted outer-major into pl, inner rows in read order within each
+// outer row, so the output order is byte-identical to a build-inner
+// fold's. It returns pl's one part.
+func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, fd *fold, sources []*source, pl *pipeline, sp *obs.Span) ([]pipePart, error) {
+	s := fd.s
 	bs := sp.Child("join:hash-build")
 	bs.SetAttr("table", s.alias)
 	bs.SetAttr("side", "outer")
-	setFoldEst(bs, fp)
-	// Build: outer row positions keyed by encoded join key. Rows with
-	// a NULL key component can never match, so they are left out.
-	idx := make(map[string][]int, len(outer))
-	var enc []byte
-	key := make([]relstore.Value, len(joins))
+	setFoldEst(bs, fd.fp)
+	// Rows with a NULL key component can never match, so they are left
+	// out.
+	ot := &outerTable{idx: make(map[string][]int, len(outer)), n: len(outer), joins: fd.joins}
+	var sc probeScratch
 	for i, o := range outer {
-		null := false
-		for k, j := range joins {
-			key[k] = o[j.boundPos]
-			if key[k].IsNull() {
-				null = true
-				break
-			}
+		if sc.encode(o, fd.joins, true) {
+			ot.idx[string(sc.enc)] = append(ot.idx[string(sc.enc)], i)
 		}
-		if null {
-			continue
-		}
-		enc = appendKey(enc[:0], key)
-		idx[string(enc)] = append(idx[string(enc)], i)
 	}
 	bs.AddRows(int64(len(outer)), 0)
-	bs.SetInt("buckets", int64(len(idx)))
+	bs.SetInt("buckets", int64(len(ot.idx)))
 	bs.End()
 
-	rd, err := en.compileRead(s, singles, sources)
+	rd, err := en.compileRead(s, fd.singles, sources)
 	if err != nil {
 		return nil, err
 	}
 	ps := sp.Child("join:hash-probe")
 	ps.SetAttr("table", s.alias)
 	rd.label(ps)
-	// A matching inner row is kept (cloned once when it comes from a
-	// batch) until the matches are emitted.
-	parts, err := readParts(ctx, rd, false, true, ps, func(p *buildOuterPart) rowSink {
-		sc := newProbeScratch(joins)
-		return rowSink{emit: func(row relstore.Row) error {
-			for k, j := range joins {
-				sc.key[k] = row[j.newPos]
-				if sc.key[k].IsNull() {
-					return nil
-				}
-			}
-			p.probed++
-			sc.enc = appendKey(sc.enc[:0], sc.key)
-			ois := idx[string(sc.enc)]
-			if len(ois) == 0 {
-				return nil
-			}
-			kept := row
-			if rd.batch != nil {
-				kept = row.Clone()
-				p.copied++
-			}
-			if p.matches == nil {
-				p.matches = make([][]relstore.Row, len(outer))
-			}
-			for _, oi := range ois {
-				p.matches[oi] = append(p.matches[oi], kept)
-			}
-			return nil
-		}}
-	})
+	parts, err := readParts(ctx, rd, false, true, ps, &pipeline{ctx: ctx, tail: tailMatch, clone: rd.batch != nil, outer: ot})
 	if err != nil {
 		return nil, err
 	}
+	var probed, copied, emitted int64
+	for i := range parts {
+		probed += parts[i].probed
+		copied += parts[i].copied
+	}
 	// Emit outer-major; within an outer row, parts in morsel order keep
 	// the inner rows in read order.
-	var probed, copied int64
-	for _, p := range parts {
-		probed += p.probed
-		copied += p.copied
-	}
-	out := []foldOut{{outPart: c.open()}}
+	out := make([]pipePart, 1)
 	fo := &out[0]
+	pl.open(fo)
+	var buf relstore.Row
 	for i, o := range outer {
-		for _, p := range parts {
-			if p.matches == nil {
+		for p := range parts {
+			if parts[p].matches == nil {
 				continue
 			}
-			for _, m := range p.matches[i] {
-				if err := fo.emit(o, m); err != nil {
+			for _, m := range parts[p].matches[i] {
+				if fo.cc.tick() {
+					return nil, fo.cc.err()
+				}
+				buf = append(append(buf[:0], o...), m...)
+				emitted++
+				if err := fo.put(buf); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	en.DB.AddJoinRows(probed, fo.copied()+copied)
-	ps.AddRows(probed, fo.in)
+	en.DB.AddJoinRows(probed, copied)
+	ps.AddRows(probed, emitted)
 	ps.End()
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -142,8 +143,7 @@ func TestDistinctAdversarialKeys(t *testing.T) {
 }
 
 // buildJoinDB returns an engine with two sealed multi-page tables
-// shaped for a non-indexed hash join (no index on the join key of the
-// inner side, so the fused hashJoinFirst path runs).
+// shaped for a non-indexed hash join (no index on either join key).
 func buildJoinDB(t testing.TB, rows int) *Engine {
 	t.Helper()
 	en := New(relstore.NewDatabase())
@@ -172,9 +172,10 @@ func buildJoinDB(t testing.TB, rows int) *Engine {
 	return en
 }
 
-// TestHashJoinParallelMatchesSerial checks the fused morsel-parallel
-// probe returns byte-identical results (same rows, same order) as the
-// serial executor, including join stats accounting.
+// TestHashJoinParallelMatchesSerial checks the morsel-parallel join
+// returns byte-identical results (same rows, same order) as the serial
+// executor, including join stats accounting, for two sources and for a
+// three-source chain of hash stages.
 func TestHashJoinParallelMatchesSerial(t *testing.T) {
 	en := buildJoinDB(t, 4000)
 	q := `select big.id, big.val, small.label from big, small where big.grp = small.grp and big.val >= 300 order by big.id`
@@ -207,6 +208,42 @@ func TestHashJoinParallelMatchesSerial(t *testing.T) {
 	// through a reused buffer into the projection, so none is copied.
 	if st.JoinRowsCopied != 0 {
 		t.Errorf("JoinRowsCopied=%d, want 0 (the last fold streams its rows)", st.JoinRowsCopied)
+	}
+
+	// A three-source chain, big joined to small and to tiny with both
+	// folds building on the inner side: big's read streams through two
+	// hash stages into the projection, so no combined row is copied at
+	// the intermediate fold either.
+	en.MustExec(`create table tiny (grp INT, tag VARCHAR)`)
+	for g := 0; g < 17; g += 2 {
+		if err := en.InsertRow("tiny", relstore.Row{relstore.Int(int64(g)), relstore.String_(fmt.Sprintf("t%d", g))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmt, err := Parse(`select big.id, small.label, tiny.tag from big, small, tiny
+		where big.grp = small.grp and small.grp = tiny.grp and big.val >= 300 order by big.id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := &planForce{fromOrder: true, folds: map[int]joinStrategy{0: stratHashBuildInner, 1: stratHashBuildInner}}
+	var answers [2]string
+	for i, workers := range []int{1, 4} {
+		chain.workers = workers
+		en.DB.ResetStats()
+		res, err := en.execSelect(context.Background(), stmt.(*SelectStmt), nil, nil, chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatal("three-source chain answered no rows")
+		}
+		answers[i] = fmt.Sprint(res.Rows)
+		if st := en.DB.Stats(); st.JoinRowsCopied != 0 {
+			t.Errorf("workers=%d: three-source chain copied %d join rows, want 0", workers, st.JoinRowsCopied)
+		}
+	}
+	if answers[0] != answers[1] {
+		t.Errorf("three-source chain: serial and parallel answers differ:\n%s\n%s", answers[0], answers[1])
 	}
 }
 
@@ -259,34 +296,30 @@ func BenchmarkHashJoinProbeMiss(b *testing.B) {
 	for i := range probeRows {
 		probeRows[i] = relstore.Row{relstore.Int(int64(i)), relstore.Int(int64(i%640) + 1000)}
 	}
-	sc := newProbeScratch(joins)
-	fo := &foldOut{rows: make([]relstore.Row, 0, 4096)}
+	var sc probeScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fo.rows = fo.rows[:0]
 		for _, r := range probeRows {
-			_, _ = jt.probe(r, joins, sc, fo)
+			_, _, _ = jt.lookup(r, joins, &sc)
 		}
 	}
 }
 
-// BenchmarkHashJoinProbeMixed has one key in eight match: the only
-// allocations are the combined rows an intermediate fold materializes.
+// BenchmarkHashJoinProbeMixed has one key in eight match: a lookup
+// returns the matching bucket, so hits allocate nothing either.
 func BenchmarkHashJoinProbeMixed(b *testing.B) {
 	jt, joins := probeBenchTable()
 	probeRows := make([]relstore.Row, 1024)
 	for i := range probeRows {
 		probeRows[i] = relstore.Row{relstore.Int(int64(i)), relstore.Int(int64(i % 512))}
 	}
-	sc := newProbeScratch(joins)
-	fo := &foldOut{rows: make([]relstore.Row, 0, 4096)}
+	var sc probeScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fo.rows = fo.rows[:0]
 		for _, r := range probeRows {
-			_, _ = jt.probe(r, joins, sc, fo)
+			_, _, _ = jt.lookup(r, joins, &sc)
 		}
 	}
 }

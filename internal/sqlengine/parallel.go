@@ -27,39 +27,39 @@ import (
 
 // fanOut is the morsel loop every drain shares. With workers > 1, up
 // to that many goroutines pull morsel indexes [0, n) from one counter
-// and each morsel fills its own part; with workers <= 1 the calling
-// goroutine runs the morsels in order into a single part (none when
-// n == 0). Either way, the parts concatenated in order reproduce the
-// serial drain, so results are identical at any worker count. sink
-// opens a part and returns where its rows go.
+// and each morsel fills its own part of pl; with workers <= 1 the
+// calling goroutine runs the morsels in order into a single part (none
+// when n == 0). Either way, the parts concatenated in order reproduce
+// the serial drain, so results are identical at any worker count.
 // newWorker runs once per worker and returns its morsel runner, so
 // per-worker scratch (batch buffers) lives in that closure; each
 // worker owns its cancellation probe, whose row counter is
 // unsynchronized. The error returned is the earliest failing morsel's
 // — what a serial drain would have hit first.
-func fanOut[P any](ctx context.Context, n, workers int, sink func(*P) rowSink,
-	newWorker func() func(i int, cc *cancelProbe, out rowSink) error) ([]P, error) {
+func fanOut(ctx context.Context, n, workers int, pl *pipeline,
+	newWorker func() func(i int, cc *cancelProbe, out *pipePart) error) ([]pipePart, error) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		parts := make([]P, min(n, 1))
+		parts := make([]pipePart, min(n, 1))
 		if n == 0 {
 			return parts, nil
 		}
 		cc := newCancelProbe(ctx)
-		run, out := newWorker(), sink(&parts[0])
+		run := newWorker()
+		pl.open(&parts[0])
 		for i := 0; i < n; i++ {
 			if cc.check() {
 				return nil, cc.err()
 			}
-			if err := run(i, cc, out); err != nil {
+			if err := run(i, cc, &parts[0]); err != nil {
 				return nil, err
 			}
 		}
 		return parts, nil
 	}
-	parts := make([]P, n)
+	parts := make([]pipePart, n)
 	errs := make([]error, n)
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -80,7 +80,8 @@ func fanOut[P any](ctx context.Context, n, workers int, sink func(*P) rowSink,
 					failed.Store(true)
 					return
 				}
-				if err := run(i, cc, sink(&parts[i])); err != nil {
+				pl.open(&parts[i])
+				if err := run(i, cc, &parts[i]); err != nil {
 					errs[i] = err
 					failed.Store(true)
 					return
@@ -102,10 +103,10 @@ func fanOut[P any](ctx context.Context, n, workers int, sink func(*P) rowSink,
 // morsels of a batch read, or the storage's row morsels. Row morsels
 // run borrowed (zero-copy): the sink copies what it keeps. Listing
 // them decodes nothing.
-func (rd *sourceRead) morsels() (int, func() func(int, *cancelProbe, rowSink) error, error) {
+func (rd *sourceRead) morsels() (int, func() func(int, *cancelProbe, *pipePart) error, error) {
 	if rd.plan.eqIndex != nil {
-		return 1, func() func(int, *cancelProbe, rowSink) error {
-			return func(_ int, cc *cancelProbe, out rowSink) error { return rd.probeIndex(cc, out) }
+		return 1, func() func(int, *cancelProbe, *pipePart) error {
+			return func(_ int, cc *cancelProbe, out *pipePart) error { return rd.probeIndex(cc, out) }
 		}, nil
 	}
 	if rd.batch != nil {
@@ -117,8 +118,8 @@ func (rd *sourceRead) morsels() (int, func() func(int, *cancelProbe, rowSink) er
 		storage = rd.s.base
 	}
 	morsels, err := storage.ScanMorsels(rd.plan.bounds)
-	return len(morsels), func() func(int, *cancelProbe, rowSink) error {
-		return func(i int, cc *cancelProbe, out rowSink) error {
+	return len(morsels), func() func(int, *cancelProbe, *pipePart) error {
+		return func(i int, cc *cancelProbe, out *pipePart) error {
 			return runMorsel(morsels[i], rd.plan, cc, out)
 		}
 	}, err
@@ -127,10 +128,10 @@ func (rd *sourceRead) morsels() (int, func() func(int, *cancelProbe, rowSink) er
 // fanWorkers is the one fan-out rule, shared by readParts and
 // EXPLAIN: how many workers drain the read's n morsels. A batch read
 // fans out at any worker count. A row read fans out only when rows is
-// set (a streaming sink: the statement's consumer or a fused probe),
-// it runs no index probe and it has at least two morsels. merge=false
-// — the consumer's aggregate cannot merge partial results — keeps one
-// worker.
+// set (it streams into probe stages or the statement's consumer, not
+// just into kept rows), it runs no index probe and it has at least two
+// morsels. merge=false — the consumer's aggregate cannot merge partial
+// results — keeps one worker.
 func (rd *sourceRead) fanWorkers(n int, rows, merge bool) int {
 	if !merge || rd.batch == nil && (!rows || rd.plan.eqIndex != nil || n < 2) {
 		return 1
@@ -138,13 +139,12 @@ func (rd *sourceRead) fanWorkers(n int, rows, merge bool) int {
 	return max(1, min(rd.s.workers, n))
 }
 
-// readParts drains rd into parts and returns them in morsel order:
-// concatenated, they reproduce the serial read at any worker count.
-// rows and merge feed fanWorkers; sink opens a part and returns where
-// its rows go (fanOut). A fan-out is noted on sp as workers/morsels.
-// On the batch path an emitted row is scratch, valid only during the
-// call: the sink copies what it keeps.
-func readParts[P any](ctx context.Context, rd *sourceRead, rows, merge bool, sp *obs.Span, sink func(*P) rowSink) ([]P, error) {
+// readParts drains rd through pipeline pl and returns its parts in
+// morsel order: concatenated, they reproduce the serial read at any
+// worker count. rows and merge feed fanWorkers. A fan-out is noted on
+// sp as workers/morsels. On the batch path a row put into pl is
+// scratch, valid only during the call: what keeps it copies it.
+func readParts(ctx context.Context, rd *sourceRead, rows, merge bool, sp *obs.Span, pl *pipeline) ([]pipePart, error) {
 	n, worker, err := rd.morsels()
 	if err != nil {
 		return nil, err
@@ -154,13 +154,13 @@ func readParts[P any](ctx context.Context, rd *sourceRead, rows, merge bool, sp 
 		sp.SetInt("workers", int64(w))
 		sp.SetInt("morsels", int64(n))
 	}
-	return fanOut(ctx, n, w, sink, worker)
+	return fanOut(ctx, n, w, pl, worker)
 }
 
 // runMorsel drains one row morsel through the plan's residual filter
 // into out. Rows are borrowed. cc is the calling worker's
 // cancellation probe (nil when the query is uncancellable).
-func runMorsel(m relstore.MorselFunc, plan *scanPlan, cc *cancelProbe, out rowSink) error {
+func runMorsel(m relstore.MorselFunc, plan *scanPlan, cc *cancelProbe, out *pipePart) error {
 	var rowErr error
 	_, err := m(true, func(row relstore.Row) bool {
 		if cc.tick() {

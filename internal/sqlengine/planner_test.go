@@ -344,8 +344,11 @@ func TestPlannerFusedBuildInner(t *testing.T) {
 }
 
 // TestPlannerDifferentialRandomized runs seeded random queries over
-// four tables under every forced plan (CheckPlans) and requires the
-// planned run's answer from each. Queries carrying an ORDER BY over
+// up to four of four tables — some grouped by a column of the first
+// source under count(*) and sum — under every forced plan (CheckPlans)
+// and requires the planned run's answer from each, so build-outer
+// folds mid-chain, index and nested-loop stages after a streamed read
+// and merged partial aggregates all meet the oracle. Queries carrying an ORDER BY over
 // every projected column must match byte for byte; the rest as
 // multisets. A second phase draws interval-shaped joins (equi key plus
 // lo <= w.c <= hi over the outer row, strict variants, NULLs in w.c,
@@ -403,12 +406,13 @@ func TestPlannerDifferentialRandomized(t *testing.T) {
 		{"p1", "x", []string{"k", "a", "s"}},
 		{"p2", "y", []string{"k", "b"}},
 		{"p3", "z", []string{"k", "c"}},
+		{"p4", "u", []string{"k", "c"}},
 	}
 	ops := []string{"=", ">", "<", ">=", "<="}
 
 	for qi := 0; qi < 80; qi++ {
-		n := 1 + r.Intn(3)
-		perm := r.Perm(3)[:n]
+		n := 1 + r.Intn(4)
+		perm := r.Perm(4)[:n]
 		sort.Ints(perm) // stable FROM order per pick
 		tabs := make([]tbl, n)
 		for i, p := range perm {
@@ -425,7 +429,8 @@ func TestPlannerDifferentialRandomized(t *testing.T) {
 			}
 		}
 		for i := 1; i < n; i++ {
-			if r.Intn(10) < 9 {
+			// Four sources always chain, so no Cartesian fold runs long.
+			if r.Intn(10) < 9 || n == 4 {
 				conds = append(conds, fmt.Sprintf("%s.k = %s.k", tabs[i-1].alias, tabs[i].alias))
 			}
 		}
@@ -442,15 +447,24 @@ func TestPlannerDifferentialRandomized(t *testing.T) {
 		}
 
 		counting := r.Intn(3) == 0
+		grouping := !counting && r.Intn(4) == 0
 		sel := strings.Join(cols, ", ")
-		if counting {
+		switch {
+		case counting:
 			sel = "count(*)"
+		case grouping:
+			// Partial aggregates merge across the parts of a fanned-out
+			// pipeline.
+			sel = fmt.Sprintf("%s.k, count(*), sum(%s)", tabs[0].alias, cols[r.Intn(len(cols))])
 		}
 		q := "select " + sel + " from " + strings.Join(from, ", ")
 		if len(conds) > 0 {
 			q += " where " + strings.Join(conds, " and ")
 		}
-		ordered := !counting && r.Intn(2) == 0
+		if grouping {
+			q += " group by " + tabs[0].alias + ".k"
+		}
+		ordered := !counting && !grouping && r.Intn(2) == 0
 		if ordered {
 			q += " order by " + strings.Join(cols, ", ")
 		}

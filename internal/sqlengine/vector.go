@@ -271,27 +271,12 @@ func (en *Engine) batchOf(s *source) BatchSource {
 	return nil
 }
 
-// rowSink is where a drain sends the rows that pass its filter: the
-// statement's consumer part, called directly in the hot loop, or else
-// emit.
-type rowSink struct {
-	part *outPart
-	emit func(relstore.Row) error
-}
-
-func (k rowSink) put(row relstore.Row) error {
-	if k.part != nil {
-		return k.part.put(row)
-	}
-	return k.emit(row)
-}
-
 // batchWorker is fanOut's worker for the batch morsels of this read:
 // each worker drains its morsels with its own scratch.
-func (rd *sourceRead) batchWorker(morsels []relstore.BatchFunc) func() func(int, *cancelProbe, rowSink) error {
-	return func() func(int, *cancelProbe, rowSink) error {
+func (rd *sourceRead) batchWorker(morsels []relstore.BatchFunc) func() func(int, *cancelProbe, *pipePart) error {
+	return func() func(int, *cancelProbe, *pipePart) error {
 		w := &batchWork{scratch: make(relstore.Row, len(rd.s.schema.Columns))}
-		return func(i int, cc *cancelProbe, out rowSink) error {
+		return func(i int, cc *cancelProbe, out *pipePart) error {
 			return rd.drainBatch(morsels[i], w, cc, out)
 		}
 	}
@@ -304,7 +289,7 @@ func (rd *sourceRead) batchWorker(morsels []relstore.BatchFunc) func() func(int,
 // values no consumer looks at), the residual filter (when present)
 // makes the final call, and each passing row goes to out. The row is
 // scratch, valid only during the call: the sink copies what it keeps.
-func (rd *sourceRead) drainBatch(m relstore.BatchFunc, w *batchWork, cc *cancelProbe, out rowSink) error {
+func (rd *sourceRead) drainBatch(m relstore.BatchFunc, w *batchWork, cc *cancelProbe, out *pipePart) error {
 	bp, filter, needed := &rd.bp, rd.plan.filter, rd.s.needed
 	var rowErr error
 	_, err := m(func(b *relstore.ColBatch) bool {
