@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"archis/internal/relstore"
 	"archis/internal/sqlengine"
 	"archis/internal/temporal"
 )
@@ -23,6 +24,7 @@ type execOptions struct {
 	valid     *temporal.Interval // write: assert this valid interval
 	validAsOf *temporal.Date     // read: valid-time point predicate
 	asOfLSN   uint64             // read: transaction-time snapshot
+	asOf      *relstore.Snapshot // read: a transaction-time version the caller pinned
 }
 
 // WithValidTime asserts the valid interval recorded for every
@@ -52,6 +54,14 @@ func AsOfTransactionTime(lsn uint64) ExecOpt {
 	return func(o *execOptions) { o.asOfLSN = lsn }
 }
 
+// AtSnapshot runs a SELECT/EXPLAIN on a version the caller pinned with
+// DB.SnapshotAt; the caller releases it. The server resolves as_of_lsn
+// this way before it queues a request, so time spent waiting for an
+// execution slot cannot carry the version past the retention horizon.
+func AtSnapshot(sn *relstore.Snapshot) ExecOpt {
+	return func(o *execOptions) { o.asOf = sn }
+}
+
 // resolveExecOpts folds the option list and validates the combination
 // against the statement class (isRead = select/explain).
 func resolveExecOpts(opts []ExecOpt, isRead bool) (execOptions, error) {
@@ -67,7 +77,7 @@ func resolveExecOpts(opts []ExecOpt, isRead bool) (execOptions, error) {
 			return o, fmt.Errorf("core: WithValidTime: empty interval %s", *o.valid)
 		}
 	}
-	if !isRead && (o.validAsOf != nil || o.asOfLSN != 0) {
+	if !isRead && (o.validAsOf != nil || o.asOfLSN != 0 || o.asOf != nil) {
 		return o, fmt.Errorf("core: AsOfValidTime/AsOfTransactionTime apply to SELECT/EXPLAIN only")
 	}
 	return o, nil
@@ -87,12 +97,15 @@ func (o execOptions) readCtx(ctx context.Context) context.Context {
 // rides the context into the scan layer.
 func (s *System) execRead(ctx context.Context, sql string, o execOptions) (*sqlengine.Result, error) {
 	ctx = o.readCtx(ctx)
-	if o.asOfLSN != 0 {
-		sn, err := s.DB.SnapshotAt(o.asOfLSN)
-		if err != nil {
+	sn := o.asOf
+	if sn == nil && o.asOfLSN != 0 {
+		var err error
+		if sn, err = s.DB.SnapshotAt(o.asOfLSN); err != nil {
 			return nil, err
 		}
 		defer sn.Release()
+	}
+	if sn != nil {
 		return s.Engine.ExecTracedAtCtx(ctx, sql, nil, sn)
 	}
 	return s.Engine.ExecCtx(ctx, sql)

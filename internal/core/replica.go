@@ -99,16 +99,15 @@ func (s *System) CheckpointLSN() uint64 {
 	return s.walLSN
 }
 
-// SetRetention installs the replication retention floor: fn returns
-// the lowest LSN a follower or a reader may still ask for. The log's
-// TruncateThrough never deletes past it (durable systems), and the
-// MVCC ring keeps every version above it (relstore.SetVersionFloor),
-// so one floor holds both. nil removes the floor.
-func (s *System) SetRetention(fn func() uint64) {
-	s.DB.SetVersionFloor(fn)
-	if s.wal != nil {
-		s.wal.SetRetention(fn)
+// SetWALRetention installs the replication retention floor: fn
+// returns the minimum LSN any registered follower still needs, and
+// TruncateThrough never deletes past it. nil removes the floor. A
+// no-op on non-durable systems.
+func (s *System) SetWALRetention(fn func() uint64) {
+	if s.wal == nil {
+		return
 	}
+	s.wal.SetRetention(fn)
 }
 
 // ReadAsOfCtx is ReadAsOf under a context: the scan stops early when

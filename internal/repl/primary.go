@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"time"
 
 	"archis/internal/core"
 	"archis/internal/wal"
@@ -37,39 +38,73 @@ import (
 // DefaultMaxPullBytes bounds one pull response body.
 const DefaultMaxPullBytes = 1 << 20
 
+// staleAfter is how long a follower may go without a register or a
+// pull before it stops holding the primary's MVCC versions. A live
+// follower pulls again one poll interval after each pull returns or
+// times out, and its default client gives up on a pull after 10 s; the
+// longest gap between two pulls measured on served-replica was 3.4 s
+// (DESIGN.md §14.3).
+const staleAfter = 10 * time.Second
+
 // Primary tracks registered followers and serves snapshot and log
 // pulls for one durable System.
 type Primary struct {
 	sys *core.System
 
-	mu        sync.Mutex
-	followers map[string]uint64 // follower id → highest acked LSN
-	nextID    int
+	mu         sync.Mutex
+	followers  map[string]*follower // by id
+	nextID     int
+	staleAfter time.Duration
+}
+
+// follower is the primary's record of one registered follower.
+type follower struct {
+	acked uint64    // highest acked LSN
+	seen  time.Time // last register or pull
 }
 
 // NewPrimary wires a shipper onto a durable system and installs the
-// follower-aware retention floor on its log and its MVCC versions: a
-// reader asking the primary for a follower's applied LSN finds it
-// however far the follower lags.
+// follower-aware retention floors: its log keeps every record a
+// registered follower still needs, and its MVCC versions keep every
+// version a live follower has acked, so a reader asking the primary
+// for a follower's applied LSN finds it however far the follower lags.
 func NewPrimary(sys *core.System) (*Primary, error) {
 	if !sys.Durable() {
 		return nil, fmt.Errorf("repl: primary requires a durable system (WALDir)")
 	}
-	p := &Primary{sys: sys, followers: map[string]uint64{}}
-	sys.SetRetention(p.minAcked)
+	p := &Primary{sys: sys, followers: map[string]*follower{}, staleAfter: staleAfter}
+	sys.SetWALRetention(p.minAcked)
+	sys.DB.SetVersionFloor(p.versionFloor)
 	return p, nil
 }
 
-// minAcked is the retention floor: the lowest acked LSN across
+// minAcked is the log's retention floor: the lowest acked LSN across
 // registered followers. With none registered, truncation is
-// unconstrained and the version floor is the head.
+// unconstrained.
 func (p *Primary) minAcked() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.minAckedLocked(time.Time{})
+}
+
+// versionFloor is the MVCC retention floor: the lowest acked LSN
+// across the followers heard from within staleAfter. A follower that
+// died or re-registered under a new id holds the versions, which live
+// in memory, for no longer than that; it keeps holding the log, which
+// lives on disk, until it is dropped.
+func (p *Primary) versionFloor() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.minAckedLocked(time.Now().Add(-p.staleAfter))
+}
+
+// minAckedLocked is the lowest acked LSN across the followers seen
+// after since (^0 when none). Caller holds p.mu.
+func (p *Primary) minAckedLocked(since time.Time) uint64 {
 	min := ^uint64(0)
-	for _, acked := range p.followers {
-		if acked < min {
-			min = acked
+	for _, f := range p.followers {
+		if f.acked < min && f.seen.After(since) {
+			min = f.acked
 		}
 	}
 	return min
@@ -110,7 +145,7 @@ func (p *Primary) handleRegister(w http.ResponseWriter, r *http.Request) {
 	p.mu.Lock()
 	p.nextID++
 	id := fmt.Sprintf("f%d", p.nextID)
-	p.followers[id] = snapLSN
+	p.followers[id] = &follower{acked: snapLSN, seen: time.Now()}
 	p.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(registerReply{ID: id, SnapshotLSN: snapLSN})
@@ -144,14 +179,15 @@ func (p *Primary) handlePull(w http.ResponseWriter, r *http.Request) {
 		maxBytes = v
 	}
 	p.mu.Lock()
-	acked, known := p.followers[id]
-	if known {
-		if v, err := strconv.ParseUint(q.Get("ack"), 10, 64); err == nil && v > acked {
-			p.followers[id] = v
+	f := p.followers[id]
+	if f != nil {
+		f.seen = time.Now()
+		if v, err := strconv.ParseUint(q.Get("ack"), 10, 64); err == nil && v > f.acked {
+			f.acked = v
 		}
 	}
 	p.mu.Unlock()
-	if !known {
+	if f == nil {
 		// Unknown followers get no retention guarantee; make them
 		// re-register rather than read a log that may truncate under
 		// them.

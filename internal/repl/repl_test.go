@@ -12,6 +12,7 @@ import (
 	"archis/internal/bench"
 	"archis/internal/core"
 	"archis/internal/dataset"
+	"archis/internal/relstore"
 )
 
 // The replica differential: a follower bootstrapped over HTTP and fed
@@ -224,11 +225,12 @@ func TestAppliedLSNIsVisible(t *testing.T) {
 }
 
 // laggingFollower bootstraps a follower, catches it up, and has the
-// primary run 200 more statements: it returns both and the follower's
-// applied LSN, which the primary also holds as its ack.
-func laggingFollower(t *testing.T) (*core.System, *Follower, uint64) {
+// primary run 200 more statements: it returns the primary system, its
+// shipper, the follower and the follower's applied LSN, which the
+// primary also holds as its ack.
+func laggingFollower(t *testing.T) (*core.System, *Primary, *Follower, uint64) {
 	t.Helper()
-	prim, _, srv := newFaultPrimary(t, 10, core.Options{})
+	prim, p, srv := newFaultPrimary(t, 10, core.Options{})
 	f, err := Bootstrap(srv.URL, t.TempDir(), FollowerOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -250,14 +252,14 @@ func laggingFollower(t *testing.T) (*core.System, *Follower, uint64) {
 	if lag := prim.AppliedLSN() - lsn; lag < 200 {
 		t.Fatalf("follower lags %d records, want 200", lag)
 	}
-	return prim, f, lsn
+	return prim, p, f, lsn
 }
 
 // TestPrimaryRetainsFollowerLSN: the primary keeps every version above
 // its slowest follower's ack, so asking it for the follower's applied
 // LSN answers while the follower lags 200 records.
 func TestPrimaryRetainsFollowerLSN(t *testing.T) {
-	prim, _, lsn := laggingFollower(t)
+	prim, _, _, lsn := laggingFollower(t)
 	for _, at := range []uint64{lsn, lsn - 1} {
 		if _, err := prim.ReadAsOf(at, "select count(*) from employee"); err != nil {
 			t.Errorf("primary ReadAsOf(%d) with the follower at %d: %v", at, lsn, err)
@@ -269,7 +271,7 @@ func TestPrimaryRetainsFollowerLSN(t *testing.T) {
 // applied a moment ago, so a reader's LSN survives a pull that applies
 // 200 records at once, and answers as the primary does.
 func TestFollowerRetainsReaderLSN(t *testing.T) {
-	prim, f, lsn := laggingFollower(t)
+	prim, _, f, lsn := laggingFollower(t)
 	n, err := f.PullOnce(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -291,5 +293,34 @@ func TestFollowerRetainsReaderLSN(t *testing.T) {
 		if g, w := res.Rows[0][0].Text(), want.Rows[0][0].Text(); g != w {
 			t.Errorf("follower ReadAsOf(%d) = %s, primary %s", at, g, w)
 		}
+	}
+}
+
+// TestStaleFollowerReleasesVersions: a follower that stops pulling
+// holds the primary's MVCC versions only until it goes stale; then the
+// ring falls back to the 64 newest versions and the follower's LSN is
+// past the horizon, while the log still keeps its records.
+func TestStaleFollowerReleasesVersions(t *testing.T) {
+	prim, p, _, lsn := laggingFollower(t)
+	ring := func() int64 {
+		st := prim.DB.Stats()
+		return st.Epoch - st.ReclaimedVersions
+	}
+	if n := ring(); n <= 200 {
+		t.Fatalf("ring holds %d versions with the follower 200 records behind, want > 200", n)
+	}
+	p.mu.Lock()
+	p.staleAfter = time.Millisecond
+	p.mu.Unlock()
+	time.Sleep(5 * time.Millisecond)
+	runPrimaryStatements(t, prim, 210, 220)
+	if n := ring(); n != 64 {
+		t.Errorf("ring holds %d versions once the follower is stale, want 64", n)
+	}
+	if _, err := prim.ReadAsOf(lsn, "select count(*) from employee"); !errors.Is(err, relstore.ErrHorizonPassed) {
+		t.Errorf("primary ReadAsOf(%d) past a stale follower: %v, want ErrHorizonPassed", lsn, err)
+	}
+	if n, acked := p.Followers(); n != 1 || acked != lsn {
+		t.Errorf("Followers() = %d, %d; want the stale follower still holding the log at %d", n, acked, lsn)
 	}
 }

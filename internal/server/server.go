@@ -216,6 +216,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	kw := core.FirstKeyword(req.SQL)
+	var opts []core.ExecOpt
+	if req.AsOfLSN > 0 && (kw == "select" || kw == "explain") {
+		// Pin the version before queueing for a slot: the wait for one
+		// cannot carry as_of_lsn past the retention horizon (DESIGN.md
+		// §14.3).
+		sn, err := s.sys.DB.SnapshotAt(req.AsOfLSN)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		defer sn.Release()
+		opts = append(opts, core.AtSnapshot(sn))
+	}
 	release, err := s.admit(r.Context())
 	if err != nil {
 		writeErr(w, err)
@@ -226,10 +240,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
-	var opts []core.ExecOpt
-	if req.AsOfLSN > 0 {
-		opts = append(opts, core.AsOfTransactionTime(req.AsOfLSN))
-	}
 	if req.ValidAsOf != "" {
 		d, perr := temporal.ParseDate(req.ValidAsOf)
 		if perr != nil {
@@ -239,7 +249,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, core.AsOfValidTime(d))
 	}
 	var resp *response
-	switch kw := core.FirstKeyword(req.SQL); {
+	switch {
 	case kw == "select" || kw == "explain":
 		// Transaction-time and valid-time scoping both ride the option
 		// list; AsOfLSN alone is the classic ReadAsOf path.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"archis/internal/core"
 	"archis/internal/dataset"
+	"archis/internal/relstore"
 	"archis/internal/repl"
 	"archis/internal/temporal"
 )
@@ -183,6 +185,47 @@ func TestServeAdmissionControl(t *testing.T) {
 
 	if s.rejected.Load() < 2 {
 		t.Errorf("rejected counter = %d, want >= 2", s.rejected.Load())
+	}
+}
+
+// TestServeAsOfPinnedBeforeQueue: a request with as_of_lsn pins its
+// version before it queues for a slot, so writes that push the LSN past
+// the retention horizon while it waits do not fail it.
+func TestServeAsOfPinnedBeforeQueue(t *testing.T) {
+	sys, s, srv := newServedSystem(t, Config{MaxInFlight: 1, MaxQueue: 1, QueueWait: 5 * time.Second}, 1)
+	lsn := sys.AppliedLSN()
+	s.sem <- struct{}{}
+	done := make(chan string, 1)
+	go func() {
+		resp, err := http.Get(fmt.Sprintf("%s/query?sql=select+count(*)+from+employee&as_of_lsn=%d", srv.URL, lsn))
+		if err != nil {
+			done <- err.Error()
+			return
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		done <- fmt.Sprintf("%d %s", resp.StatusCode, bytes.TrimSpace(body))
+	}()
+	deadline := time.Now().Add(time.Second)
+	for s.queued.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("queued request never showed up")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	clock := temporal.MustParseDate("1996-01-01")
+	for i := 0; i < 100; i++ {
+		sys.SetClock(clock.AddDays(i))
+		if _, err := sys.ExecDurable(fmt.Sprintf("update employee set salary = %d where id = 1000", 50000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.ReadAsOf(lsn, "select count(*) from employee"); !errors.Is(err, relstore.ErrHorizonPassed) {
+		t.Fatalf("ReadAsOf(%d) after 100 writes: %v, want the horizon passed", lsn, err)
+	}
+	<-s.sem
+	if got := <-done; !strings.HasPrefix(got, "200 ") || !strings.Contains(got, `"rows":[[1]]`) {
+		t.Errorf("queued as_of_lsn=%d: %s, want 200 with one row", lsn, got)
 	}
 }
 

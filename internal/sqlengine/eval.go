@@ -56,6 +56,15 @@ func (l *rowLayout) concat(r *rowLayout) *rowLayout {
 // evalFunc evaluates a compiled expression against one executor row.
 type evalFunc func(row relstore.Row) (relstore.Value, error)
 
+// holds evaluates predicate f on row; a nil f holds for every row.
+func (f evalFunc) holds(row relstore.Row) (bool, error) {
+	if f == nil {
+		return true, nil
+	}
+	v, err := f(row)
+	return err == nil && v.AsBool(), err
+}
+
 // forestTag is the synthetic element name wrapping an XML forest (the
 // result of XMLAGG and XMLFOREST). Forests are spliced into parents
 // and unwrapped at output time; the tag never reaches serialized XML.

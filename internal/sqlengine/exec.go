@@ -264,14 +264,11 @@ func (rd *sourceRead) probeIndex(cc *cancelProbe, out *pipePart) error {
 		if !live {
 			continue
 		}
-		if p.filter != nil {
-			v, err := p.filter(row)
+		if ok, err := p.filter.holds(row); !ok {
 			if err != nil {
 				return err
 			}
-			if !v.AsBool() {
-				continue
-			}
+			continue
 		}
 		if err := out.put(row); err != nil {
 			return err
@@ -621,14 +618,8 @@ func (c *consumer) open() outPart {
 func (p *outPart) put(row relstore.Row) error {
 	p.in++
 	c := p.c
-	if c.filter != nil {
-		v, err := c.filter(row)
-		if err != nil {
-			return err
-		}
-		if !v.AsBool() {
-			return nil
-		}
+	if ok, err := c.filter.holds(row); !ok {
+		return err
 	}
 	p.kept++
 	if p.acc != nil {
@@ -1086,14 +1077,11 @@ func (en *Engine) finalizeGroups(p *groupPlan, acc *groupAcc, sp *obs.Span) (*Re
 		for i, st := range g.states {
 			groupRow[len(stmt.GroupBy)+i] = st.Result()
 		}
-		if havingFn != nil {
-			v, err := havingFn(groupRow)
+		if ok, err := havingFn.holds(groupRow); !ok {
 			if err != nil {
 				return nil, err
 			}
-			if !v.AsBool() {
-				continue
-			}
+			continue
 		}
 		o, err := evalOut(groupRow, evals, orderFns)
 		if err != nil {

@@ -132,7 +132,7 @@ func (en *Engine) explainSelect(ctx context.Context, stmt *SelectStmt, sn *relst
 	if err != nil {
 		return nil, err
 	}
-	fused := len(folds) > 0 && folds[0].fp.strategy == stratHashBuildInner
+	fused := fusedLead(folds)
 	if !fused {
 		add(1, "%s", lead)
 	}

@@ -311,29 +311,25 @@ func leadFan(folds []fold, serial bool) (rows, merge bool) {
 	return end > 0 || last, !(last && serial)
 }
 
+// fusedLead reports whether the leading read streams straight into a
+// first stage that probes a hash table: it then runs, and EXPLAIN
+// prints it, under that stage's "join:hash-probe" rather than a scan of
+// its own.
+func fusedLead(folds []fold) bool {
+	return len(folds) > 0 && folds[0].fp.strategy == stratHashBuildInner
+}
+
 // runFolds runs the folds as pipeline segments split at the
 // build-outer folds and returns the consumer's parts. The first
 // segment's source is the leading read (first under conjuncts); each
 // later one's is a build-outer fold, which hashes the rows the segment
 // before it collected. The leading read runs under the first stage's
-// "join:hash-probe" span when that stage probes a hash table, and
-// under a "scan" span otherwise.
+// "join:hash-probe" span when fusedLead, and under a "scan" span
+// opened once the segment's build sides and inners are read otherwise.
 func (en *Engine) runFolds(ctx context.Context, first *source, conjuncts []Expr, folds []fold, sources []*source, c *consumer, sp *obs.Span) ([]pipePart, error) {
 	rd, err := en.compileRead(first, conjuncts, sources)
 	if err != nil {
 		return nil, err
-	}
-	fused := len(folds) > 0 && folds[0].fp.strategy == stratHashBuildInner
-	var ss *obs.Span
-	if !fused {
-		ss = sp.Child("scan")
-		ss.SetAttr("table", first.alias)
-		access := rd.plan.est.Access
-		if rd.batch != nil {
-			access = "colscan"
-		}
-		ss.SetAttr("access", access)
-		ss.SetInt("est_rows", int64(rd.plan.est.OutRows))
 	}
 	cc := newCancelProbe(ctx)
 	var outer []relstore.Row
@@ -348,34 +344,27 @@ func (en *Engine) runFolds(ctx context.Context, first *source, conjuncts []Expr,
 		}
 		for i := range pl.stages {
 			if cc.check() {
-				return nil, cc.err()
+				err = cc.err()
+			} else {
+				var lead *sourceRead
+				if start+i == 0 {
+					lead = rd
+				}
+				pl.stages[i], err = en.compileStage(ctx, &folds[start+i], lead, sources, sp)
 			}
-			var lead *sourceRead
-			if start+i == 0 {
-				lead = rd
-			}
-			if pl.stages[i], err = en.compileStage(ctx, &folds[start+i], lead, sources, sp); err != nil {
+			if err != nil {
+				pl.endStages()
 				return nil, err
 			}
 		}
 		var parts []pipePart
 		if start == 0 {
-			if fused {
-				ss = pl.stages[0].sp
-			}
-			rows, merge := leadFan(folds, c.serial)
-			if parts, err = readParts(ctx, rd, rows, merge, ss, pl); err != nil {
-				return nil, err
-			}
-			if !fused {
-				var read int64
-				for i := range parts {
-					read += parts[i].read
-				}
-				ss.AddRows(0, read)
-				ss.End()
-			}
-		} else if parts, err = en.hashJoinBuildOuter(ctx, outer, &folds[start-1], sources, pl, sp); err != nil {
+			parts, err = en.readLead(ctx, rd, folds, pl, sp)
+		} else {
+			parts, err = en.hashJoinBuildOuter(ctx, outer, &folds[start-1], sources, pl, sp)
+		}
+		if err != nil {
+			pl.endStages()
 			return nil, err
 		}
 		for i, g := range pl.stages {
@@ -395,6 +384,42 @@ func (en *Engine) runFolds(ctx context.Context, first *source, conjuncts []Expr,
 		}
 		outer = en.collected(parts)
 		start = end + 1
+	}
+}
+
+// readLead drains the leading read rd into the first segment's
+// pipeline pl, traced on the first stage's probe span when fusedLead
+// and on a "scan" span of its own otherwise.
+func (en *Engine) readLead(ctx context.Context, rd *sourceRead, folds []fold, pl *pipeline, sp *obs.Span) ([]pipePart, error) {
+	rows, merge := leadFan(folds, pl.c.serial)
+	if fusedLead(folds) {
+		return readParts(ctx, rd, rows, merge, pl.stages[0].sp, pl)
+	}
+	ss := sp.Child("scan")
+	defer ss.End()
+	ss.SetAttr("table", rd.s.alias)
+	access := rd.plan.est.Access
+	if rd.batch != nil {
+		access = "colscan"
+	}
+	ss.SetAttr("access", access)
+	ss.SetInt("est_rows", int64(rd.plan.est.OutRows))
+	parts, err := readParts(ctx, rd, rows, merge, ss, pl)
+	var read int64
+	for i := range parts {
+		read += parts[i].read
+	}
+	ss.AddRows(0, read)
+	return parts, err
+}
+
+// endStages closes the spans of pl's compiled stages when its run
+// stops on an error.
+func (pl *pipeline) endStages() {
+	for _, g := range pl.stages {
+		if g != nil {
+			g.sp.End()
+		}
 	}
 }
 
@@ -439,6 +464,7 @@ func (en *Engine) compileStage(ctx context.Context, fd *fold, lead *sourceRead, 
 		setFoldEst(bs, fd.fp)
 		inner, err := en.readInner(ctx, fd, sources, bs)
 		if err != nil {
+			bs.End()
 			return nil, err
 		}
 		g.jt = buildJoinTable(inner, fd.joins, fd.band)
@@ -588,14 +614,11 @@ func (p *pipePart) push(i int, row relstore.Row) error {
 					continue lookup
 				}
 			}
-			if g.filter != nil {
-				v, err := g.filter(m)
+			if ok, err := g.filter.holds(m); !ok {
 				if err != nil {
 					return err
 				}
-				if !v.AsBool() {
-					continue
-				}
+				continue
 			}
 			if err := p.emit(i, row, m); err != nil {
 				return err
@@ -701,6 +724,7 @@ func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, 
 		return nil, err
 	}
 	ps := sp.Child("join:hash-probe")
+	defer ps.End()
 	ps.SetAttr("table", s.alias)
 	rd.label(ps)
 	parts, err := readParts(ctx, rd, false, true, ps, &pipeline{ctx: ctx, tail: tailMatch, clone: rd.batch != nil, outer: ot})
@@ -737,6 +761,5 @@ func (en *Engine) hashJoinBuildOuter(ctx context.Context, outer []relstore.Row, 
 	}
 	en.DB.AddJoinRows(probed, copied)
 	ps.AddRows(probed, emitted)
-	ps.End()
 	return out, nil
 }

@@ -167,15 +167,9 @@ func runMorsel(m relstore.MorselFunc, plan *scanPlan, cc *cancelProbe, out *pipe
 			rowErr = cc.err()
 			return false
 		}
-		if plan.filter != nil {
-			v, err := plan.filter(row)
-			if err != nil {
-				rowErr = err
-				return false
-			}
-			if !v.AsBool() {
-				return true
-			}
+		if ok, err := plan.filter.holds(row); !ok {
+			rowErr = err
+			return err == nil
 		}
 		if err := out.put(row); err != nil {
 			rowErr = err

@@ -350,14 +350,10 @@ func (rd *sourceRead) drainBatch(m relstore.BatchFunc, w *batchWork, cc *cancelP
 				return false
 			}
 			b.FillRow(w.scratch, i, needed)
-			if filter != nil && needFilter {
-				v, err := filter(w.scratch)
-				if err != nil {
+			if needFilter {
+				if ok, err := filter.holds(w.scratch); !ok {
 					rowErr = err
-					return false
-				}
-				if !v.AsBool() {
-					return true
+					return err == nil
 				}
 			}
 			if err := out.put(w.scratch); err != nil {
