@@ -24,7 +24,7 @@ race:
 # one) and the EXPLAIN-vs-executed fan-out check, under the race
 # detector.
 parallel-stress:
-	$(GO) test -race -run 'Parallel|PlannerDifferential|TestExplainFanOutMatchesAnalyze' ./...
+	$(GO) test -race -run 'Parallel|PlannerDifferential|TestExplainFanOutMatchesAnalyze|TimePruningDifferential|ClockBackArchive|ColdReadAllocs' ./...
 
 # One-iteration benchmark smoke: the scan and drain benchmarks must
 # still compile and run (allocation regressions show up here first), and so

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"archis/internal/core"
@@ -82,6 +84,112 @@ func TestDrainAllocs(t *testing.T) {
 			   and S2.tstart >= S1.tstart and S2.tstart <= S1.tstart + %d`, e.JoinStart, w))
 	}
 	check("band self-join aggregate", joins)
+}
+
+// TestColdReadAllocs bounds what a cold compressed read allocates
+// (caches dropped before every run), for a single-source read of the
+// whole history and for the Q6 self-join, over a store whose live
+// segment spans several pages, at two and four workers. A cold read
+// must decode the pages and blocks it reads; the row→batch adapter
+// that turns the live pages into batches must add next to nothing. Its
+// columns are typed vectors with no per-row kinds and no Value copies,
+// and one pooled scratch (row buffer, batch, selection) serves every
+// morsel. Two bounds hold that: the bytes of the whole read, which a
+// fresh row buffer and batch per page morsel would double, and the
+// objects the batch adapter itself (relstore's colbatch.go) allocates,
+// which per-morsel kind arrays would multiply. The second counts
+// through a memory profile sampling every allocation; a pooled batch
+// refilled after a GC is its only expected source. Under -race, where
+// sync.Pool drops items at random, the reads run unchecked.
+func TestColdReadAllocs(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		cfg := smallCfg()
+		cfg.Employees = 400
+		e, err := Build(cfg, Options{Layout: core.LayoutCompressed, Compress: true, MinSegmentRows: 600, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _ := e.Sys.SegmentStore("employee_salary")
+		pages := st.Table().EstimateScan(nil).TotalPages
+		if pages < 4 {
+			t.Fatalf("live segment spans %d pages; the test needs several", pages)
+		}
+		for _, tc := range []struct {
+			name, sql string
+			maxKB     float64
+		}{
+			{"scan", `select count(*), max(S.salary) from employee_salary S`, 550},
+			{"q6j", e.JoinSQL(), 1250},
+		} {
+			if _, err := e.Sys.Exec(tc.sql); err != nil {
+				t.Fatal(err)
+			}
+			kb, adapter := coldAllocs(t, e, tc.sql, 20)
+			t.Logf("workers=%d %s: %.1f KB per cold read, %.1f adapter objects, %d live pages", workers, tc.name, kb, adapter, pages)
+			if raceEnabled {
+				continue // the reads still run, for the race detector
+			}
+			if kb > tc.maxKB {
+				t.Errorf("workers=%d %s: a cold read allocates %.1f KB, want at most %.0f KB", workers, tc.name, kb, tc.maxKB)
+			}
+			if adapter > 4 {
+				t.Errorf("workers=%d %s: the batch adapter allocates %.1f objects per cold read, want at most 4", workers, tc.name, adapter)
+			}
+		}
+	}
+}
+
+// coldAllocs runs sql cold runs times and returns the kilobytes
+// allocated per run and the objects per run whose innermost allocating
+// frame in this module lies in relstore's colbatch.go.
+func coldAllocs(t *testing.T, e *Env, sql string, runs int) (kb, adapter float64) {
+	t.Helper()
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	// profile sums the adapter's allocated objects so far; two GCs
+	// publish every allocation made before the call.
+	profile := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var recs []runtime.MemProfileRecord
+		for {
+			n, ok := runtime.MemProfile(recs, true)
+			if ok {
+				recs = recs[:n]
+				break
+			}
+			recs = make([]runtime.MemProfileRecord, n+64)
+		}
+		var objs int64
+		for _, r := range recs {
+			frames := runtime.CallersFrames(r.Stack())
+			for {
+				f, more := frames.Next()
+				if strings.HasPrefix(f.Function, "archis/") {
+					if strings.HasSuffix(f.File, "relstore/colbatch.go") {
+						objs += r.AllocObjects
+					}
+					break
+				}
+				if !more {
+					break
+				}
+			}
+		}
+		return objs
+	}
+	objs0 := profile()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		e.Cold()
+		if _, err := e.Sys.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	objs1 := profile()
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs) / 1024, float64(objs1-objs0) / float64(runs)
 }
 
 // BenchmarkDrain times two warm clustered statements whose last step

@@ -147,8 +147,8 @@ func TestExplainAnalyzeJoinGolden(t *testing.T) {
 	}
 	got := maskTimings(b.String())
 	want := `query  [T] rows=1 snapshot_lsn=0
-  join:hash-build  [T] rows=0 rows_in=143 table=S2 side=inner est_outer=131 est_inner=131 est_out=1320 buckets=72
-  join:hash-probe  [T] rows=261 rows_in=143 table=S1 band=tstart workers=2 morsels=3
+  join:hash-build  [T] rows=0 rows_in=143 table=S2 side=inner est_outer=131 est_inner=131 est_out=1320 segments=3..4 buckets=72
+  join:hash-probe  [T] rows=261 rows_in=143 table=S1 band=tstart segments=3..4 workers=2 morsels=3
   aggregate  [T] rows=1 rows_in=261 partials=3
   project  [T] rows=1 rows_in=1 grouped=true
 `
@@ -199,8 +199,8 @@ func TestExplainAnalyzeSerialGolden(t *testing.T) {
   project  [T] rows=1 rows_in=1 grouped=true
 `},
 		{"Q6 self-join", e.JoinSQL(), `query  [T] rows=1 snapshot_lsn=0
-  join:hash-build  [T] rows=0 rows_in=143 table=S2 side=inner est_outer=131 est_inner=131 est_out=1320 buckets=72
-  join:hash-probe  [T] rows=261 rows_in=143 table=S1 band=tstart
+  join:hash-build  [T] rows=0 rows_in=143 table=S2 side=inner est_outer=131 est_inner=131 est_out=1320 segments=3..4 buckets=72
+  join:hash-probe  [T] rows=261 rows_in=143 table=S1 band=tstart segments=3..4
   aggregate  [T] rows=1 rows_in=261
   project  [T] rows=1 rows_in=1 grouped=true
 `},

@@ -408,7 +408,7 @@ func decodeColSection(sec []byte, nrows int, v *relstore.ColVec) error {
 			return fmt.Errorf("unknown kind %d", k)
 		}
 		v.Kind = k
-		v.Kinds = nil
+		v.Kinds = v.Kinds[:0]
 		pos = 2
 	case 1:
 		if len(sec) < 1+nrows {
@@ -435,7 +435,7 @@ func decodeColSection(sec []byte, nrows int, v *relstore.ColVec) error {
 	// skip absent kinds by count and, when the section is uniform, run
 	// without a per-row kind test at all.
 	var counts [int(relstore.TypeBool) + 1]int
-	if v.Kinds == nil {
+	if len(v.Kinds) == 0 {
 		counts[v.Kind] = nrows
 	} else {
 		for _, k := range v.Kinds {
@@ -471,7 +471,10 @@ func decodeColSection(sec []byte, nrows int, v *relstore.ColVec) error {
 		v.Aux = v.Aux[:nrows]
 	}
 
-	kinds := v.Kinds // nil for a uniform section: loops skip the kind test
+	var kinds []relstore.Type // nil for a uniform section: loops skip the kind test
+	if len(v.Kinds) != 0 {
+		kinds = v.Kinds
+	}
 	for kind := relstore.TypeNull; kind <= relstore.TypeBool; kind++ {
 		count := counts[kind]
 		if count == 0 {

@@ -1,6 +1,7 @@
 package blockzip
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"archis/internal/relstore"
@@ -81,30 +82,57 @@ func vecI(v *relstore.ColVec, i int) int64 {
 	}
 }
 
+// batchScratch is the working set one batch morsel reuses across all
+// its batches and, through batchScratchPool, across morsels: the
+// adapter's row buffer, the batch it fills (or a scratch decode
+// target), the header copy that carries a selection, and the selection
+// itself. A batch handed to fn is valid only inside the call, so
+// nothing a consumer keeps aliases it.
+type batchScratch struct {
+	rows        []relstore.Row
+	batch, view relstore.ColBatch
+	sel         []int32
+}
+
+var batchScratchPool = sync.Pool{New: func() any {
+	return &batchScratch{rows: make([]relstore.Row, 0, batchRows)}
+}}
+
+// putScratch returns sc to the pool without the rows it borrowed or
+// the header copy of a cached batch; its own buffers stay for the next
+// morsel.
+func putScratch(sc *batchScratch) {
+	clear(sc.rows)
+	sc.rows = sc.rows[:0]
+	sc.view = relstore.ColBatch{}
+	batchScratchPool.Put(sc)
+}
+
 // rowMorselBatches adapts one row morsel of the segment store (the
 // uncompressed side, already filtered by the read's Scope) into
 // batches: its rows accumulate and flush as row-backed batches of up
 // to batchRows. Borrowed rows stay valid for the whole read (storage
-// is immutable during a query) and the batch copies their Values out
-// at flush.
+// is immutable during a query) and the batch takes their payloads at
+// flush.
 func (cs *CompressedStore) rowMorselBatches(m relstore.MorselFunc, ncols int, storeNeeded []bool,
 	fn func(*relstore.ColBatch) bool) (bool, error) {
-	var batch relstore.ColBatch
-	buf := make([]relstore.Row, 0, batchRows)
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer putScratch(sc)
 	stopped := false
 	flush := func() bool {
-		if len(buf) == 0 {
+		if len(sc.rows) == 0 {
 			return true
 		}
-		batch.SetFromRows(buf, ncols, storeNeeded)
-		cs.db.CountColBatch(int64(len(buf)))
-		ok := fn(&batch)
-		buf = buf[:0]
+		sc.batch.SetFromRows(sc.rows, ncols, storeNeeded)
+		cs.db.CountColBatch(int64(len(sc.rows)))
+		ok := fn(&sc.batch)
+		clear(sc.rows)
+		sc.rows = sc.rows[:0]
 		return ok
 	}
 	_, err := m(true, func(row relstore.Row) bool {
-		buf = append(buf, row)
-		if len(buf) >= batchRows {
+		sc.rows = append(sc.rows, row)
+		if len(sc.rows) >= batchRows {
 			if !flush() {
 				stopped = true
 				return false
@@ -128,30 +156,31 @@ func (cs *CompressedStore) rowMorselBatches(m relstore.MorselFunc, ncols int, st
 // payloads (vecI), so decoded NULLs behave identically on both paths.
 func (cs *CompressedStore) rangeBatches(rg srange, sc *segment.Scope, storeNeeded []bool, ncols int,
 	fn func(*relstore.ColBatch) bool) (bool, error) {
-	var batch, view relstore.ColBatch
-	var selBuf []int32
+	scr := batchScratchPool.Get().(*batchScratch)
+	defer putScratch(scr)
 	stopped := false
 	var blockErr error
 	err := cs.eachBlock(rg, sc, func(blockNo int64, blob []byte) bool {
-		b, err := cs.blockBatch(blockNo, blob, storeNeeded, ncols, &batch)
+		b, err := cs.blockBatch(blockNo, blob, storeNeeded, ncols, &scr.batch)
 		if err != nil {
 			blockErr = err
 			return false
 		}
-		view = *b
+		view := &scr.view
+		*view = *b
 		segv, idv, tendv := &view.Cols[0], &view.Cols[1], &view.Cols[4]
-		selBuf = selBuf[:0]
+		scr.sel = scr.sel[:0]
 		for i := 0; i < view.N; i++ {
 			if sc.Admits(vecI(segv, i), vecI(idv, i), vecI(tendv, i)) {
-				selBuf = append(selBuf, int32(i))
+				scr.sel = append(scr.sel, int32(i))
 			}
 		}
-		if len(selBuf) == 0 {
+		if len(scr.sel) == 0 {
 			return true
 		}
-		view.Sel = selBuf
-		cs.db.CountColBatch(int64(len(selBuf)))
-		if !fn(&view) {
+		view.Sel = scr.sel
+		cs.db.CountColBatch(int64(len(scr.sel)))
+		if !fn(view) {
 			stopped = true
 			return false
 		}

@@ -359,9 +359,10 @@ const defaultRowsPerBlock = 32
 
 // EstimateScan implements the sqlengine planner's ScanEstimator:
 // uncompressed rows come from the clustered store's zone-map estimate
-// and compressed rows from the block count of the segment ranges
-// intersecting the pushed-down segno bounds, scaled by the observed
-// rows-per-block average. No block is decompressed.
+// and compressed rows from the block count of the segment ranges in
+// the read's Scope (segno bounds and the time-derived lower end),
+// scaled by the observed rows-per-block average. No block is
+// decompressed.
 func (cs *CompressedStore) EstimateScan(bounds []relstore.ZoneBound) relstore.ScanEstimate {
 	est := cs.Seg.EstimateScan(bounds)
 	sc := cs.Seg.Scope(bounds)
@@ -377,7 +378,7 @@ func (cs *CompressedStore) EstimateScan(bounds []relstore.ZoneBound) relstore.Sc
 		cs.mu.RUnlock()
 		return est
 	}
-	var blocks, colBlocks, totalInRanges int64
+	var blocks, colBlocks int64
 	for _, rg := range ranges {
 		blocks += rg.endBlock - rg.startBlock + 1
 		if cs.colSegs[rg.segno] {
@@ -385,18 +386,18 @@ func (cs *CompressedStore) EstimateScan(bounds []relstore.ZoneBound) relstore.Sc
 		}
 	}
 	cs.mu.RUnlock()
-	allRanges, err := cs.ranges(1, cs.Seg.LiveSegment())
-	if err == nil {
-		for _, rg := range allRanges {
-			totalInRanges += rg.endBlock - rg.startBlock + 1
-		}
-	}
 	est.Rows += int(blocks * perBlock)
 	est.Pages += int(blocks)
 	est.ColumnarBlocks += int(colBlocks)
-	est.TotalRows += int(totalInRanges * perBlock)
-	est.TotalPages += int(totalInRanges)
+	est.TotalRows += int(totalBlocks * perBlock)
+	est.TotalPages += int(totalBlocks)
 	return est
+}
+
+// SegmentRange implements sqlengine.SegmentRanger: compressed and
+// uncompressed rows share the segment store's Scope.
+func (cs *CompressedStore) SegmentRange(bounds []relstore.ZoneBound) (lo, hi int64, narrowed bool) {
+	return cs.Seg.SegmentRange(bounds)
 }
 
 // Scan drains ScanMorsels in order with borrowed rows: the serial read

@@ -125,7 +125,10 @@ func (a *Archive) Clock() temporal.Date { return a.Engine.Now() }
 
 // SetClock advances the archive clock. Changes applied afterwards are
 // stamped with the new date. Every effective move is reported to the
-// clock sink (the WAL); a same-value set is a no-op.
+// clock sink (the WAL); a same-value set is a no-op. An earlier date is
+// accepted too: a segment store archiving after such a move ends the
+// frozen segment no earlier than the rows it freezes (segment.Store's
+// archiveNow), so time-restricted reads still find them.
 func (a *Archive) SetClock(d temporal.Date) {
 	if a.Engine.Now() == d {
 		return

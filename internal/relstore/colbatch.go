@@ -29,8 +29,8 @@ type ColBatch struct {
 //	anything else   -> Aux (a full Value)
 type ColVec struct {
 	Present bool
-	Kind    Type   // uniform kind when Kinds is nil
-	Kinds   []Type // per-row kinds; nil means every row is Kind
+	Kind    Type   // uniform kind when Kinds is empty
+	Kinds   []Type // per-row kinds; empty means every row is Kind
 	I       []int64
 	F       []float64
 	S       []string
@@ -39,7 +39,7 @@ type ColVec struct {
 
 // KindAt returns the kind of row i's value in this column.
 func (v *ColVec) KindAt(i int) Type {
-	if v.Kinds != nil {
+	if len(v.Kinds) != 0 {
 		return v.Kinds[i]
 	}
 	return v.Kind
@@ -128,7 +128,8 @@ func (b *ColBatch) Rows() []Row {
 	return rows
 }
 
-// Reset clears the batch for reuse, keeping payload capacity.
+// Reset clears the batch for reuse, keeping every buffer's capacity
+// (payloads and per-row kinds alike).
 func (b *ColBatch) Reset(n, ncols int) {
 	b.N = n
 	b.Sel = nil
@@ -139,81 +140,86 @@ func (b *ColBatch) Reset(n, ncols int) {
 	for c := range b.Cols {
 		b.Cols[c].Present = false
 		b.Cols[c].Kind = TypeNull
-		b.Cols[c].Kinds = nil
+		b.Cols[c].Kinds = b.Cols[c].Kinds[:0]
 	}
 }
 
 // SetFromRows fills the batch from materialized rows (the adapter used
-// for uncompressed morsels and legacy row-encoded blocks): every
-// needed column becomes a mixed-kind vector backed by Aux values.
-// Values are copied by value, so the batch stays valid as long as the
-// rows' payloads do.
+// for uncompressed morsels and legacy row-encoded blocks). A needed
+// column whose rows share one kind other than BYTES or XML becomes a
+// typed vector: its payloads only, no per-row kinds. A mixed column
+// records each row's kind, and only BYTES and XML values are copied
+// whole into Aux. Reusing the batch reuses its buffers, so a warm
+// adapter allocates nothing. Strings are shared with the rows, so the
+// batch stays valid as long as the rows' payloads do.
 func (b *ColBatch) SetFromRows(rows []Row, ncols int, needed []bool) {
-	b.Reset(len(rows), ncols)
+	n := len(rows)
+	b.Reset(n, ncols)
 	for c := 0; c < ncols; c++ {
 		if needed != nil && !needed[c] {
 			continue
 		}
 		v := &b.Cols[c]
 		v.Present = true
-		if cap(v.Kinds) < len(rows) {
-			v.Kinds = make([]Type, len(rows))
+		var counts [TypeBool + 1]int
+		for _, r := range rows {
+			counts[kindIn(r, c)]++
 		}
-		v.Kinds = v.Kinds[:len(rows)]
-		if cap(v.Aux) < len(rows) {
-			v.Aux = make([]Value, len(rows))
-		}
-		v.Aux = v.Aux[:len(rows)]
-		needI, needF, needS := false, false, false
-		for i, r := range rows {
-			k := TypeNull
-			if c < len(r) {
-				k = r[c].Kind
-			}
-			v.Kinds[i] = k
-			switch k {
-			case TypeInt, TypeDate:
-				needI = true
-			case TypeBool:
-				needI = true
-			case TypeFloat:
-				needF = true
-			case TypeString:
-				needS = true
+		if n > 0 {
+			if k := kindIn(rows[0], c); counts[k] == n && k != TypeBytes && k != TypeXML {
+				v.Kind = k
 			}
 		}
-		if needI {
-			v.I = growI64(v.I, len(rows))
+		if n > 0 && counts[v.Kind] != n {
+			v.Kinds = growKinds(v.Kinds, n)
+			for i, r := range rows {
+				v.Kinds[i] = kindIn(r, c)
+			}
 		}
-		if needF {
-			v.F = growF64(v.F, len(rows))
+		if counts[TypeInt]+counts[TypeDate]+counts[TypeBool] > 0 {
+			v.I = growI64(v.I, n)
 		}
-		if needS {
-			v.S = growStr(v.S, len(rows))
+		if counts[TypeFloat] > 0 {
+			v.F = growF64(v.F, n)
+		}
+		if counts[TypeString] > 0 {
+			v.S = growStr(v.S, n)
+		}
+		if counts[TypeBytes]+counts[TypeXML] > 0 {
+			v.Aux = growVal(v.Aux, n)
 		}
 		for i, r := range rows {
 			if c >= len(r) {
 				continue
 			}
-			val := r[c]
+			val := &r[c]
 			switch val.Kind {
+			case TypeNull:
 			case TypeInt, TypeDate:
 				v.I[i] = val.I
 			case TypeBool:
+				v.I[i] = 0
 				if val.Truth {
 					v.I[i] = 1
-				} else {
-					v.I[i] = 0
 				}
 			case TypeFloat:
 				v.F[i] = val.F
 			case TypeString:
 				v.S[i] = val.S
 			default:
-				v.Aux[i] = val
+				v.Aux[i] = *val
 			}
 		}
 	}
+}
+
+// kindIn is the kind of column c of r; a row too short for c reads as
+// NULL.
+func kindIn(r Row, c int) Type {
+	if c < len(r) {
+		return r[c].Kind
+	}
+	return TypeNull
 }
 
 func growI64(s []int64, n int) []int64 {
@@ -233,6 +239,20 @@ func growF64(s []float64, n int) []float64 {
 func growStr(s []string, n int) []string {
 	if cap(s) < n {
 		return make([]string, n)
+	}
+	return s[:n]
+}
+
+func growVal(s []Value, n int) []Value {
+	if cap(s) < n {
+		return make([]Value, n)
+	}
+	return s[:n]
+}
+
+func growKinds(s []Type, n int) []Type {
+	if cap(s) < n {
+		return make([]Type, n)
 	}
 	return s[:n]
 }

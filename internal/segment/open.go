@@ -39,24 +39,14 @@ func OpenStore(db *relstore.Database, attrTable string, cfg Config) (*Store, err
 		hasValid: t.Schema().ColumnIndex("vstart") >= 0 && t.Schema().ColumnIndex("vend") >= 0,
 	}
 
-	// The live segment is one past the last frozen segment.
-	lastFrozen := int64(0)
-	lastEnd := temporal.Date(0)
-	err := dir.Scan(nil, func(_ relstore.RID, row relstore.Row) bool {
-		s.archives++
-		if row[0].I > lastFrozen {
-			lastFrozen = row[0].I
-			lastEnd = row[2].Date()
-		}
-		return true
-	})
+	// Live segment number, start and segment ends from the directory.
+	segs, err := s.segments()
 	if err != nil {
 		return nil, err
 	}
-	s.liveSeg = lastFrozen + 1
-	if s.archives > 0 {
-		s.liveStart = lastEnd.AddDays(1)
-	} else {
+	s.archives = len(segs)
+	s.adoptDirectory(segs)
+	if s.archives == 0 {
 		s.liveStart = cfg.Clock()
 	}
 

@@ -14,6 +14,7 @@ package segment
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -60,9 +61,15 @@ type Store struct {
 	mu        sync.RWMutex
 	liveSeg   int64
 	liveStart temporal.Date
-	nall      int
-	nlive     int
-	live      map[int64]relstore.RID // id → live row in live segment
+	// ends[k-1] is End(k) of frozen segment k, the directory's segend
+	// held in memory so that resolving a read's Scope never scans the
+	// directory (rebuilt by adoptDirectory, appended by archiveNow).
+	// Every row archiveNow freezes into k has tstart ≤ End(k) and a
+	// tend ≤ End(k) or forever.
+	ends  []temporal.Date
+	nall  int
+	nlive int
+	live  map[int64]relstore.RID // id → live row in live segment
 
 	archives int // count of archive operations, for tests/benches
 }
@@ -278,9 +285,20 @@ func (s *Store) archiveNow() error {
 	}
 
 	// Steps 1-2: allocate the frozen segment (it keeps the live
-	// segment's number) and record its interval.
+	// segment's number) and record its interval. Its End is the archive
+	// day, raised to the latest tstart or closed tend it freezes: with
+	// the clock moved back, rows written later in the original timeline
+	// would otherwise lie past End, and Scope's time pruning and
+	// SegmentsFor would skip the segment that holds them.
+	end := now
+	for _, row := range all {
+		end = max(end, row[3].Date())
+		if te := row[4].Date(); !te.IsForever() {
+			end = max(end, te)
+		}
+	}
 	if _, err := s.dir.Insert(relstore.Row{
-		relstore.Int(s.liveSeg), relstore.DateV(s.liveStart), relstore.DateV(now)}); err != nil {
+		relstore.Int(s.liveSeg), relstore.DateV(s.liveStart), relstore.DateV(end)}); err != nil {
 		return err
 	}
 
@@ -334,8 +352,9 @@ func (s *Store) archiveNow() error {
 		s.nall++
 		s.nlive++
 	}
+	s.ends = append(s.ends, end)
 	s.liveSeg = newLive
-	s.liveStart = now.AddDays(1)
+	s.liveStart = end.AddDays(1)
 	s.archives++
 
 	// Reclaim the dropped segment's space and re-cluster physically;
@@ -509,9 +528,21 @@ func (s *Store) Scope(bounds []relstore.ZoneBound) Scope {
 	return s.scope(bounds)
 }
 
-// scope is Scope with s.mu already held.
+// scope is Scope with s.mu already held. Besides the segno and id
+// bounds it applies the time-derived lower end of §6.3's query
+// mapping: every row of frozen segment k has tstart ≤ End(k), so a
+// lower bound b on tstart (tstart >= b, > b or = b) raises Lo past each
+// leading segment whose End is before b. A lower bound on tend does the
+// same below Hi only: there a forever tend is a stale copy that Keep
+// drops, and every other tend is ≤ End(k), while at Hi a forever-tend
+// row is the version's authoritative copy. Only a prefix of the range
+// is dropped, so it stays contiguous and ends at Hi, and the rows
+// dropped are exactly rows the bound rejects.
 func (s *Store) scope(bounds []relstore.ZoneBound) Scope {
 	sc := Scope{Lo: 1, Hi: s.liveSeg}
+	// The largest lower bounds on tstart and tend; dates before the
+	// epoch are negative, so "no bound" is the least int64.
+	tsLo, teLo := int64(math.MinInt64), int64(math.MinInt64)
 	for _, zb := range bounds {
 		switch {
 		case zb.Col == 0 && zb.Op == "=":
@@ -522,9 +553,42 @@ func (s *Store) scope(bounds []relstore.ZoneBound) Scope {
 			sc.Hi = zb.Bound
 		case zb.Col == 1 && zb.Op == "=":
 			sc.ID, sc.HasID = zb.Bound, true
+		case zb.Col == 3:
+			tsLo = max(tsLo, lowerBound(zb))
+		case zb.Col == 4:
+			teLo = max(teLo, lowerBound(zb))
 		}
 	}
+	for sc.Lo >= 1 && sc.Lo <= sc.Hi && sc.Lo <= int64(len(s.ends)) {
+		end := int64(s.ends[sc.Lo-1])
+		if end >= tsLo && (sc.Lo == sc.Hi || end >= teLo) {
+			break
+		}
+		sc.Lo++
+	}
 	return sc
+}
+
+// lowerBound is the least value a zone bound admits: b for >= and =,
+// b+1 for >, and the least int64 (no bound) for any other operator.
+func lowerBound(zb relstore.ZoneBound) int64 {
+	switch zb.Op {
+	case ">=", "=":
+		return zb.Bound
+	case ">":
+		return zb.Bound + 1
+	}
+	return math.MinInt64
+}
+
+// SegmentRange reports the segment range [lo, hi] a read with these
+// bounds covers and whether it is narrower than [1, live]; EXPLAIN
+// ANALYZE prints it on the read's span.
+func (s *Store) SegmentRange(bounds []relstore.ZoneBound) (lo, hi int64, narrowed bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	sc := s.scope(bounds)
+	return sc.Lo, sc.Hi, sc.Lo > 1 || sc.Hi < s.liveSeg
 }
 
 // segBounds prepends sc's segment range to bounds as zone bounds when
@@ -661,13 +725,37 @@ func (s *Store) BindSnapshot(sn *relstore.Snapshot) (sqlengine.VirtualTable, err
 	if err != nil {
 		return nil, err
 	}
-	b := &Store{table: t, dir: dir, cfg: s.cfg, hasValid: s.hasValid, liveSeg: 1}
-	if segs, err := b.segments(); err == nil && len(segs) > 0 {
-		last := segs[len(segs)-1]
-		b.liveSeg = last.SegNo + 1
-		b.liveStart = last.End.AddDays(1)
+	b := &Store{table: t, dir: dir, cfg: s.cfg, hasValid: s.hasValid}
+	segs, err := b.segments()
+	if err != nil {
+		return nil, err
 	}
+	b.adoptDirectory(segs)
 	return b, nil
+}
+
+// adoptDirectory derives the live segment number (one past the last
+// frozen segment), the live segment's start (the day after the last
+// End, when a segment is frozen) and the in-memory segment ends from
+// the directory's frozen segments, sorted by number. A segment number
+// missing from the directory gets End = forever, so the time-derived
+// scope never skips it.
+func (s *Store) adoptDirectory(segs []SegmentInterval) {
+	s.liveSeg = 1
+	if len(segs) > 0 {
+		last := segs[len(segs)-1]
+		s.liveSeg = last.SegNo + 1
+		s.liveStart = last.End.AddDays(1)
+	}
+	s.ends = make([]temporal.Date, s.liveSeg-1)
+	for i := range s.ends {
+		s.ends[i] = temporal.Forever
+	}
+	for _, sg := range segs {
+		if sg.SegNo >= 1 {
+			s.ends[sg.SegNo-1] = sg.End
+		}
+	}
 }
 
 // SegmentCount returns frozen segments + the live one.

@@ -321,3 +321,46 @@ func TestNewestFirstMatchesStableSort(t *testing.T) {
 		}
 	}
 }
+
+// TestScopeTimeBounds pins the time-derived lower end of a read's
+// Scope on a store whose segments end before the epoch (negative
+// dates): no time bound keeps every segment; a lower bound on tstart
+// (>=, >, =) skips the leading segments that end before it; a lower
+// bound on tend does so below Hi only; and a bound past a segno
+// equality leaves an empty range.
+func TestScopeTimeBounds(t *testing.T) {
+	s, clock, _ := newTestStore(t, 0.4, 1000000)
+	clock.d = temporal.MustParseDate("1960-01-01")
+	for id := int64(1); id <= 3; id++ {
+		if err := s.Append(id, relstore.Int(id), clock.d, htable.DefaultValid(clock.d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, day := range []string{"1960-03-01", "1960-06-01"} {
+		clock.d = temporal.MustParseDate(day)
+		if err := s.ArchiveNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := func(s string) int64 { return int64(temporal.MustParseDate(s)) }
+	for _, tc := range []struct {
+		name   string
+		bounds []relstore.ZoneBound
+		lo, hi int64
+	}{
+		{"none", nil, 1, 3},
+		{"tstart >= End(1)", []relstore.ZoneBound{{Col: 3, Op: ">=", Bound: d("1960-03-01")}}, 1, 3},
+		{"tstart >= End(1)+1", []relstore.ZoneBound{{Col: 3, Op: ">=", Bound: d("1960-03-02")}}, 2, 3},
+		{"tstart > End(1)", []relstore.ZoneBound{{Col: 3, Op: ">", Bound: d("1960-03-01")}}, 2, 3},
+		{"tstart = End(2)+1", []relstore.ZoneBound{{Col: 3, Op: "=", Bound: d("1960-06-02")}}, 3, 3},
+		{"tstart <= far future", []relstore.ZoneBound{{Col: 3, Op: "<=", Bound: d("2000-01-01")}}, 1, 3},
+		{"tend >= End(1)+1", []relstore.ZoneBound{{Col: 4, Op: ">=", Bound: d("1960-03-02")}}, 2, 3},
+		{"tend past Hi", []relstore.ZoneBound{{Col: 0, Op: "<=", Bound: 2}, {Col: 4, Op: ">=", Bound: d("1960-07-01")}}, 2, 2},
+		{"tstart past segno", []relstore.ZoneBound{{Col: 0, Op: "=", Bound: 1}, {Col: 3, Op: ">=", Bound: d("1960-03-02")}}, 2, 1},
+	} {
+		sc := s.Scope(tc.bounds)
+		if sc.Lo != tc.lo || sc.Hi != tc.hi {
+			t.Errorf("%s: scope [%d, %d], want [%d, %d]", tc.name, sc.Lo, sc.Hi, tc.lo, tc.hi)
+		}
+	}
+}

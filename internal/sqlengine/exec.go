@@ -38,6 +38,15 @@ type SnapshotBinder interface {
 	BindSnapshot(sn *relstore.Snapshot) (VirtualTable, error)
 }
 
+// SegmentRanger is implemented by virtual tables whose reads cover a
+// contiguous range of temporal segments (segment and BlockZIP stores):
+// SegmentRange reports the range [lo, hi] a read with these bounds
+// covers and whether it is narrower than the whole table. EXPLAIN
+// ANALYZE prints a narrowed range on the read's span.
+type SegmentRanger interface {
+	SegmentRange(bounds []relstore.ZoneBound) (lo, hi int64, narrowed bool)
+}
+
 // resolveSource binds a FROM reference to storage. With a snapshot the
 // read runs against the pinned version only: base tables come from the
 // snapshot (frozen copies), virtual tables that implement

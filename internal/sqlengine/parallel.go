@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -141,13 +142,19 @@ func (rd *sourceRead) fanWorkers(n int, rows, merge bool) int {
 
 // readParts drains rd through pipeline pl and returns its parts in
 // morsel order: concatenated, they reproduce the serial read at any
-// worker count. rows and merge feed fanWorkers. A fan-out is noted on
-// sp as workers/morsels. On the batch path a row put into pl is
+// worker count. rows and merge feed fanWorkers. A segment range
+// narrower than the whole table is noted on sp as segments=lo..hi, a
+// fan-out as workers/morsels. On the batch path a row put into pl is
 // scratch, valid only during the call: what keeps it copies it.
 func readParts(ctx context.Context, rd *sourceRead, rows, merge bool, sp *obs.Span, pl *pipeline) ([]pipePart, error) {
 	n, worker, err := rd.morsels()
 	if err != nil {
 		return nil, err
+	}
+	if sr, ok := rd.s.virtual.(SegmentRanger); ok && sp != nil {
+		if lo, hi, narrowed := sr.SegmentRange(rd.plan.bounds); narrowed {
+			sp.SetAttr("segments", fmt.Sprintf("%d..%d", lo, hi))
+		}
 	}
 	w := rd.fanWorkers(n, rows, merge)
 	if w > 1 {
