@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race parallel-stress bench-smoke crash-matrix fuzz-smoke served-soak verify lint loc bench figures bench-compare
+.PHONY: build vet test race parallel-stress bench-smoke crash-matrix fuzz-smoke served-soak driver-smoke verify lint loc bench figures bench-compare
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,19 @@ served-soak:
 		[ "$$code" -eq 0 ] || failed=$$((failed + 1)); \
 	done; \
 	echo "served-soak: $$failed of $(N) runs failed"; [ "$$failed" -eq 0 ]
+
+# Driver smoke: every benchmark workload for 2 s (seed 1), untraced
+# and traced, through the same `bash benchmark/run.sh` command
+# BENCHMARK.json declares. The benchmark exits non-zero on a wrong
+# answer, a failed operation or a lost acknowledged write; this target
+# prints each run's exit code and fails if any run failed.
+driver-smoke:
+	@failed=0; for w in cold-compressed warm-clustered mixed-durable served-replica; do for t in 0 1; do \
+		out="$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace $$t 2>&1)"; code=$$?; \
+		echo "driver-smoke $$w trace=$$t: exit $$code"; \
+		if [ "$$code" -ne 0 ]; then printf '%s\n' "$$out" | tail -n 20; failed=$$((failed + 1)); fi; \
+	done; done; \
+	echo "driver-smoke: $$failed runs failed"; [ "$$failed" -eq 0 ]
 
 # Tier-1 verification: everything must compile, pass vet, and pass the
 # full test suite under the race detector (the concurrency layer is

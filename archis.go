@@ -21,16 +21,24 @@
 //	    Columns: []archis.Column{archis.IntCol("id"), archis.StringCol("name"), archis.IntCol("salary")},
 //	    Key:     []string{"id"},
 //	})
-//	sys.Exec(`insert into employee values (1, 'Bob', 60000)`)
+//	ctx := context.Background()
+//	sys.Do(ctx, `insert into employee values (1, 'Bob', 60000)`)
 //	sys.SetClock(archis.MustDate("1995-06-01"))
-//	sys.Exec(`update employee set salary = 70000 where id = 1`)
-//	res, _ := sys.Query(`for $s in doc("employees.xml")/employees/employee[name="Bob"]/salary return $s`)
+//	sys.Do(ctx, `update employee set salary = 70000 where id = 1`)
+//	res, _ := sys.Do(ctx, `for $s in doc("employees.xml")/employees/employee[name="Bob"]/salary return $s`)
 //	fmt.Println(res.Items.Serialize())
+//
+// System.Do is the one statement entry point: SQL reads, SQL writes and
+// XQuery alike, scoped by ExecOpt values (AsOfValidTime,
+// AsOfTransactionTime, WithValidTime, Durable, ReadOnly, ViaXML,
+// Traced). Exec, ExecDurable, ReadAsOf, Query and QueryXML are
+// shorthands over it.
 package archis
 
 import (
 	"archis/internal/core"
 	"archis/internal/htable"
+	"archis/internal/obs"
 	"archis/internal/relstore"
 	"archis/internal/sqlengine"
 	"archis/internal/temporal"
@@ -48,9 +56,9 @@ func PrettyXML(n *XMLNode) string { return xmltree.Pretty(n) }
 // XMLString renders a node compactly.
 func XMLString(n *XMLNode) string { return xmltree.String(n) }
 
-// System is the assembled ArchIS instance; see internal/core for the
-// full method set (Register, Exec, Query, QueryXML, Translate,
-// CompressFrozen, PublishHDoc, SetClock, …).
+// System is the assembled ArchIS instance. Do runs every statement;
+// the rest of the method set (Register, SetClock, Translate,
+// CompressFrozen, PublishHDoc, Checkpoint, …) is in internal/core.
 type System = core.System
 
 // Options configure a System.
@@ -88,7 +96,8 @@ const (
 	PathXML = core.PathXML
 )
 
-// QueryResult is the unified result of a temporal query.
+// QueryResult is the unified result of a statement: Result for SQL,
+// Items (and Path) for XQuery.
 type QueryResult = core.QueryResult
 
 // Result is a SQL statement result (rows, columns, rows affected).
@@ -117,9 +126,20 @@ type Date = temporal.Date
 // Interval is an inclusive [start, end] time interval.
 type Interval = temporal.Interval
 
-// ExecOpt modifies one Exec/ExecDurable call (bitemporal scoping,
-// DESIGN.md §16).
+// ExecOpt modifies one System.Do call (DESIGN.md §14, §16).
 type ExecOpt = core.ExecOpt
+
+// Durable makes a write return only once its log records are durable.
+func Durable() ExecOpt { return core.Durable() }
+
+// Traced records the statement's execution spans under sp.
+func Traced(sp *obs.Span) ExecOpt { return core.Traced(sp) }
+
+// ReadOnly rejects DML and DDL.
+func ReadOnly() ExecOpt { return core.ReadOnly() }
+
+// ViaXML evaluates an XQuery on the H-documents, skipping translation.
+func ViaXML() ExecOpt { return core.ViaXML() }
 
 // WithValidTime asserts the valid interval a mutation records
 // (default [clock, Forever]).

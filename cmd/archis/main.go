@@ -33,6 +33,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -214,6 +215,7 @@ func printWALStats(sys *archis.System) {
 }
 
 func repl(sys *archis.System) {
+	ctx := context.Background()
 	fmt.Println(`type "help" for commands`)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -252,37 +254,17 @@ func repl(sys *archis.System) {
 		case "xquery":
 			if *traceOn {
 				res, trace, err := sys.QueryTraced(rest)
-				if err != nil {
-					fmt.Println("error:", err)
-					continue
+				show(res, err)
+				if err == nil {
+					fmt.Print(trace.Tree())
 				}
-				fmt.Printf("[path: %s]\n", res.Path)
-				if res.SQL != "" {
-					fmt.Println("sql:", res.SQL)
-				}
-				fmt.Println(res.Items.Serialize())
-				fmt.Print(trace.Tree())
 				continue
 			}
-			res, err := sys.Query(rest)
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			fmt.Printf("[path: %s]\n", res.Path)
-			if res.SQL != "" {
-				fmt.Println("sql:", res.SQL)
-			}
-			fmt.Println(res.Items.Serialize())
+			show(sys.Do(ctx, rest, archis.ReadOnly()))
 		case "sql":
 			// Durable systems acknowledge writes only after their log
 			// records are fsynced.
-			res, err := sys.ExecDurable(rest)
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			printResult(res)
+			show(sys.Do(ctx, rest, archis.Durable()))
 		case "vsql":
 			// vsql <date> <select>: bitemporal read — the SELECT sees only
 			// versions whose valid interval covers the date.
@@ -292,12 +274,7 @@ func repl(sys *archis.System) {
 				fmt.Println("usage: vsql <yyyy-mm-dd> <select>")
 				continue
 			}
-			res, err := sys.Exec(strings.TrimSpace(stmt), archis.AsOfValidTime(d))
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			printResult(res)
+			show(sys.Do(ctx, strings.TrimSpace(stmt), archis.AsOfValidTime(d)))
 		case "vwrite":
 			// vwrite <vstart> <vend> <stmt>: the mutation asserts its
 			// value holds over [vstart, vend] in the modeled world.
@@ -309,13 +286,8 @@ func repl(sys *archis.System) {
 				fmt.Println("usage: vwrite <vstart> <vend> <stmt>")
 				continue
 			}
-			res, err := sys.ExecDurable(strings.TrimSpace(stmt),
-				archis.WithValidTime(archis.Interval{Start: vs, End: ve}))
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			printResult(res)
+			show(sys.Do(ctx, strings.TrimSpace(stmt), archis.Durable(),
+				archis.WithValidTime(archis.Interval{Start: vs, End: ve})))
 		case "translate":
 			sql, err := sys.Translate(rest)
 			if err != nil {
@@ -367,19 +339,32 @@ func repl(sys *archis.System) {
 	}
 }
 
-func printResult(res *archis.Result) {
-	if len(res.Columns) > 0 {
-		fmt.Println(strings.Join(res.Columns, " | "))
-	}
-	for _, row := range res.Rows {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			parts[i] = v.Text()
+// show prints one statement's outcome: a SQL result's rows, or an
+// XQuery's path, translation and items.
+func show(res *archis.QueryResult, err error) {
+	switch {
+	case err != nil:
+		fmt.Println("error:", err)
+	case res.Result != nil:
+		if len(res.Result.Columns) > 0 {
+			fmt.Println(strings.Join(res.Result.Columns, " | "))
 		}
-		fmt.Println(strings.Join(parts, " | "))
-	}
-	if res.RowsAffected > 0 {
-		fmt.Printf("%d rows affected\n", res.RowsAffected)
+		for _, row := range res.Result.Rows {
+			parts := make([]string, len(row))
+			for i, v := range row {
+				parts[i] = v.Text()
+			}
+			fmt.Println(strings.Join(parts, " | "))
+		}
+		if res.Result.RowsAffected > 0 {
+			fmt.Printf("%d rows affected\n", res.Result.RowsAffected)
+		}
+	default:
+		fmt.Printf("[path: %s]\n", res.Path)
+		if res.SQL != "" {
+			fmt.Println("sql:", res.SQL)
+		}
+		fmt.Println(res.Items.Serialize())
 	}
 }
 

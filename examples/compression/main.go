@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sys, err := archis.New(archis.Options{
 		Layout:         archis.LayoutCompressed,
 		Umin:           0.4,
@@ -70,7 +72,7 @@ func main() {
 	  [tstart(.) <= xs:date(%q) and tend(.) >= xs:date(%q)]
 	return $s`, day, day)
 	cs.Decompressions = 0
-	res, err := sys.Query(q)
+	res, err := sys.Do(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func main() {
 
 	// A single-object history query: block pruning via the sid ranges.
 	cs.Decompressions = 0
-	res, err = sys.Query(`for $s in doc("employees.xml")/employees/employee[id=100007]/salary return $s`)
+	res, err = sys.Do(ctx, `for $s in doc("employees.xml")/employees/employee[id=100007]/salary return $s`)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -76,6 +77,7 @@ return <employee>{$e2/name}</employee>`},
 }
 
 func main() {
+	ctx := context.Background()
 	sys, err := archis.New(archis.Options{Layout: archis.LayoutClustered})
 	if err != nil {
 		log.Fatal(err)
@@ -97,7 +99,7 @@ func main() {
 	fmt.Println("ArchIS HR example — the paper's Tables 1-2 history, queries 1-8")
 	fmt.Println()
 	for _, q := range queries {
-		res, err := sys.Query(q.query)
+		res, err := sys.Do(ctx, q.query)
 		if err != nil {
 			log.Fatalf("%s: %v", q.title, err)
 		}

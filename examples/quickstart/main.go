@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sys, err := archis.New(archis.Options{Layout: archis.LayoutClustered})
 	if err != nil {
 		log.Fatal(err)
@@ -44,7 +46,7 @@ func main() {
 	}
 	for _, s := range steps {
 		sys.SetClock(archis.MustDate(s.day))
-		if _, err := sys.Exec(s.sql); err != nil {
+		if _, err := sys.Do(ctx, s.sql); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -54,7 +56,7 @@ func main() {
 	q1 := `element title_history {
 	  for $t in doc("employees.xml")/employees/employee[name="Bob"]/title
 	  return $t }`
-	res, err := sys.Query(q1)
+	res, err := sys.Do(ctx, q1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func main() {
 	q2 := `for $s in doc("employees.xml")/employees/employee[name="Bob"]/salary
 	        [tstart(.) <= xs:date("1995-03-15") and tend(.) >= xs:date("1995-03-15")]
 	       return string($s)`
-	res, err = sys.Query(q2)
+	res, err = sys.Do(ctx, q2)
 	if err != nil {
 		log.Fatal(err)
 	}

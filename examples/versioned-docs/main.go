@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sys, err := archis.New(archis.Options{Layout: archis.LayoutClustered})
 	if err != nil {
 		log.Fatal(err)
@@ -49,63 +51,63 @@ func main() {
 	}
 	for _, r := range revisions {
 		sys.SetClock(archis.MustDate(r.day))
-		if _, err := sys.Exec(r.sql); err != nil {
+		if _, err := sys.Do(ctx, r.sql); err != nil {
 			log.Fatal(err)
 		}
 	}
 	sys.SetClock(archis.MustDate("2006-07-01"))
 
 	// Evolution query 1: when was each section first introduced?
-	res, err := sys.QueryXML(`
+	res, err := sys.Do(ctx, `
 for $s in doc("sections.xml")/sections/section
-return <introduced heading="{string($s/heading[1])}" on="{tstart($s)}"/>`)
+return <introduced heading="{string($s/heading[1])}" on="{tstart($s)}"/>`, archis.ViaXML())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("when was each section introduced?")
-	for _, it := range res {
+	for _, it := range res.Items {
 		fmt.Println("  " + it.String())
 	}
 
 	// Evolution query 2: the document as of 2001-01-01 (a snapshot).
-	res, err = sys.QueryXML(`
+	res, err = sys.Do(ctx, `
 for $b in doc("sections.xml")/sections/section/body
     [tstart(.) <= xs:date("2001-01-01") and tend(.) >= xs:date("2001-01-01")]
-return $b`)
+return $b`, archis.ViaXML())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nbody text as of 2001-01-01:")
-	for _, it := range res {
+	for _, it := range res.Items {
 		fmt.Println("  " + it.String())
 	}
 
 	// Evolution query 3: how many revisions did section 2 go through,
 	// and who edited it? (translated to SQL/XML)
 	q := `for $b in doc("sections.xml")/sections/section[id=2]/body return $b`
-	out, err := sys.Query(q)
+	out, err := sys.Do(ctx, q)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsection 2 went through %d revisions [path: %s]\n", len(out.Items), out.Path)
 
-	editors, err := sys.QueryXML(`
+	editors, err := sys.Do(ctx, `
 for $e in doc("sections.xml")/sections/section[id=2]/editor
-return concat(string($e), " [", tstart($e), " .. ", tend($e), "]")`)
+return concat(string($e), " [", tstart($e), " .. ", tend($e), "]")`, archis.ViaXML())
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, it := range editors {
+	for _, it := range editors.Items {
 		fmt.Println("  edited by " + it.String())
 	}
 
 	// Evolution query 4: sections no longer part of the document.
-	gone, err := sys.QueryXML(`
+	gone, err := sys.Do(ctx, `
 for $s in doc("sections.xml")/sections/section
 where tend($s) != current-date()
-return string($s/heading[1])`)
+return string($s/heading[1])`, archis.ViaXML())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nretired sections: %s\n", gone.Serialize())
+	fmt.Printf("\nretired sections: %s\n", gone.Items.Serialize())
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"regexp"
@@ -263,7 +264,7 @@ func TestTraceDifferential(t *testing.T) {
 				t.Fatalf("%s Q%d untraced: %v", lay.name, q, err)
 			}
 			tr := obs.NewTracer("query")
-			res, err := e.Sys.Engine.ExecTraced(e.SQL(q), tr.Root())
+			res, err := e.Sys.Engine.Run(context.Background(), e.SQL(q), tr.Root(), nil)
 			if err != nil {
 				t.Fatalf("%s Q%d traced: %v", lay.name, q, err)
 			}

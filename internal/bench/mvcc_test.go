@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -198,7 +199,7 @@ func TestSnapshotConsistencyDifferential(t *testing.T) {
 						sn := e.Sys.DB.Snapshot()
 						lsn := sn.LSN()
 						got, err := runSuiteWith(suite, func(q string) (*sqlengine.Result, error) {
-							return e.Sys.Engine.ExecTracedAt(q, nil, sn)
+							return e.Sys.Engine.Run(context.Background(), q, nil, sn)
 						})
 						sn.Release()
 						if err != nil {
@@ -280,7 +281,7 @@ func TestSnapshotConsistencyDifferential(t *testing.T) {
 			}()
 			for i := 0; i < 16; i++ {
 				for _, q := range []string{`select count(*) from late where k = 1`, `select count(*) from latecomer_grade G where G.id = 1`} {
-					if _, err := e.Sys.Engine.ExecTracedAt(q, nil, pinned); err == nil || !strings.Contains(err.Error(), "no such table") {
+					if _, err := e.Sys.Engine.Run(context.Background(), q, nil, pinned); err == nil || !strings.Contains(err.Error(), "no such table") {
 						t.Errorf("%s pinned before its table: %v, want no such table", q, err)
 					}
 				}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 
 	"archis/internal/core"
 	"archis/internal/temporal"
@@ -64,25 +65,39 @@ func (e *Env) RunBatch(queries []string, workers int) ([]core.ParallelResult, er
 }
 
 // SameAnswers reports whether two outcome slices carry identical
-// result sequences, position by position — the check that parallel
-// execution returns exactly what serial execution returns.
+// answers (SQL rows or XQuery items), position by position — the check
+// that parallel execution returns exactly what serial execution
+// returns.
 func SameAnswers(a, b []core.ParallelResult) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].Result == nil || b[i].Result == nil {
-			return a[i].Result == b[i].Result
-		}
-		ia, ib := a[i].Result.Items, b[i].Result.Items
-		if len(ia) != len(ib) {
+		if (a[i].Result == nil) != (b[i].Result == nil) {
 			return false
 		}
-		for j := range ia {
-			if ia[j].StringValue() != ib[j].StringValue() {
-				return false
-			}
+		if a[i].Result != nil && answerText(a[i].Result) != answerText(b[i].Result) {
+			return false
 		}
 	}
 	return true
+}
+
+// answerText renders one outcome's answer for comparison.
+func answerText(qr *core.QueryResult) string {
+	var sb strings.Builder
+	if qr.Result != nil {
+		for _, row := range qr.Result.Rows {
+			for _, v := range row {
+				sb.WriteString(v.Text())
+				sb.WriteByte('\t')
+			}
+			sb.WriteByte('\n')
+		}
+	}
+	for _, it := range qr.Items {
+		sb.WriteString(it.StringValue())
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -20,9 +19,9 @@ import (
 // Durability: when Options.WALDir is set, the system keeps a segmented
 // write-ahead log of every captured op, clock tick and DDL statement in
 // that directory, next to whole-system snapshots written by Checkpoint.
-// ExecDurable acknowledges a statement only after its log records are
-// fsynced (group commit); Recover — reached through Open on a
-// directory — loads the latest snapshot and replays the log tail.
+// Do under Durable() acknowledges a statement only after its log
+// records are fsynced (group commit); Recover — reached through Open on
+// a directory — loads the latest snapshot and replays the log tail.
 // DESIGN.md §10 states the full contract.
 
 // SnapshotFile is the name of the checkpoint snapshot inside a durable
@@ -114,9 +113,10 @@ func (s *System) initWAL() error {
 
 // attachWALSink routes every captured op into the log. The op record
 // is appended before the archive buffers or applies it; durability is
-// established by the Commit in ExecDurable. A failed append leaves the
-// in-memory state ahead of the log — the log turns sticky-failed, so
-// no later statement can be acknowledged past the divergence.
+// established by the Commit of a Durable() write. A failed append
+// leaves the in-memory state ahead of the log — the log turns
+// sticky-failed, so no later statement can be acknowledged past the
+// divergence.
 func (s *System) attachWALSink() {
 	s.Archive.SetOpSink(func(op htable.Op) error {
 		_, err := s.wal.Append(encodeOpRecord(op))
@@ -149,62 +149,6 @@ func (s *System) commitDDL(lsn uint64) error {
 		return nil
 	}
 	return s.wal.Commit(lsn)
-}
-
-// ExecDurable runs one SQL statement and, when a WAL is configured,
-// returns only after the statement's log records are durable under the
-// configured sync policy. Statements serialize on the write lock
-// (writers require exclusive engine access) but their final fsyncs
-// overlap, so concurrent committers coalesce into shared fsyncs.
-func (s *System) ExecDurable(sql string, opts ...ExecOpt) (*sqlengine.Result, error) {
-	return s.ExecDurableCtx(context.Background(), sql, opts...)
-}
-
-// ExecDurableCtx is ExecDurable under a context. A context that fired
-// before the statement started rejects it; a running mutation is
-// never interrupted (no rollback below this layer), and SELECTs fall
-// through to the cancellable read path.
-func (s *System) ExecDurableCtx(ctx context.Context, sql string, opts ...ExecOpt) (*sqlengine.Result, error) {
-	if s.readOnly != "" {
-		switch firstKeyword(sql) {
-		case "select", "explain":
-		default:
-			return nil, s.readOnlyErr()
-		}
-	}
-	if s.wal == nil {
-		return s.ExecCtx(ctx, sql, opts...)
-	}
-	switch firstKeyword(sql) {
-	case "select", "explain":
-		return s.ExecCtx(ctx, sql, opts...)
-	}
-	o, oerr := resolveExecOpts(opts, false)
-	if oerr != nil {
-		return nil, oerr
-	}
-	s.writeMu.Lock()
-	res, err := s.withPendingValid(o, func() (*sqlengine.Result, error) {
-		return s.Engine.ExecCtx(ctx, sql)
-	})
-	lsn := s.wal.AppendedLSN()
-	// Publish before releasing the lock, stamped with the statement's
-	// final WAL position: the version becomes visible to lock-free
-	// readers exactly once, whole, and ReadAsOf(lsn) later resolves to
-	// it. Visibility precedes durability (the Commit below) — an acked
-	// statement is always durable, an unacked one may be visible, which
-	// the crash matrix pins as "acked-or-later prefix".
-	s.publishAt(lsn)
-	s.writeMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if lsn > 0 {
-		if err := s.wal.Commit(lsn); err != nil {
-			return nil, fmt.Errorf("core: statement executed but not durable: %w", err)
-		}
-	}
-	return res, nil
 }
 
 // SyncWAL forces everything appended so far to disk, regardless of the

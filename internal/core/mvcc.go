@@ -1,18 +1,15 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
-	"archis/internal/obs"
-	"archis/internal/sqlengine"
 	"archis/internal/translator"
 )
 
 // MVCC snapshot publication (DESIGN.md §14). The system disables the
 // storage layer's publish-on-demand mode and publishes explicitly from
 // every write path while writeMu is still held: statement execution
-// (Exec, ExecDurable), DDL (Register), log flushes, checkpoints,
+// (Do on DML/DDL), DDL (Register), log flushes, checkpoints,
 // archive compaction and frozen-segment compression. Each published
 // version is stamped with the WAL LSN that covers it, so readers pin a
 // version without taking any lock and ReadAsOf maps an LSN back to the
@@ -20,13 +17,15 @@ import (
 
 // publishLocked publishes the database's unpublished changes stamped
 // with the WAL position that covers them (0 on a non-durable system —
-// versions still supersede each other by epoch). Caller holds writeMu.
-func (s *System) publishLocked() {
+// versions still supersede each other by epoch) and returns that
+// position. Caller holds writeMu.
+func (s *System) publishLocked() uint64 {
 	var lsn uint64
 	if s.wal != nil {
 		lsn = s.wal.AppendedLSN()
 	}
 	s.publishAt(lsn)
+	return lsn
 }
 
 // publishAt publishes the database's unpublished changes stamped with
@@ -45,41 +44,6 @@ func (s *System) Publish() {
 	s.writeMu.Lock()
 	s.publishLocked()
 	s.writeMu.Unlock()
-}
-
-// ReadAsOf runs one read-only SQL statement against the newest
-// retained version whose publish LSN is at or below lsn — the
-// point-in-time query primitive. It errors when lsn predates the
-// retention horizon (the storage layer keeps a bounded ring of
-// versions) and rejects statements that are not SELECT or EXPLAIN.
-func (s *System) ReadAsOf(lsn uint64, sql string) (*sqlengine.Result, error) {
-	switch firstKeyword(sql) {
-	case "select", "explain":
-	default:
-		return nil, fmt.Errorf("core: ReadAsOf is read-only; got %q", firstKeyword(sql))
-	}
-	sn, err := s.DB.SnapshotAt(lsn)
-	if err != nil {
-		return nil, err
-	}
-	defer sn.Release()
-	return s.Engine.ExecTracedAt(sql, nil, sn)
-}
-
-// ReadAsOfTraced is ReadAsOf under a caller-supplied span (EXPLAIN
-// ANALYZE-style tooling); sp may be nil.
-func (s *System) ReadAsOfTraced(lsn uint64, sql string, sp *obs.Span) (*sqlengine.Result, error) {
-	switch firstKeyword(sql) {
-	case "select", "explain":
-	default:
-		return nil, fmt.Errorf("core: ReadAsOf is read-only; got %q", firstKeyword(sql))
-	}
-	sn, err := s.DB.SnapshotAt(lsn)
-	if err != nil {
-		return nil, err
-	}
-	defer sn.Release()
-	return s.Engine.ExecTracedAt(sql, sp, sn)
 }
 
 // Compact archives every clustered attribute table's live segment that

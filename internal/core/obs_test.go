@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -168,14 +169,26 @@ return max($overlaps)`
 	if xtrace.Find("xquery:eval") == nil {
 		t.Errorf("xml trace has no xquery:eval span:\n%s", xtrace.Tree())
 	}
+
+	// A SELECT is answered in Result; the root counts its rows.
+	sres, strace, err := s.QueryTraced("select name from employee")
+	if err != nil {
+		t.Fatalf("sql query: %v", err)
+	}
+	if n := int64(len(sres.Result.Rows)); n == 0 || strace.Root.RowsOut != n {
+		t.Errorf("root rows_out = %d, want the %d result rows", strace.Root.RowsOut, n)
+	}
 }
 
 // TestSlowQueryLog drives the threshold to one nanosecond so every
-// query logs, and checks the structured record shape.
+// statement logs, then calls every statement-running method on a
+// durable system and requires exactly one well-formed record per call,
+// labelled with the path that answered it.
 func TestSlowQueryLog(t *testing.T) {
 	var mu sync.Mutex
 	var records []string
 	s := newLoadedSystem(t, Options{
+		WALDir:             t.TempDir(),
 		SlowQueryThreshold: time.Nanosecond,
 		SlowQueryLog: func(rec string) {
 			mu.Lock()
@@ -183,29 +196,69 @@ func TestSlowQueryLog(t *testing.T) {
 			mu.Unlock()
 		},
 	})
-	if _, err := s.Exec("SELECT name\nFROM employee\nORDER BY name"); err != nil {
-		t.Fatalf("select: %v", err)
+	t.Cleanup(func() { s.Close() })
+	take := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		out := records
+		records = nil
+		return out
 	}
-	if _, err := s.Query(`for $s in doc("employees.xml")/employees/employee[name="Bob"]/salary return $s`); err != nil {
-		t.Fatalf("query: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(records) < 2 {
-		t.Fatalf("expected records for both queries, got %v", records)
-	}
-	for _, rec := range records {
-		if !strings.HasPrefix(rec, "slow_query path=") {
-			t.Errorf("record %q lacks the slow_query prefix", rec)
+	take()
+
+	const (
+		sel        = "SELECT name\nFROM employee\nORDER BY name"
+		write      = "update employee set salary = 71000 where id = 1001"
+		translated = `for $s in doc("employees.xml")/employees/employee[name="Bob"]/salary return $s`
+		fallback   = `for $e in doc("emp.xml")/employees/employee[name="Bob"]
+let $overlaps := restructure($e/deptno, $e/title)
+return max($overlaps)`
+	)
+	lsn := s.AppliedLSN()
+	for _, c := range []struct {
+		name, path string
+		call       func() error
+	}{
+		{"Do", "sql", func() error { _, err := s.Do(context.Background(), sel); return err }},
+		{"Exec read", "sql", func() error { _, err := s.Exec(sel); return err }},
+		{"Exec write", "sql", func() error { _, err := s.Exec(write); return err }},
+		{"ExecDurable", "sql", func() error { _, err := s.ExecDurable(write); return err }},
+		{"ReadAsOf", "sql", func() error { _, err := s.ReadAsOf(lsn, sel); return err }},
+		{"Query translated", "sql/xml", func() error { _, err := s.Query(translated); return err }},
+		{"Query fallback", "xml", func() error { _, err := s.Query(fallback); return err }},
+		{"QueryXML", "xml", func() error { _, err := s.QueryXML(translated); return err }},
+		{"QueryTraced", "sql/xml", func() error { _, _, err := s.QueryTraced(translated); return err }},
+		{"RunParallel SQL", "sql", func() error { return s.RunParallel([]string{sel}, 1)[0].Err }},
+		{"RunParallel XQuery", "sql/xml", func() error { return s.RunParallel([]string{translated}, 1)[0].Err }},
+	} {
+		if err := c.call(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		recs := take()
+		if len(recs) != 1 {
+			t.Errorf("%s: %d slow-query records, want 1: %q", c.name, len(recs), recs)
+			continue
+		}
+		rec := recs[0]
+		if !strings.HasPrefix(rec, "slow_query path="+c.path+" ") {
+			t.Errorf("%s: record %q, want prefix slow_query path=%s", c.name, rec, c.path)
 		}
 		if strings.Contains(rec, "\n") {
-			t.Errorf("record %q contains a newline; queries must be collapsed", rec)
+			t.Errorf("%s: record %q contains a newline; queries must be collapsed", c.name, rec)
 		}
-		for _, field := range []string{" dur=", " rows=", " status=", " query="} {
+		for _, field := range []string{" dur=", " rows=", " status=ok", " query="} {
 			if !strings.Contains(rec, field) {
-				t.Errorf("record %q lacks %s field", rec, field)
+				t.Errorf("%s: record %q lacks %s field", c.name, rec, field)
 			}
 		}
+	}
+
+	// Exec rejects an XQuery before running it, so nothing is recorded.
+	if _, err := s.Exec(translated); err == nil || !strings.Contains(err.Error(), "not a SQL statement") {
+		t.Errorf("Exec of an XQuery: %v, want a not-a-SQL-statement error", err)
+	}
+	if recs := take(); len(recs) != 0 {
+		t.Errorf("Exec of an XQuery ran it: %q", recs)
 	}
 }
 
@@ -254,7 +307,7 @@ func TestRunParallelExplain(t *testing.T) {
 		if pr.Err != nil {
 			t.Fatalf("query %d: %v", i, pr.Err)
 		}
-		if len(pr.Result.Items) == 0 {
+		if len(pr.Result.Result.Rows) == 0 {
 			t.Fatalf("query %d returned an empty plan", i)
 		}
 	}

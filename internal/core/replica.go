@@ -1,13 +1,9 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"archis/internal/obs"
-	"archis/internal/sqlengine"
 	"archis/internal/wal"
 )
 
@@ -31,10 +27,6 @@ func (s *System) readOnlyErr() error {
 
 // Replica reports whether the system is a WAL-shipping follower.
 func (s *System) Replica() bool { return s.replica }
-
-// FirstKeyword exposes the statement classifier to front ends, which
-// route SELECT/EXPLAIN, DML and XQuery to different entry points.
-func FirstKeyword(q string) string { return firstKeyword(q) }
 
 // ReadOnlyReason returns why mutations are rejected ("" when the
 // system is writable).
@@ -108,28 +100,4 @@ func (s *System) SetWALRetention(fn func() uint64) {
 		return
 	}
 	s.wal.SetRetention(fn)
-}
-
-// ReadAsOfCtx is ReadAsOf under a context: the scan stops early when
-// the context fires.
-func (s *System) ReadAsOfCtx(ctx context.Context, lsn uint64, sql string) (*sqlengine.Result, error) {
-	switch firstKeyword(sql) {
-	case "select", "explain":
-	default:
-		return nil, fmt.Errorf("core: ReadAsOf is read-only; got %q", firstKeyword(sql))
-	}
-	sn, err := s.DB.SnapshotAt(lsn)
-	if err != nil {
-		return nil, err
-	}
-	defer sn.Release()
-	return s.Engine.ExecTracedAtCtx(ctx, sql, nil, sn)
-}
-
-// ServeObserve records one served query in the given histogram and
-// the slow-query log — the front end's hook into the system's
-// observability pipeline (same record format as the in-process
-// paths).
-func (s *System) ServeObserve(h *obs.Histogram, path, query string, d time.Duration, rows int, err error) {
-	s.observeQuery(h, path, query, d, rows, err)
 }

@@ -7,10 +7,7 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,7 +23,6 @@ import (
 	"archis/internal/translator"
 	"archis/internal/wal"
 	"archis/internal/xmltree"
-	"archis/internal/xquery"
 )
 
 // Layout selects the physical layout of attribute-history tables.
@@ -111,15 +107,17 @@ type Options struct {
 	// WALSegmentBytes is the log segment roll threshold
 	// (wal.DefaultSegmentBytes if zero).
 	WALSegmentBytes int
-	// SlowQueryThreshold, when positive, logs every query (Exec, Query,
-	// QueryXML entry points) that takes at least this long as one
-	// structured line through SlowQueryLog (DESIGN.md §11).
+	// SlowQueryThreshold, when positive, logs every statement Do runs
+	// (and so every method over it) that takes at least this long as
+	// one structured line through SlowQueryLog (DESIGN.md §11).
 	SlowQueryThreshold time.Duration
 	// SlowQueryLog receives slow-query records; nil discards them.
 	SlowQueryLog func(record string)
 }
 
-// System is the assembled ArchIS instance.
+// System is the assembled ArchIS instance. Do (do.go) runs every
+// statement; the other methods register tables, move the clock and
+// run maintenance.
 type System struct {
 	DB      *relstore.Database
 	Engine  *sqlengine.Engine
@@ -143,7 +141,7 @@ type System struct {
 	// the storage and WAL counters plus the per-path query-latency
 	// histograms below. Always non-nil.
 	metrics *obs.Registry
-	qhSQL   *obs.Histogram // query.sql_ns: direct SQL through Exec
+	qhSQL   *obs.Histogram // query.sql_ns: direct SQL
 	qhTrans *obs.Histogram // query.sqlxml_ns: translated XQuery
 	qhXML   *obs.Histogram // query.xml_ns: XQuery on published H-docs
 
@@ -426,270 +424,9 @@ func (s *System) SetClock(d temporal.Date) {
 	s.Archive.SetClock(d)
 }
 
-// Exec runs SQL against the engine (the current database and the
-// H-tables share it). SELECT and EXPLAIN run lock-free on a pinned
-// snapshot of the latest published version — they never block on and
-// are never blocked by a writer. Everything else takes the write lock
-// and publishes a new version on completion. Latency lands in the
-// query.sql_ns histogram and the slow-query log when a threshold is
-// configured. Bitemporal options (bitemporal.go): WithValidTime
-// stamps a mutation's valid interval, AsOfValidTime/AsOfTransactionTime
-// scope a read to a valid date and/or a retained LSN.
-func (s *System) Exec(sql string, opts ...ExecOpt) (*sqlengine.Result, error) {
-	return s.ExecCtx(context.Background(), sql, opts...)
-}
-
-// ExecCtx is Exec under a context: SELECT and EXPLAIN honor
-// cancellation mid-scan (the engine probes ctx at morsel and row
-// boundaries), mutations check the context once before running —
-// there is no rollback below this layer, so a statement that started
-// always finishes.
-func (s *System) ExecCtx(ctx context.Context, sql string, opts ...ExecOpt) (*sqlengine.Result, error) {
-	start := time.Now()
-	var res *sqlengine.Result
-	var err error
-	switch firstKeyword(sql) {
-	case "select", "explain":
-		o, oerr := resolveExecOpts(opts, true)
-		if oerr != nil {
-			return nil, oerr
-		}
-		// The engine pins the current published version per statement
-		// (or the retained one AsOfTransactionTime names).
-		res, err = s.execRead(ctx, sql, o)
-	default:
-		o, oerr := resolveExecOpts(opts, false)
-		if oerr != nil {
-			return nil, oerr
-		}
-		if s.readOnly != "" {
-			return nil, s.readOnlyErr()
-		}
-		s.writeMu.Lock()
-		res, err = s.withPendingValid(o, func() (*sqlengine.Result, error) {
-			return s.Engine.ExecCtx(ctx, sql)
-		})
-		// Publish even on error: a failed statement may have applied
-		// partial effects (no rollback below this layer), and live
-		// reads always saw them — snapshot reads must converge too.
-		s.publishLocked()
-		s.writeMu.Unlock()
-	}
-	rows := 0
-	if res != nil {
-		rows = len(res.Rows)
-	}
-	s.observeQuery(s.qhSQL, "sql", sql, time.Since(start), rows, err)
-	return res, err
-}
-
 // Translate shows the SQL/XML a temporal query maps to.
 func (s *System) Translate(query string) (string, error) {
 	return s.translator.Translate(query)
-}
-
-// ExecutionPath reports which engine answered a query.
-type ExecutionPath string
-
-const (
-	PathSQL ExecutionPath = "sql/xml" // translated, ran on H-tables
-	PathXML ExecutionPath = "xml"     // evaluated on the H-view
-)
-
-// QueryResult is the unified result of a temporal query.
-type QueryResult struct {
-	Items xquery.Seq
-	Path  ExecutionPath
-	SQL   string // the translation, when Path == PathSQL
-}
-
-// Query answers an XQuery over the H-views: translated to SQL/XML when
-// the shape is supported, evaluated directly on the published
-// H-documents otherwise (the paper's bypass for restructuring and
-// quantified queries).
-func (s *System) Query(query string) (*QueryResult, error) {
-	return s.queryTraced(context.Background(), query, nil)
-}
-
-// QueryCtx is Query under a context. The translated SQL/XML path
-// honors cancellation mid-scan; the XML bypass path checks the
-// context once before evaluation (the tree walk itself is not
-// interruptible).
-func (s *System) QueryCtx(ctx context.Context, query string) (*QueryResult, error) {
-	return s.queryTraced(ctx, query, nil)
-}
-
-// QueryTraced is Query under a fresh tracer: the returned QueryTrace
-// holds the full span tree — translation, per-operator SQL execution
-// or XQuery evaluation — plus the query's storage-counter deltas as
-// attributes on the root span. The deltas come from global counters,
-// so concurrent queries bleed into each other's attribution; trace
-// serially when exact per-query numbers matter.
-func (s *System) QueryTraced(query string) (*QueryResult, *obs.QueryTrace, error) {
-	tr := obs.NewTracer("query")
-	root := tr.Root()
-	prev := s.DB.Stats()
-	res, err := s.queryTraced(context.Background(), query, root)
-	d := s.DB.Stats().Sub(prev)
-	root.SetInt("block_reads", d.BlockReads)
-	root.SetInt("bytes_read", d.BytesRead)
-	root.SetInt("cache_hits", d.CacheHits)
-	root.SetInt("pages_skipped", d.PagesSkipped)
-	root.SetInt("block_cache_hits", d.BlockCacheHits)
-	root.SetInt("block_cache_misses", d.BlockCacheMisses)
-	if res != nil {
-		root.SetAttr("path", string(res.Path))
-		root.AddRows(0, int64(len(res.Items)))
-	}
-	return res, tr.Finish(query), err
-}
-
-// queryTraced is the shared body of Query, QueryCtx and QueryTraced;
-// sp may be nil (untraced).
-func (s *System) queryTraced(ctx context.Context, query string, sp *obs.Span) (*QueryResult, error) {
-	start := time.Now()
-	// One snapshot pinned across translate + execute, so the executed
-	// SQL reads exactly the version the query started on. Translation
-	// itself consults the live segment directories (ViewInfo.SegmentsFor
-	// under the store lock); segments are append-only and their
-	// boundaries immutable once frozen, so the live-computed segno
-	// window only widens relative to the pinned version's — the rewrite
-	// stays sound, never excluding a visible row.
-	sn := s.DB.Snapshot()
-	defer sn.Release()
-	sql, terr := s.translator.TranslateTraced(query, sp)
-	if terr == nil {
-		res, err := s.Engine.ExecTracedAtCtx(ctx, sql, sp, sn)
-		if err != nil {
-			return nil, fmt.Errorf("core: translated query failed: %w\nsql: %s", err, sql)
-		}
-		qr := &QueryResult{Items: rowsToSeq(res), Path: PathSQL, SQL: sql}
-		s.observeQuery(s.qhTrans, "sql/xml", query, time.Since(start), len(qr.Items), nil)
-		return qr, nil
-	}
-	if !errors.Is(terr, translator.ErrUnsupported) {
-		return nil, terr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: query cancelled: %w", context.Cause(ctx))
-	}
-	seq, err := s.queryXMLTraced(query, sp)
-	s.observeQuery(s.qhXML, "xml", query, time.Since(start), len(seq), err)
-	if err != nil {
-		return nil, err
-	}
-	return &QueryResult{Items: seq, Path: PathXML}, nil
-}
-
-// ParallelResult is the outcome of one query in a RunParallel batch.
-type ParallelResult struct {
-	Query  string
-	Result *QueryResult
-	Err    error
-}
-
-// RunParallel executes a batch of read-only queries concurrently over
-// a worker pool and returns the outcomes in input order. Each query is
-// either an XQuery over the H-views (answered by Query, so it may run
-// on either execution path) or a SQL SELECT (run directly on the
-// engine). workers <= 0 uses GOMAXPROCS. DML and DDL are rejected:
-// writers require exclusive access to the system (see the concurrency
-// model in DESIGN.md), so they must not ride in a parallel batch.
-func (s *System) RunParallel(queries []string, workers int) []ParallelResult {
-	out := make([]ParallelResult, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				out[i] = s.runReadOnly(queries[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// runReadOnly answers one RunParallel batch entry.
-func (s *System) runReadOnly(q string) ParallelResult {
-	pr := ParallelResult{Query: q}
-	switch kw := firstKeyword(q); kw {
-	case "select", "explain":
-		res, err := s.Engine.Exec(q)
-		if err != nil {
-			pr.Err = err
-			return pr
-		}
-		pr.Result = &QueryResult{Items: rowsToSeq(res), Path: PathSQL, SQL: q}
-	case "insert", "update", "delete", "create", "drop":
-		pr.Err = fmt.Errorf("core: RunParallel is read-only; %s requires exclusive access", strings.ToUpper(kw))
-	default:
-		pr.Result, pr.Err = s.Query(q)
-	}
-	return pr
-}
-
-// firstKeyword returns the first SQL keyword of q in lower case,
-// skipping leading whitespace, parentheses and SQL comments (`-- …`
-// to end of line, `/* … */`), so the RunParallel read-only gate
-// classifies statements like `(select …)` or `-- note\nselect …`
-// correctly instead of falling through to the XQuery path.
-func firstKeyword(q string) string {
-	i := 0
-	for i < len(q) {
-		c := q[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '(':
-			i++
-		case strings.HasPrefix(q[i:], "--"):
-			nl := strings.IndexByte(q[i:], '\n')
-			if nl < 0 {
-				return ""
-			}
-			i += nl + 1
-		case strings.HasPrefix(q[i:], "/*"):
-			end := strings.Index(q[i+2:], "*/")
-			if end < 0 {
-				return ""
-			}
-			i += 2 + end + 2
-		default:
-			j := i
-			for j < len(q) && (q[j] == '_' ||
-				('a' <= q[j] && q[j] <= 'z') || ('A' <= q[j] && q[j] <= 'Z')) {
-				j++
-			}
-			return strings.ToLower(q[i:j])
-		}
-	}
-	return ""
-}
-
-// QueryXML evaluates a query directly over the published H-documents.
-func (s *System) QueryXML(query string) (xquery.Seq, error) {
-	return s.queryXMLTraced(query, nil)
-}
-
-func (s *System) queryXMLTraced(query string, sp *obs.Span) (xquery.Seq, error) {
-	ev := xquery.NewEvaluator(s.resolveDoc)
-	ev.Now = s.Clock()
-	ev.Trace = sp
-	return ev.Eval(query)
 }
 
 func (s *System) resolveDoc(name string) (*xmltree.Node, error) {
@@ -816,32 +553,4 @@ func (s *System) isCurrentTable(lower string) bool {
 		}
 	}
 	return false
-}
-
-// rowsToSeq flattens a SQL result into an XQuery sequence.
-func rowsToSeq(res *sqlengine.Result) xquery.Seq {
-	var out xquery.Seq
-	for _, row := range res.Rows {
-		for _, v := range row {
-			switch v.Kind {
-			case relstore.TypeXML:
-				if v.X != nil {
-					out = append(out, xquery.NodeItem(v.X))
-				}
-			case relstore.TypeNull:
-				// skip
-			case relstore.TypeInt:
-				out = append(out, xquery.NumberItem(float64(v.I)))
-			case relstore.TypeFloat:
-				out = append(out, xquery.NumberItem(v.F))
-			case relstore.TypeDate:
-				out = append(out, xquery.DateItem(v.Date()))
-			case relstore.TypeBool:
-				out = append(out, xquery.BoolItem(v.Truth))
-			default:
-				out = append(out, xquery.StringItem(v.Text()))
-			}
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -293,8 +294,8 @@ func TestRunParallelGateSeesThroughCommentsParallel(t *testing.T) {
 			t.Errorf("query %d: %v", i, res[i].Err)
 			continue
 		}
-		if got := res[i].Result.Items.Serialize(); !strings.Contains(got, "Bob") {
-			t.Errorf("query %d: items = %s", i, got)
+		if got := fmt.Sprint(res[i].Result.Result.Rows); !strings.Contains(got, "Bob") {
+			t.Errorf("query %d: rows = %s", i, got)
 		}
 	}
 	if res[3].Err == nil || !strings.Contains(res[3].Err.Error(), "read-only") {

@@ -146,7 +146,7 @@ func TestLegacyArchiveCompat(t *testing.T) {
 	// A valid-time scoped SELECT gets the legacy conjunct tstart<=d:
 	// versions asserted after d are not yet believed.
 	ctx := sqlengine.WithValidAsOf(context.Background(), temporal.MustParseDate("1995-03-01"))
-	res, err := en.ExecCtx(ctx, "select salary from employee_salary where id = 1001 order by tstart")
+	res, err := en.Run(ctx, "select salary from employee_salary where id = 1001 order by tstart", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,11 @@
 //	GET  /metrics                                     → full metrics JSON
 //
 // /query also accepts GET with ?sql=&as_of_lsn= for interactive use.
-// Statements route by first keyword: SELECT/EXPLAIN run on the SQL
-// engine, DML/DDL through /query is rejected (use /exec), anything
-// else is evaluated as a temporal XQuery over the H-views. On a
-// follower every write is rejected with 403 by the system itself.
+// Both endpoints run the statement through core.System.Do, which routes
+// it by first keyword: SELECT/EXPLAIN run on the SQL engine, DML/DDL
+// through /query is rejected (use /exec), anything else is evaluated
+// as a temporal XQuery over the H-views. On a follower every write is
+// rejected with 403 by the system itself.
 package server
 
 import (
@@ -216,9 +217,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	kw := core.FirstKeyword(req.SQL)
-	var opts []core.ExecOpt
-	if req.AsOfLSN > 0 && (kw == "select" || kw == "explain") {
+	opts := []core.ExecOpt{core.ReadOnly()}
+	if req.ValidAsOf != "" {
+		d, err := temporal.ParseDate(req.ValidAsOf)
+		if err != nil {
+			http.Error(w, "bad valid_as_of: "+err.Error(), http.StatusBadRequest)
+			return
+		}
+		opts = append(opts, core.AsOfValidTime(d))
+	}
+	if req.AsOfLSN > 0 {
 		// Pin the version before queueing for a slot: the wait for one
 		// cannot carry as_of_lsn past the retention horizon (DESIGN.md
 		// §14.3).
@@ -230,62 +238,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer sn.Release()
 		opts = append(opts, core.AtSnapshot(sn))
 	}
-	release, err := s.admit(r.Context())
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	defer release()
-	ctx, cancel := s.queryCtx(r, req)
-	defer cancel()
-
-	start := time.Now()
-	if req.ValidAsOf != "" {
-		d, perr := temporal.ParseDate(req.ValidAsOf)
-		if perr != nil {
-			http.Error(w, "bad valid_as_of: "+perr.Error(), http.StatusBadRequest)
-			return
-		}
-		opts = append(opts, core.AsOfValidTime(d))
-	}
-	var resp *response
-	switch {
-	case kw == "select" || kw == "explain":
-		// Transaction-time and valid-time scoping both ride the option
-		// list; AsOfLSN alone is the classic ReadAsOf path.
-		var res *sqlengine.Result
-		res, err = s.sys.ExecCtx(ctx, req.SQL, opts...)
-		resp = sqlResponse(res)
-	case req.AsOfLSN > 0:
-		err = fmt.Errorf("server: as_of_lsn applies to SELECT/EXPLAIN only")
-	case kw == "insert" || kw == "update" || kw == "delete" || kw == "create" || kw == "drop":
-		err = fmt.Errorf("server: /query is read-only; send %s to /exec", kw)
-	case req.ValidAsOf != "":
-		// The XQuery path has its own valid-time library (vsnapshot,
-		// vslice); a request-level date would silently not apply.
-		err = fmt.Errorf("server: valid_as_of applies to SELECT/EXPLAIN; use vsnapshot()/vslice() in XQuery")
-	default:
-		// Temporal XQuery over the H-views.
-		var qr *core.QueryResult
-		qr, err = s.sys.QueryCtx(ctx, req.SQL)
-		if err == nil {
-			resp = &response{Path: string(qr.Path)}
-			for _, it := range qr.Items {
-				resp.Items = append(resp.Items, it.StringValue())
-			}
-		}
-	}
-	rows := 0
-	if resp != nil {
-		rows = len(resp.Rows) + len(resp.Items)
-	}
-	s.sys.ServeObserve(s.hServe, "served", req.SQL, time.Since(start), rows, err)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	resp.LSN = s.sys.AppliedLSN()
-	writeJSON(w, resp)
+	s.serve(w, r, req, opts...)
 }
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
@@ -298,6 +251,12 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	s.serve(w, r, req, core.Durable())
+}
+
+// serve admits a request, runs it through System.Do, which applies
+// the statement-class and option rules, and writes the response.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, req request, opts ...core.ExecOpt) {
 	release, err := s.admit(r.Context())
 	if err != nil {
 		writeErr(w, err)
@@ -308,17 +267,20 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
-	res, err := s.sys.ExecDurableCtx(ctx, req.SQL)
-	rows := 0
-	if res != nil {
-		rows = len(res.Rows)
+	qr, err := s.sys.Do(ctx, req.SQL, opts...)
+	s.hServe.Observe(time.Since(start))
+	if errors.Is(err, core.ErrWriteStatement) {
+		err = fmt.Errorf("server: /query is read-only; send writes to /exec: %w", err)
 	}
-	s.sys.ServeObserve(s.hServe, "served", req.SQL, time.Since(start), rows, err)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	resp := sqlResponse(res)
+	resp := sqlResponse(qr.Result)
+	resp.Path = string(qr.Path)
+	for _, it := range qr.Items {
+		resp.Items = append(resp.Items, it.StringValue())
+	}
 	resp.LSN = s.sys.AppliedLSN()
 	writeJSON(w, resp)
 }

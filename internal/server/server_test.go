@@ -253,6 +253,7 @@ func TestServeErrorPathsDrainPinnedReaders(t *testing.T) {
 		{"as_of_lsn on DML", "/query", request{SQL: "update employee set salary = 1", AsOfLSN: lsn}, http.StatusBadRequest},
 		{"DML on /query", "/query", request{SQL: "delete from employee"}, http.StatusBadRequest},
 		{"valid_as_of on xquery", "/query", request{SQL: `for $e in doc("emp.xml")/employees/employee return $e`, ValidAsOf: "1995-01-01"}, http.StatusBadRequest},
+		{"as_of_lsn on xquery", "/query", request{SQL: `for $e in doc("emp.xml")/employees/employee return $e`, AsOfLSN: lsn}, http.StatusBadRequest},
 		{"timeout mid-join", "/query", request{
 			SQL: "select count(*) from employee a, employee b, employee c" +
 				" where a.salary + b.salary + c.salary = 1",

@@ -25,7 +25,7 @@ func TestCancelMidJoinReturnsFast(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := en.ExecCtx(ctx, slow)
+		_, err := en.Run(ctx, slow, nil, nil)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -71,7 +71,7 @@ func TestCancelParallelScanLeavesEngineReusable(t *testing.T) {
 			time.Sleep(time.Duration(i%4) * 100 * time.Microsecond)
 			cancel()
 		}()
-		res, err := en.ExecCtx(ctx, q)
+		res, err := en.Run(ctx, q, nil, nil)
 		if err != nil {
 			if !strings.Contains(err.Error(), "cancelled") {
 				t.Fatalf("run %d: unexpected error: %v", i, err)
@@ -98,7 +98,7 @@ func TestCancelledContextRejectsMutation(t *testing.T) {
 	en, _ := newParallelDB(t, 1000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := en.ExecCtx(ctx, `insert into pt values (999999, 1, 'gx', 1)`); err == nil ||
+	if _, err := en.Run(ctx, `insert into pt values (999999, 1, 'gx', 1)`, nil, nil); err == nil ||
 		!strings.Contains(err.Error(), "cancelled") {
 		t.Fatalf("pre-cancelled context did not reject the insert: %v", err)
 	}
@@ -107,7 +107,7 @@ func TestCancelledContextRejectsMutation(t *testing.T) {
 		t.Error("rejected insert still applied rows")
 	}
 	// A live context lets the same statement through.
-	if _, err := en.ExecCtx(context.Background(), `insert into pt values (999999, 1, 'gx', 1)`); err != nil {
+	if _, err := en.Run(context.Background(), `insert into pt values (999999, 1, 'gx', 1)`, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

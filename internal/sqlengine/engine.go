@@ -178,30 +178,7 @@ type Result struct {
 
 // Exec parses and executes one SQL statement.
 func (en *Engine) Exec(sql string) (*Result, error) {
-	return en.ExecTraced(sql, nil)
-}
-
-// ExecCtx is Exec under a cancellable context: read statements poll
-// ctx at row granularity in every drain loop (serial scans, morsel
-// workers, batch drains, join probes) and return a wrapped ctx error
-// promptly when it fires. DML and DDL are not interruptible once
-// started — cancelling mid-mutation would leave partial state — so ctx
-// is checked once before they run.
-func (en *Engine) ExecCtx(ctx context.Context, sql string) (*Result, error) {
-	return en.ExecTracedAtCtx(ctx, sql, nil, nil)
-}
-
-// ExecTraced is Exec with execution-stage spans recorded as children
-// of sp. A nil sp disables tracing at the cost of one pointer check
-// per hook (the DESIGN.md §11 contract).
-func (en *Engine) ExecTraced(sql string, sp *obs.Span) (*Result, error) {
-	ps := sp.Child("parse")
-	stmt, err := Parse(sql)
-	ps.End()
-	if err != nil {
-		return nil, err
-	}
-	return en.ExecStmtTraced(stmt, sp)
+	return en.Run(context.TODO(), sql, nil, nil)
 }
 
 // MustExec is Exec for statements that must succeed (setup code).
@@ -215,33 +192,28 @@ func (en *Engine) MustExec(sql string) *Result {
 
 // ExecStmt executes a parsed statement.
 func (en *Engine) ExecStmt(stmt Statement) (*Result, error) {
-	return en.ExecStmtTraced(stmt, nil)
+	return en.run(context.TODO(), stmt, nil, nil)
 }
 
-// ExecStmtTraced executes a parsed statement with tracing under sp
-// (nil disables).
-func (en *Engine) ExecStmtTraced(stmt Statement, sp *obs.Span) (*Result, error) {
-	return en.ExecStmtTracedAt(stmt, sp, nil)
-}
-
-// ExecTracedAt is ExecTraced pinned to an externally supplied snapshot
-// (nil pins the current version per statement). Callers that translate
-// and execute under one consistent view — core's query path, ReadAsOf —
-// pass the snapshot they already hold; it is not released here.
-func (en *Engine) ExecTracedAt(sql string, sp *obs.Span, sn *relstore.Snapshot) (*Result, error) {
-	return en.ExecTracedAtCtx(context.Background(), sql, sp, sn)
-}
-
-// ExecTracedAtCtx is ExecTracedAt under a cancellable context (see
-// ExecCtx for the cancellation contract).
-func (en *Engine) ExecTracedAtCtx(ctx context.Context, sql string, sp *obs.Span, sn *relstore.Snapshot) (*Result, error) {
+// Run parses and executes one SQL statement: the engine's one entry
+// point with every knob. Execution-stage spans are recorded as
+// children of sp (nil disables tracing at the cost of one pointer
+// check per hook, the DESIGN.md §11 contract). SELECT and EXPLAIN run
+// against sn, a snapshot the caller pinned and releases (nil pins the
+// current version for the statement), so they never block on, or
+// observe a torn write from, a concurrent writer; they poll ctx at row
+// granularity in every drain loop and return a wrapped ctx error
+// promptly when it fires. DML and DDL always target the live tables
+// and are not interruptible once started (cancelling mid-mutation
+// would leave partial state), so ctx is checked once before they run.
+func (en *Engine) Run(ctx context.Context, sql string, sp *obs.Span, sn *relstore.Snapshot) (*Result, error) {
 	ps := sp.Child("parse")
 	stmt, err := Parse(sql)
 	ps.End()
 	if err != nil {
 		return nil, err
 	}
-	return en.ExecStmtTracedAtCtx(ctx, stmt, sp, sn)
+	return en.run(ctx, stmt, sp, sn)
 }
 
 // snapshotFor resolves the snapshot a read statement runs under: the
@@ -255,17 +227,8 @@ func (en *Engine) snapshotFor(sn *relstore.Snapshot) (*relstore.Snapshot, func()
 	return own, own.Release
 }
 
-// ExecStmtTracedAt executes a parsed statement with tracing under sp;
-// SELECT and EXPLAIN run against sn (or a freshly pinned snapshot when
-// sn is nil), so they never block on — or observe a torn write from —
-// a concurrent writer. DML and DDL always target the live tables.
-func (en *Engine) ExecStmtTracedAt(stmt Statement, sp *obs.Span, sn *relstore.Snapshot) (*Result, error) {
-	return en.ExecStmtTracedAtCtx(context.Background(), stmt, sp, sn)
-}
-
-// ExecStmtTracedAtCtx is ExecStmtTracedAt under a cancellable context
-// (see ExecCtx for the cancellation contract).
-func (en *Engine) ExecStmtTracedAtCtx(ctx context.Context, stmt Statement, sp *obs.Span, sn *relstore.Snapshot) (*Result, error) {
+// run executes a parsed statement under Run's contract.
+func (en *Engine) run(ctx context.Context, stmt Statement, sp *obs.Span, sn *relstore.Snapshot) (*Result, error) {
 	switch s := stmt.(type) {
 	case *SelectStmt:
 		sn, release := en.snapshotFor(sn)
